@@ -1,6 +1,6 @@
 """Per-gate forward and backward implication rules.
 
-These rules are the local building block of the frame implication engine
+These rules specify the local step of the frame implication engine
 (:mod:`repro.mot.implication`).  Given the currently known three-valued
 output and input values of a single gate, :func:`propagate_gate` computes
 every value that is *forced* by three-valued reasoning:
@@ -23,6 +23,13 @@ assignment consistent with the given partial values, and a conflict is
 raised only when no consistent complete assignment exists **locally** for
 this gate.  Soundness is property-tested against brute-force enumeration
 in ``tests/logic/test_implication_properties.py``.
+
+:func:`propagate_gate` is the readable reference, not the hot path: the
+engine runs a compiled, opcode-specialized step over per-engine int
+tables that computes the same local fixpoint from one scan of the gate,
+and ``tests/mot/test_implication_compiled.py`` holds the two equal --
+values, written positions in order, and conflicts -- on every gate type
+and value combination.  :class:`Conflict` is shared by both.
 """
 
 from __future__ import annotations

@@ -30,20 +30,21 @@ Two scheduling modes are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.errors import BudgetExceeded
 from repro.faults.injection import InjectedFault, inject_fault
 from repro.faults.model import Fault
-from repro.logic.values import UNKNOWN
+from repro.logic.values import ONE, UNKNOWN, ZERO
 from repro.mot.conditions import MotProfile, mot_profile
 from repro.mot.expansion import DEFAULT_N_STATES, StateSequence
 from repro.mot.resimulate import SequenceStatus, resimulate_sequence
 from repro.mot.simulator import Campaign, FaultVerdict
 from repro.runner.budget import BudgetMeter, FaultBudget
-from repro.sim.frame import eval_frame
 from repro.sim.goodcache import GoodMachineCache
+from repro.sim.ir import compile_circuit
+from repro.sim.kernel import eval_pass
 from repro.sim.sequential import (
     outputs_conflict,
     simulate_injected,
@@ -103,34 +104,59 @@ class BaselineSimulator:
             self.reference_outputs = self.reference.outputs
 
     # ------------------------------------------------------------------
-    def _trial_gain(
+    def _trial_gains(
         self,
         injected: InjectedFault,
         sequence: StateSequence,
-        u: int,
-        flop_index: int,
-    ) -> int:
-        """Newly specified PO/NS values when ``y_i`` is set at time *u*.
+        pairs: Sequence[Tuple[int, int]],
+    ) -> List[int]:
+        """Newly specified PO/NS values when ``y_i`` is set at time *u*,
+        for every ``(u, i)`` in *pairs*.
 
-        Sums the gains of both trial values -- the forward-only analogue
-        of the paper's ``N_extra`` criteria.
+        A pair's gain sums over both trial values -- the forward-only
+        analogue of the paper's ``N_extra`` criteria -- the PO/NS
+        positions that are unspecified in *sequence*'s frame at *u* and
+        specified once ``y_i`` is.  Every frame is evaluated in one
+        two-plane kernel pass over the faulty circuit: one base slot per
+        time unit, then the two trial slots of each of its pairs.  (Each
+        trial row differs from its base row only at ``y_i``, which is
+        unspecified there.)
         """
-        circuit = injected.circuit
-        interesting = list(circuit.outputs) + [f.ns for f in circuit.flops]
-        base_row = sequence.states[u]
-        base_values = eval_frame(circuit, self.patterns[u], base_row)
-        gain = 0
-        for alpha in (0, 1):
-            trial_row = list(base_row)
-            trial_row[flop_index] = alpha
-            trial_values = eval_frame(circuit, self.patterns[u], trial_row)
-            for line in interesting:
-                if (
-                    base_values[line] == UNKNOWN
-                    and trial_values[line] != UNKNOWN
-                ):
-                    gain += 1
-        return gain
+        ir = compile_circuit(injected.circuit)
+        trials = 2 * len(pairs)  # pair k: y_i = 0 in slot 2k, 1 in 2k+1
+        ones = [0] * ir.num_lines
+        zeros = [0] * ir.num_lines
+        base_slot: Dict[int, int] = {}  # time unit -> its base slot
+        group: Dict[int, int] = {}  # time unit -> mask of all its slots
+        for k, (u, i) in enumerate(pairs):
+            if u not in base_slot:
+                base_slot[u] = trials + len(base_slot)
+                group[u] = 1 << base_slot[u]
+            zeros[ir.ps_lines[i]] |= 1 << 2 * k
+            ones[ir.ps_lines[i]] |= 1 << 2 * k + 1
+            group[u] |= 3 << 2 * k
+        for u, mask in group.items():
+            sources = self.patterns[u] + sequence.states[u]
+            for line, value in zip(ir.inputs + ir.ps_lines, sources):
+                if value == ONE:
+                    ones[line] |= mask
+                elif value == ZERO:
+                    zeros[line] |= mask
+        eval_pass(ir, ones, zeros, (1 << (trials + len(group))) - 1)
+        # Per trial slot, count the interesting lines (with multiplicity)
+        # that the slot specifies while its base slot leaves them X.
+        counts = [0] * trials
+        for line in ir.outputs + ir.ns_lines:
+            specified = ones[line] | zeros[line]
+            newly = 0
+            for u, mask in group.items():
+                if not specified >> base_slot[u] & 1:
+                    newly |= specified & mask
+            while newly:
+                low = newly & -newly
+                counts[low.bit_length() - 1] += 1
+                newly ^= low
+        return [counts[2 * k] + counts[2 * k + 1] for k in range(len(pairs))]
 
     def _choose_pair(
         self,
@@ -163,14 +189,11 @@ class BaselineSimulator:
         candidate_pairs = [
             p for p in candidate_pairs if profile.n_sv[p[0]] == best_n_sv
         ]
+        gains = self._trial_gains(injected, sequences[0], candidate_pairs)
         best_pair = None
         best_key: Tuple[int, int, int] = (-1, 0, 0)
-        for u, flop_index in candidate_pairs:
-            key = (
-                self._trial_gain(injected, sequences[0], u, flop_index),
-                -u,
-                -flop_index,
-            )
+        for (u, flop_index), gain in zip(candidate_pairs, gains):
+            key = (gain, -u, -flop_index)
             if key > best_key:
                 best_key = key
                 best_pair = (u, flop_index)
@@ -194,8 +217,14 @@ class BaselineSimulator:
         injected: InjectedFault,
         sequences: List[StateSequence],
         meter: Optional[BudgetMeter] = None,
+        first_only: bool = False,
     ) -> List[StateSequence]:
-        """Resimulate and keep only unresolved sequences."""
+        """Resimulate and keep only unresolved sequences.
+
+        With *first_only*, stop at the first unresolved sequence: the
+        one-shot verdict only asks whether any sequence stays
+        unresolved, so the rest need not be resimulated (nor charged).
+        """
         unresolved: List[StateSequence] = []
         for seq in sequences:
             if meter is not None:
@@ -209,6 +238,8 @@ class BaselineSimulator:
             )
             if status is SequenceStatus.UNRESOLVED:
                 unresolved.append(seq)
+                if first_only:
+                    break
         return unresolved
 
     # ------------------------------------------------------------------
@@ -248,7 +279,29 @@ class BaselineSimulator:
         )
         if not profile.condition_c():
             return FaultVerdict(fault, "dropped")
-        sequences = [StateSequence(states=[list(r) for r in faulty.states])]
+        return self.expand_and_resolve(
+            fault, injected, faulty.states, profile, meter
+        )
+
+    def expand_and_resolve(
+        self,
+        fault: Fault,
+        injected: InjectedFault,
+        faulty_states: Sequence[Sequence[int]],
+        profile: MotProfile,
+        meter: Optional[BudgetMeter] = None,
+    ) -> FaultVerdict:
+        """State expansion and resimulation of a fault that is neither
+        conventionally detected nor dropped by condition (C).
+
+        *faulty_states* and *profile* come from the conventional
+        simulation of *injected* (``L + 1`` state rows and its
+        ``N_sv``/``N_out`` profile); the proposed procedure's forward
+        fallback passes its own, so the fault is not injected and
+        simulated twice.  *meter* is charged like in
+        :meth:`simulate_fault` with a caller-supplied meter.
+        """
+        sequences = [StateSequence(states=[list(r) for r in faulty_states])]
         if self.config.schedule == "oneshot":
             return self._simulate_oneshot(
                 fault, injected, profile, sequences, meter
@@ -275,7 +328,7 @@ class BaselineSimulator:
                 meter.charge(len(sequences))  # sequences about to be created
             self._expand_all(sequences, *pair)
         total = len(sequences)
-        unresolved = self._resolve(injected, sequences, meter)
+        unresolved = self._resolve(injected, sequences, meter, first_only=True)
         if not unresolved:
             return FaultVerdict(
                 fault, "mot", how="expansion", num_expansions=expansions,

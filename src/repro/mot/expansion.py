@@ -186,29 +186,36 @@ def expand(
                 )
 
     # ------------------------------------------------------------- phase 2
+    # A pair is a candidate while none of its sv(u, i) positions is
+    # specified in any sequence.  Phase 2 only ever specifies the chosen
+    # pairs' extra positions, so the specified positions are those of the
+    # base sequence after phase 1 plus the chosen pairs' sv sets: test
+    # the base once, then drop the pairs each choice blocks.
+    candidates: List[Tuple[PairKey, Set[int]]] = []
+    for key in sorted(info):
+        u, _i = key
+        pair = info[key]
+        if pair.resolved_alpha is not None or pair.both_branches_closed:
+            continue
+        if profile.n_out[u] <= 0 or profile.n_sv[u] <= 0:
+            continue
+        sv = _sv_set(pair)
+        if sv and all(base.states[u][j] == UNKNOWN for j in sv):
+            candidates.append((key, sv))
     phase2_pairs: List[PairKey] = []
     while len(sequences) < n_states:
-        candidates = []
-        for key in sorted(info):
-            u, _i = key
-            pair = info[key]
-            if pair.resolved_alpha is not None or pair.both_branches_closed:
-                continue
-            if profile.n_out[u] <= 0 or profile.n_sv[u] <= 0:
-                continue
-            sv = _sv_set(pair)
-            if not sv:
-                continue
-            if all(
-                seq.states[u][j] == UNKNOWN for seq in sequences for j in sv
-            ):
-                candidates.append(key)
-        chosen = _select_pair(candidates, info, profile)
+        chosen = _select_pair([key for key, _sv in candidates], info, profile)
         if chosen is None:
             break
         phase2_pairs.append(chosen)
         pair = info[chosen]
         u = chosen[0]
+        taken = _sv_set(pair)
+        candidates = [
+            (key, sv)
+            for key, sv in candidates
+            if key[0] != u or taken.isdisjoint(sv)
+        ]
         if meter is not None:
             meter.charge(len(sequences))  # one event per sequence created
         duplicates: List[StateSequence] = []

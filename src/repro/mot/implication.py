@@ -19,17 +19,29 @@ Two propagation modes are provided:
 Both modes are sound: every value they assign holds in every complete
 binary assignment consistent with the starting values, and a conflict is
 raised only when no consistent completion exists.
+
+The per-gate step is compiled: each engine flattens its circuit once
+into ``(kind, output, inputs, controlling value, controlled output)``
+tuples, and one inlined, opcode-specialized step computes the local
+fixpoint of a gate from a single scan of its inputs -- counting
+controlling and ``X`` inputs for AND/NAND/OR/NOR, parity plus an ``X``
+count for XOR/XNOR, direct cases for NOT, BUF and the constants.  It is
+value-, record- and conflict-identical to applying
+:func:`repro.logic.implication.propagate_gate` (the readable reference
+the differential tests compare against) and writing back every changed
+position: the output first, then the input positions in order,
+duplicate fanins included.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, List, Mapping, Optional, Tuple
+from itertools import chain
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.logic.gates import GateType
-from repro.logic.implication import Conflict, propagate_gate
-from repro.logic.values import UNKNOWN
+from repro.logic.implication import Conflict
+from repro.logic.values import ONE, UNKNOWN, ZERO
 from repro.obs.metrics import get_metrics
 
 Assignment = Tuple[int, int]
@@ -38,6 +50,32 @@ Assignment = Tuple[int, int]
 #: a ``(line, value)`` just specified maps to the ``(line, value)`` pairs
 #: whose *presence* in the frame contradicts a learned implication.
 LearnedChecks = Mapping[Assignment, Tuple[Assignment, ...]]
+
+# Step kinds of the compiled gate table.
+_AND_OR = 0
+_XOR = 1
+_NOT = 2
+_BUF = 3
+_CONST = 4
+
+#: Gate type -> (kind, controlling value, output when controlled).  For
+#: XOR/XNOR the last field is the output inversion; for the constants it
+#: is the driven value.
+_STEP = {
+    GateType.AND: (_AND_OR, ZERO, ZERO),
+    GateType.NAND: (_AND_OR, ZERO, ONE),
+    GateType.OR: (_AND_OR, ONE, ONE),
+    GateType.NOR: (_AND_OR, ONE, ZERO),
+    GateType.XOR: (_XOR, 0, 0),
+    GateType.XNOR: (_XOR, 0, 1),
+    GateType.NOT: (_NOT, 0, 0),
+    GateType.BUF: (_BUF, 0, 0),
+    GateType.CONST0: (_CONST, 0, ZERO),
+    GateType.CONST1: (_CONST, 0, ONE),
+}
+
+#: One compiled gate: (kind, output line, input lines, ctrl, cout).
+_Op = Tuple[int, int, Tuple[int, ...], int, int]
 
 
 class FrameEngine:
@@ -61,16 +99,19 @@ class FrameEngine:
     ) -> None:
         self.circuit = circuit
         self.learned = learned if learned else None
-        self._gate_types: List[GateType] = [g.gate_type for g in circuit.gates]
-        self._gate_outputs: List[int] = [g.output for g in circuit.gates]
-        self._gate_inputs: List[Tuple[int, ...]] = [g.inputs for g in circuit.gates]
+        self._ops: List[_Op] = []
+        for gate in circuit.gates:
+            kind, ctrl, cout = _STEP[gate.gate_type]
+            self._ops.append((kind, gate.output, gate.inputs, ctrl, cout))
         # Gates to revisit when a line's value changes: its driver (if the
-        # line is gate-driven) plus every gate reading it.
+        # line is gate-driven) plus every gate reading it, once each (a
+        # gate reading a line twice is at its local fixpoint after one
+        # visit, so the repeat visit would be a no-op).
         touched: List[List[int]] = [[] for _ in range(circuit.num_lines)]
         for gate_index, gate in enumerate(circuit.gates):
-            touched[gate.output].append(gate_index)
-            for line in gate.inputs:
-                touched[line].append(gate_index)
+            for line in (gate.output, *gate.inputs):
+                if not touched[line] or touched[line][-1] != gate_index:
+                    touched[line].append(gate_index)
         self._touched_gates = touched
         self._reverse_topo = list(reversed(circuit.topo_gates))
 
@@ -108,43 +149,130 @@ class FrameEngine:
                     f"with {names[other_line]}={other_value}"
                 )
 
-    def _process_gate(
+    def _propagate(
         self,
-        gate_index: int,
         values: List[int],
-        queue: Optional[deque],
+        gates: Iterable[int],
+        queue: Optional[List[int]],
         record: Optional[List[Assignment]],
-    ) -> bool:
-        """Propagate one gate; apply newly forced values.  Returns True if
-        anything changed.  Raises Conflict on contradiction."""
-        out_line = self._gate_outputs[gate_index]
-        in_lines = self._gate_inputs[gate_index]
-        out_value = values[out_line]
-        in_values = [values[line] for line in in_lines]
-        new_out, new_ins = propagate_gate(
-            self._gate_types[gate_index], out_value, in_values
+    ) -> None:
+        """Visit *gates* in order, applying each gate's forced values;
+        with a *queue* (worklist mode), then visit the gates touched by
+        each queued line in turn, while changed lines keep arriving.
+
+        Each visit computes the gate's local fixpoint from one scan of
+        its current values; a contradiction raises :class:`Conflict`
+        before anything of that gate is written.  Every newly specified
+        position is written, recorded, queued (when *queue* is given)
+        and checked against the learned implications, in order.
+        """
+        ops = self._ops
+        touched = self._touched_gates
+        learned = self.learned
+        forced: Sequence[Assignment]
+        head = 0
+        while True:
+            for gate_index in gates:
+                kind, out, ins, ctrl, cout = ops[gate_index]
+                o = values[out]
+                if kind == _AND_OR:
+                    x_count = 0
+                    x_line = -1
+                    fwd = 1 - cout
+                    for line in ins:
+                        v = values[line]
+                        if v == ctrl:
+                            fwd = cout
+                            break
+                        if v == UNKNOWN:
+                            x_count += 1
+                            x_line = line
+                    else:
+                        if x_count:
+                            fwd = UNKNOWN
+                    if fwd != UNKNOWN:
+                        if o == fwd:
+                            continue
+                        if o != UNKNOWN:
+                            raise self._contradiction(out)
+                        forced = ((out, fwd),)
+                    elif o == UNKNOWN:
+                        continue
+                    elif o == cout:
+                        # Controlled output, no controlling input yet: a
+                        # single X input must carry the controlling value.
+                        if x_count != 1:
+                            continue
+                        forced = ((x_line, ctrl),)
+                    else:
+                        # Non-controlled output: every X input (position)
+                        # takes the non-controlling value.
+                        nonctrl = 1 - ctrl
+                        forced = [
+                            (line, nonctrl)
+                            for line in ins
+                            if values[line] == UNKNOWN
+                        ]
+                elif kind == _XOR:
+                    x_count = 0
+                    x_line = -1
+                    parity = cout
+                    for line in ins:
+                        v = values[line]
+                        if v == UNKNOWN:
+                            x_count += 1
+                            if x_count == 2:
+                                break
+                            x_line = line
+                        else:
+                            parity ^= v
+                    if x_count == 0:
+                        if o == parity:
+                            continue
+                        if o != UNKNOWN:
+                            raise self._contradiction(out)
+                        forced = ((out, parity),)
+                    elif x_count == 1 and o != UNKNOWN:
+                        forced = ((x_line, parity ^ o),)
+                    else:
+                        continue
+                elif kind == _CONST:
+                    if o == cout:
+                        continue
+                    if o != UNKNOWN:
+                        raise self._contradiction(out)
+                    forced = ((out, cout),)
+                else:  # _NOT / _BUF
+                    line = ins[0]
+                    v = values[line]
+                    if v == UNKNOWN:
+                        if o == UNKNOWN:
+                            continue
+                        forced = ((line, o if kind == _BUF else 1 - o),)
+                    else:
+                        fwd = v if kind == _BUF else 1 - v
+                        if o == fwd:
+                            continue
+                        if o != UNKNOWN:
+                            raise self._contradiction(out)
+                        forced = ((out, fwd),)
+                for line, value in forced:
+                    values[line] = value
+                    if record is not None:
+                        record.append((line, value))
+                    if queue is not None:
+                        queue.append(line)
+                    if learned is not None:
+                        self._check_learned(line, value, values)
+            if queue is None or head == len(queue):
+                return
+            gates = touched[queue[head]]
+            head += 1
+
+    def _contradiction(self, line: int) -> Conflict:
+        return Conflict(
+            f"gate output {self.circuit.line_names[line]} contradicts its inputs"
         )
-        changed = False
-        if new_out != out_value:
-            values[out_line] = new_out
-            changed = True
-            if record is not None:
-                record.append((out_line, new_out))
-            if queue is not None:
-                queue.append(out_line)
-            if self.learned is not None:
-                self._check_learned(out_line, new_out, values)
-        for line, old, new in zip(in_lines, in_values, new_ins):
-            if new != old:
-                values[line] = new
-                changed = True
-                if record is not None:
-                    record.append((line, new))
-                if queue is not None:
-                    queue.append(line)
-                if self.learned is not None:
-                    self._check_learned(line, new, values)
-        return changed
 
     def _seed(
         self,
@@ -191,12 +319,8 @@ class FrameEngine:
         metrics = get_metrics()
         if metrics.enabled:
             metrics.counter("mot.implication.runs")
-        queue: deque = deque(self._seed(values, assignments, record))
-        touched = self._touched_gates
-        while queue:
-            line = queue.popleft()
-            for gate_index in touched[line]:
-                self._process_gate(gate_index, values, queue, record)
+        queue = self._seed(values, assignments, record)
+        self._propagate(values, (), queue, record)
 
     def imply_two_pass(
         self,
@@ -213,7 +337,9 @@ class FrameEngine:
         if metrics.enabled:
             metrics.counter("mot.implication.runs")
         self._seed(values, assignments, record)
-        for gate_index in self._reverse_topo:
-            self._process_gate(gate_index, values, None, record)
-        for gate_index in self.circuit.topo_gates:
-            self._process_gate(gate_index, values, None, record)
+        self._propagate(
+            values,
+            chain(self._reverse_topo, self.circuit.topo_gates),
+            None,
+            record,
+        )

@@ -38,10 +38,10 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.circuit.netlist import Circuit
 from repro.errors import BudgetExceeded, VERDICT_STATUSES
-from repro.faults.injection import inject_fault
+from repro.faults.injection import InjectedFault, inject_fault
 from repro.faults.model import Fault
 from repro.mot.backward import BackwardCollector, detection_from_info
-from repro.mot.conditions import mot_profile
+from repro.mot.conditions import MotProfile, mot_profile
 from repro.mot.expansion import DEFAULT_N_STATES, expand
 from repro.mot.resimulate import SequenceStatus, resimulate_sequence
 from repro.obs.metrics import get_metrics
@@ -426,7 +426,9 @@ class ProposedSimulator:
                 num_sequences=len(outcome.sequences),
                 num_expansions=len(outcome.phase2_pairs),
             )
-        if self.config.forward_fallback and self._fallback_detects(fault, meter):
+        if self.config.forward_fallback and self._fallback_detects(
+            fault, injected, faulty.states, profile, meter
+        ):
             return FaultVerdict(
                 fault,
                 "mot",
@@ -444,12 +446,19 @@ class ProposedSimulator:
         )
 
     def _fallback_detects(
-        self, fault: Fault, meter: Optional[BudgetMeter] = None
+        self,
+        fault: Fault,
+        injected: InjectedFault,
+        faulty_states: Sequence[Sequence[int]],
+        profile: MotProfile,
+        meter: Optional[BudgetMeter] = None,
     ) -> bool:
         """Retry with the [4] forward trial-gain expansion (one shot).
 
-        The fallback shares the caller's *meter*, so the fault budget
-        bounds the combined effort of both procedures.
+        The fallback starts from this procedure's injected fault,
+        conventional faulty states and profile, and shares the caller's
+        *meter*, so the fault budget bounds the combined effort of both
+        procedures.
         """
         from repro.mot.baseline import BaselineConfig, BaselineSimulator
 
@@ -465,9 +474,10 @@ class ProposedSimulator:
         if metrics.enabled:
             metrics.counter("mot.fallback.runs")
         with metrics.phase("fallback"):
-            if meter is not None:
-                return self._fallback._procedure(fault, meter).status == "mot"
-            return self._fallback.simulate_fault(fault).status == "mot"
+            verdict = self._fallback.expand_and_resolve(
+                fault, injected, faulty_states, profile, meter
+            )
+        return verdict.status == "mot"
 
     @staticmethod
     def _phase1_counters(info) -> FaultCounters:

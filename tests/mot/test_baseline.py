@@ -1,12 +1,21 @@
 """Tests for the [4] baseline simulator."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.circuits.generators import random_moore
 from repro.circuits.library import s27
 from repro.faults.collapse import collapse_faults
+from repro.faults.injection import inject_fault
 from repro.faults.model import Fault
-from repro.logic.values import ONE
+from repro.faults.sites import all_faults
+from repro.logic.values import ONE, UNKNOWN
 from repro.mot.baseline import BaselineConfig, BaselineSimulator
+from repro.mot.expansion import StateSequence
+from repro.mot.resimulate import SequenceStatus
+from repro.patterns.random_gen import random_patterns
+from repro.sim.frame import eval_frame
+from repro.sim.sequential import simulate_injected
 
 from tests.helpers import s27_faults, s27_patterns, toggle_circuit
 
@@ -90,3 +99,87 @@ def test_no_counters_for_baseline():
         assert verdict.counters.n_det == 0
         assert verdict.counters.n_conf == 0
         assert verdict.counters.n_extra == 0
+
+
+# ----------------------------------------------------------------------
+# Batched trial gains against per-candidate frame evaluations
+# ----------------------------------------------------------------------
+def _reference_gain(injected, patterns, sequence, u, flop_index):
+    """The trial gain frame by frame: PO/NS positions (with
+    multiplicity) unspecified in the base frame at *u* and specified
+    once ``y_i`` is set, summed over both values."""
+    circuit = injected.circuit
+    interesting = list(circuit.outputs) + [f.ns for f in circuit.flops]
+    base_row = sequence.states[u]
+    base = eval_frame(circuit, patterns[u], base_row)
+    gain = 0
+    for alpha in (0, 1):
+        trial_row = list(base_row)
+        trial_row[flop_index] = alpha
+        trial = eval_frame(circuit, patterns[u], trial_row)
+        gain += sum(
+            1
+            for line in interesting
+            if base[line] == UNKNOWN and trial[line] != UNKNOWN
+        )
+    return gain
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), data=st.data())
+def test_batched_trial_gains_match_frame_evaluations(seed, data):
+    circuit = random_moore(seed, num_inputs=2, num_flops=4, num_gates=16)
+    length = data.draw(st.integers(2, 8))
+    patterns = random_patterns(circuit.num_inputs, length, seed=seed)
+    faults = all_faults(circuit)
+    fault = faults[data.draw(st.integers(0, len(faults) - 1))]
+    injected = inject_fault(circuit, fault)
+    states = simulate_injected(injected, patterns).states
+    # Specify a few extra state values, as earlier expansions would.
+    sequence = StateSequence(states=[list(row) for row in states])
+    for _ in range(data.draw(st.integers(0, 4))):
+        sequence.assign(
+            data.draw(st.integers(0, length - 1)),
+            data.draw(st.integers(0, circuit.num_flops - 1)),
+            data.draw(st.integers(0, 1)),
+        )
+    pairs = [
+        (u, i)
+        for u in range(length)
+        for i in range(circuit.num_flops)
+        if i not in injected.forced_ps and sequence.states[u][i] == UNKNOWN
+    ]
+    if not pairs:
+        return
+    pairs = data.draw(st.permutations(pairs))
+    simulator = BaselineSimulator(circuit, patterns)
+    gains = simulator._trial_gains(injected, sequence, pairs)
+    assert gains == [
+        _reference_gain(injected, patterns, sequence, u, i) for u, i in pairs
+    ]
+
+
+def test_oneshot_resimulation_stops_at_the_first_unresolved_sequence(
+    monkeypatch,
+):
+    """One unresolved sequence settles the one-shot verdict, so the
+    remaining sequences are not resimulated; the reported sequence count
+    is still the expanded one."""
+    import repro.mot.baseline as baseline
+
+    statuses = []
+    real = baseline.resimulate_sequence
+
+    def recording(*args, **kwargs):
+        statuses.append(real(*args, **kwargs))
+        return statuses[-1]
+
+    monkeypatch.setattr(baseline, "resimulate_sequence", recording)
+    circuit = s27()
+    verdict = BaselineSimulator(circuit, s27_patterns(seed=3)).simulate_fault(
+        Fault(circuit.line_id("G16"), ONE)
+    )
+    assert (verdict.status, verdict.num_sequences) == ("undetected", 64)
+    assert statuses[-1] is SequenceStatus.UNRESOLVED
+    assert SequenceStatus.UNRESOLVED not in statuses[:-1]
+    assert len(statuses) < 64

@@ -121,3 +121,31 @@ def test_fallback_disabled_still_sound():
         Fault(circuit.line_id("Z"), ONE)
     )
     assert verdict.status == "mot"
+
+
+def test_fallback_reuses_the_injected_fault_and_its_simulation(monkeypatch):
+    """The [4] fallback starts from Procedure 1's injected fault and
+    conventional states instead of injecting and simulating again."""
+    import repro.mot.baseline as baseline
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fallback redid Procedure 1's work")
+
+    monkeypatch.setattr(baseline, "inject_fault", refuse)
+    monkeypatch.setattr(baseline, "simulate_injected", refuse)
+    started = []
+    real = baseline.BaselineSimulator.expand_and_resolve
+
+    def recording(self, fault, injected, *args, **kwargs):
+        started.append(injected)
+        return real(self, fault, injected, *args, **kwargs)
+
+    monkeypatch.setattr(
+        baseline.BaselineSimulator, "expand_and_resolve", recording
+    )
+    circuit = s27()
+    verdict = ProposedSimulator(circuit, s27_patterns(seed=3)).simulate_fault(
+        Fault(circuit.line_id("G16"), ONE)
+    )
+    assert verdict.status == "undetected"
+    assert len(started) == 1 and started[0].fault.line == circuit.line_id("G16")
