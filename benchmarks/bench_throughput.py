@@ -2,7 +2,7 @@
 
 Not a paper table -- these keep the hot paths honest: single-frame
 evaluation, sequential simulation, fault injection, implication runs,
-fault collapsing, and serial-vs-sharded MOT campaign throughput.
+fault collapsing, and serial-vs-worker MOT campaign throughput.
 pytest-benchmark measures them with real rounds.
 """
 
@@ -229,35 +229,29 @@ def test_mot_campaign_serial_s27_with_metrics(benchmark):
 
 
 def test_mot_campaign_parallel_s27(benchmark):
-    """Sharded campaign at --workers 4.
+    """The campaign at --workers 4: ``run_campaign`` on four forked
+    workers under the lease dispatcher.
 
     The verdict lists must be identical to the serial run on any host
     (the correctness half of the acceptance criterion); the >= 2x
     speedup half is only asserted when the host actually has the cores
     to show it.
     """
-    from repro.mot.simulator import ProposedSimulator
-    from repro.runner.harness import CampaignHarness, HarnessConfig
-    from repro.runner.parallel import ParallelConfig, run_parallel_campaign
+    from dataclasses import replace
 
-    circuit, faults, patterns = _mot_workload()
+    from repro.runner.campaign import CampaignSpec, run_campaign
+
+    spec = CampaignSpec(circuit="s27", length=32, seed=3)
     start = time.perf_counter()
-    serial = CampaignHarness(
-        ProposedSimulator(circuit, patterns),
-        HarnessConfig(handle_sigint=False),
-    ).run(faults)
+    serial = run_campaign(spec)
     serial_seconds = time.perf_counter() - start
 
     parallel = benchmark.pedantic(
-        lambda: run_parallel_campaign(
-            ProposedSimulator(circuit, patterns),
-            faults,
-            ParallelConfig(workers=4),
-        ),
+        lambda: run_campaign(replace(spec, workers=4)),
         rounds=3,
         iterations=1,
     )
-    assert parallel.verdicts == serial.verdicts
+    assert parallel.campaign.verdicts == serial.campaign.verdicts
     if (os.cpu_count() or 1) >= 4:
         assert benchmark.stats.stats.min <= serial_seconds / 2.0, (
             f"expected >= 2x speedup at 4 workers: serial "

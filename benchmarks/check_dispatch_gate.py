@@ -1,22 +1,24 @@
 """Lease dispatch guard (CI gate, plain script -- no pytest).
 
-Static sharding decides who simulates which fault before the first
+A static split decides who simulates which fault before the first
 verdict lands, so a skewed workload concentrates the slow faults on one
 worker while the others idle.  Lease-based dispatch hands out small
 chunks on demand, which is its whole reason to exist -- and this script
 keeps that claim honest on the standard s27 MOT campaign:
 
-1. **Skewed workload** -- ``REPRO_CHAOS_FAULT_DELAY_MS`` injects a
-   per-fault delay on every even fault index.  Round-robin static
-   sharding with two workers puts *all* slow faults in shard 0 (the
-   worst case the strategy can hit on real workloads); lease dispatch
-   spreads them across both hosts as chunks drain.
-2. **Wall-clock bound** -- the distributed run (two local pseudo-hosts
-   over the subprocess transport) must finish in at most
-   ``--threshold`` (default 0.85) of the static-sharded wall-clock.
+1. **Skewed workload** -- a chaos scenario (``REPRO_CHAOS_SCENARIO``)
+   delays every even fault index.  The static baseline is a round-robin
+   split expressed through the dispatcher itself: one lease per worker,
+   the even indices on one worker and the odd ones on the other, work
+   stealing off -- so *all* slow faults land on one worker (the worst
+   case a static split can hit on real workloads); small-chunk lease
+   dispatch spreads them across both workers as chunks drain.
+2. **Wall-clock bound** -- the small-chunk run (two forked local
+   workers) must finish in at most ``--threshold`` (default 0.85) of
+   the static split's wall-clock.
 3. **No duplicates, identical verdicts** -- the dispatch journal must
-   hold exactly one verdict per fault index even though leases expire
-   and are reassigned under the skew, and the merged campaign must be
+   hold exactly one verdict per fault index even though a straggler's
+   lease is stolen under the skew, and the campaign must be
    bit-identical to the static run's.
 
 Exit status 0 when all three hold, 1 otherwise.
@@ -30,15 +32,15 @@ import os
 import sys
 import time
 
+from repro.chaos.runtime import SCENARIO_ENV
+from repro.chaos.scenario import ChaosScenario, InjectionSpec
 from repro.circuits.registry import build_circuit
 from repro.faults.collapse import collapse_faults
 from repro.mot.simulator import ProposedSimulator
 from repro.patterns.random_gen import random_patterns
-from repro.runner.chaos import CHAOS_FAULT_DELAY_ENV
 from repro.runner.dispatch import DispatchConfig, DistributedCampaignRunner
 from repro.runner.journal import record_checksum_ok
-from repro.runner.parallel import ParallelCampaignRunner, ParallelConfig
-from repro.runner.transport import SubprocessTransport
+from repro.runner.transport import LocalTransport
 
 
 def _workload():
@@ -49,12 +51,21 @@ def _workload():
 
 
 def _skew(num_faults: int, delay_ms: int, straggler_ms: int) -> str:
-    """Even indices slow (round-robin with 2 shards gets them all),
-    plus one odd-indexed straggler fault to provoke work stealing and
-    duplicate-verdict dedup in the dispatch run."""
-    delays = {str(i): delay_ms for i in range(0, num_faults, 2)}
-    delays["1"] = straggler_ms
-    return json.dumps(delays)
+    """Even indices slow (the static split puts them all on one
+    worker), plus one odd-indexed straggler fault to provoke work
+    stealing and duplicate-verdict dedup in the dispatch run."""
+    delays = [(1, straggler_ms)] + [
+        (index, delay_ms) for index in range(0, num_faults, 2)
+    ]
+    return ChaosScenario(
+        name="dispatch-gate-skew",
+        seed=0,
+        faults=[
+            InjectionSpec(site="worker.fault", action="delay", index=index,
+                          value=float(ms), times=None)
+            for index, ms in delays
+        ],
+    ).to_json()
 
 
 def _signature(campaign):
@@ -65,9 +76,19 @@ def _signature(campaign):
 
 
 def run_static(circuit, faults, patterns):
-    runner = ParallelCampaignRunner(
+    """Round-robin over two workers: one lease of the even indices, one
+    of the odd ones, no stealing."""
+    evens = list(range(0, len(faults), 2))
+    odds = list(range(1, len(faults), 2))
+    runner = DistributedCampaignRunner(
         ProposedSimulator(circuit, patterns),
-        ParallelConfig(workers=2, shard_strategy="round_robin"),
+        ["alpha", "beta"],
+        LocalTransport(),
+        DispatchConfig(
+            chunk_size=len(evens),
+            dispatch_order=tuple(evens + odds),
+            min_latency_samples=len(faults) + 1,  # never steal
+        ),
     )
     started = time.perf_counter()
     campaign = runner.run(faults)
@@ -78,7 +99,7 @@ def run_dispatch(circuit, faults, patterns, journal_path):
     runner = DistributedCampaignRunner(
         ProposedSimulator(circuit, patterns),
         ["alpha", "beta"],
-        SubprocessTransport(),
+        LocalTransport(),
         DispatchConfig(checkpoint_path=journal_path, chunk_size=2),
     )
     started = time.perf_counter()
@@ -120,7 +141,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     circuit, faults, patterns = _workload()
-    os.environ[CHAOS_FAULT_DELAY_ENV] = _skew(
+    os.environ[SCENARIO_ENV] = _skew(
         len(faults), args.delay_ms, args.straggler_ms
     )
     try:
@@ -129,11 +150,11 @@ def main(argv=None) -> int:
             circuit, faults, patterns, args.journal
         )
     finally:
-        del os.environ[CHAOS_FAULT_DELAY_ENV]
+        del os.environ[SCENARIO_ENV]
 
     ratio = dispatch_s / static_s if static_s else float("inf")
-    print(f"static sharding (round_robin, 2 workers): {static_s:6.2f} s")
-    print(f"lease dispatch  (2 hosts, chunk_size 2) : {dispatch_s:6.2f} s")
+    print(f"static split (evens/odds, 2 workers)   : {static_s:6.2f} s")
+    print(f"lease dispatch (2 workers, chunk_size 2): {dispatch_s:6.2f} s")
     print(f"ratio: {ratio:.2f} (threshold {args.threshold:.2f})")
     print(
         f"leases granted {stats.leases_granted}, "
@@ -143,7 +164,7 @@ def main(argv=None) -> int:
 
     failures = []
     if _signature(dispatch_campaign) != _signature(static_campaign):
-        failures.append("dispatch verdicts differ from static sharding")
+        failures.append("dispatch verdicts differ from the static split")
     indices = journal_verdict_indices(args.journal)
     if sorted(indices) != list(range(len(faults))):
         failures.append(
@@ -153,14 +174,14 @@ def main(argv=None) -> int:
         )
     if ratio > args.threshold:
         failures.append(
-            f"dispatch did not beat static sharding: ratio {ratio:.2f} "
+            f"dispatch did not beat the static split: ratio {ratio:.2f} "
             f"> {args.threshold:.2f}"
         )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failures:
         print("ok: no duplicates, identical verdicts, "
-              "and dispatch beat static sharding")
+              "and dispatch beat the static split")
     return 1 if failures else 0
 
 

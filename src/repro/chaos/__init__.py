@@ -1,8 +1,7 @@
 """Deterministic fault-injection plane for the campaign runner.
 
-``repro.chaos`` replaces the historical ``REPRO_CHAOS_*`` environment
-hooks with seeded, scenario-scripted failure schedules plus an
-invariant checker:
+``repro.chaos`` scripts seeded failure schedules (scenarios) against
+the runner seams, plus an invariant checker:
 
 * :mod:`repro.chaos.scenario` -- :class:`ChaosScenario`, the JSON/dict
   spec (seed, injection sites, rates, triggers) and its validation;
@@ -11,8 +10,8 @@ invariant checker:
   counters make the same scenario + seed replay the identical failure
   sequence, recorded in a byte-stable injection log;
 * :mod:`repro.chaos.runtime` -- the ambient plan slot the runner seams
-  consult (install/uninstall, environment propagation to subprocess
-  workers, legacy env-var conversion) and the hook helpers
+  consult (install/uninstall, environment propagation to worker
+  processes through ``REPRO_CHAOS_SCENARIO``) and the hook helpers
   (``chaos_fault``, ``chaos_now``, ``chaos_journal_write``, ...);
 * :mod:`repro.chaos.inject` -- the transport-level injector wrapping a
   live :class:`~repro.runner.transport.WorkerHandle` (drop, duplicate,

@@ -9,8 +9,8 @@ The flow :func:`run_scenario` scripts:
 3. run it again under chaos: the compiled
    :class:`~repro.chaos.plan.ChaosPlan` is installed in the parent
    (dispatcher seams, transport injector, journal faults) and exported
-   through ``REPRO_CHAOS_SCENARIO`` so every transport-launched worker
-   compiles the same plan for its own seams;
+   through ``REPRO_CHAOS_SCENARIO`` so every worker process compiles
+   the same plan for its own seams;
 4. write the parent-side injection log (byte-stable across replays of
    the same scenario + seed) and run
    :func:`~repro.chaos.invariants.check_invariants` over the result.
@@ -72,19 +72,6 @@ DEFAULT_WORKLOAD: Dict[str, Any] = {
     "checkpoint_every": 5,
 }
 
-#: Environment variables cleared for the duration of a driver run so
-#: ambient chaos configuration cannot leak into the reference campaign
-#: (the scenario under test is installed explicitly).
-_AMBIENT_ENVS = (
-    SCENARIO_ENV,
-    "REPRO_CHAOS_KILL_INDEX",
-    "REPRO_CHAOS_KILL_MARKER",
-    "REPRO_CHAOS_KILL_HOST",
-    "REPRO_CHAOS_KILL_HOST_AFTER",
-    "REPRO_CHAOS_KILL_HOST_MARKER",
-    "REPRO_CHAOS_LEASE_DELAY_MS",
-    "REPRO_CHAOS_FAULT_DELAY_MS",
-)
 
 
 @dataclass
@@ -142,19 +129,6 @@ def _build_workload(scenario: ChaosScenario):
     return workload, circuit, faults, simulator
 
 
-def _clear_ambient_env() -> Dict[str, str]:
-    saved = {}
-    for name in _AMBIENT_ENVS:
-        value = os.environ.pop(name, None)
-        if value is not None:
-            saved[name] = value
-    return saved
-
-
-def _restore_ambient_env(saved: Dict[str, str]) -> None:
-    for name, value in saved.items():
-        os.environ[name] = value
-
 
 def _failed_run_report(detail: str) -> InvariantReport:
     report = InvariantReport()
@@ -187,7 +161,9 @@ def run_scenario(
     log_path = os.path.join(workdir, "injections.log")
     plan = ChaosPlan(scenario)
 
-    saved_env = _clear_ambient_env()
+    # Ambient chaos must not leak into the reference campaign; the
+    # scenario under test is installed explicitly.
+    ambient = os.environ.pop(SCENARIO_ENV, None)
     reference_campaign = None
     campaign = None
     stats = None
@@ -233,7 +209,8 @@ def run_scenario(
             snapshot = metrics.snapshot()
             set_metrics(previous_metrics)
     finally:
-        _restore_ambient_env(saved_env)
+        if ambient is not None:
+            os.environ[SCENARIO_ENV] = ambient
 
     plan.write_log(log_path)
     if campaign is None:

@@ -7,17 +7,14 @@ process.  Resolution order:
    campaign driver installs the parent's plan this way;
 2. the ``REPRO_CHAOS_SCENARIO`` environment variable -- inline JSON
    (starts with ``{``) or a scenario file path.  This is how a plan
-   propagates to subprocess workers: the driver exports the scenario,
-   every ``repro worker`` compiles its own plan from it with the same
+   propagates to worker processes: the driver exports the scenario,
+   every worker (a ``repro worker`` process, or a forked one after
+   :func:`forget_plan`) compiles its own plan from it with the same
    seed, and per-process event counters keep each process's schedule
-   deterministic;
-3. the legacy ``REPRO_CHAOS_*`` environment variables, converted to an
-   equivalent scenario (with a one-time :class:`DeprecationWarning`
-   quoting the replacement snippet).
+   deterministic.
 
-When none of these is set, every hook is a cheap no-op: campaigns pay a
-handful of ``os.environ`` lookups per fault, exactly as the old env-var
-hooks did.
+When neither is set, every hook is a cheap no-op: campaigns pay one
+``os.environ`` lookup per fault.
 
 The hook helpers (``chaos_fault``, ``chaos_worker_ready``, ...) own the
 *behavior* of each action -- sleeping, hard-exiting with the chaos exit
@@ -26,21 +23,18 @@ perform itself mid-protocol (``kill_after`` ready, ``kill_mid_write`` a
 verdict, journal write faults) are returned as flags instead.
 
 Delay stacking rule: when several ``delay`` specs match one event, the
-**first matching spec wins** -- which is also what makes the converted
-``REPRO_CHAOS_FAULT_DELAY_MS`` maps keep their "specific index
-overrides the ``*`` default" semantics.
+**first matching spec wins**, so a specific-index delay listed before a
+catch-all one overrides it for that index.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-import warnings
 from typing import Any, List, Optional
 
 from repro.chaos.plan import ChaosPlan, Injection
-from repro.chaos.scenario import ChaosScenario, InjectionSpec
+from repro.chaos.scenario import ChaosScenario
 from repro.errors import ChaosError
 
 __all__ = [
@@ -48,6 +42,7 @@ __all__ = [
     "CHAOS_EXIT_CODE",
     "install_plan",
     "uninstall_plan",
+    "forget_plan",
     "current_plan",
     "chaos_now",
     "chaos_clock_tick",
@@ -60,37 +55,17 @@ __all__ = [
     "wrap_handle",
 ]
 
-#: Scenario propagation to subprocess workers: inline JSON or a path.
+#: Scenario propagation to worker processes: inline JSON or a path.
 SCENARIO_ENV = "REPRO_CHAOS_SCENARIO"
 
 #: Mimics the exit code the kernel OOM killer produces (128 + SIGKILL).
 CHAOS_EXIT_CODE = 137
 
-# Legacy environment hooks (pre-scenario), still honored via conversion.
-LEGACY_KILL_ENV = "REPRO_CHAOS_KILL_INDEX"
-LEGACY_MARKER_ENV = "REPRO_CHAOS_KILL_MARKER"
-LEGACY_KILL_HOST_ENV = "REPRO_CHAOS_KILL_HOST"
-LEGACY_KILL_HOST_AFTER_ENV = "REPRO_CHAOS_KILL_HOST_AFTER"
-LEGACY_KILL_HOST_MARKER_ENV = "REPRO_CHAOS_KILL_HOST_MARKER"
-LEGACY_LEASE_DELAY_ENV = "REPRO_CHAOS_LEASE_DELAY_MS"
-LEGACY_FAULT_DELAY_ENV = "REPRO_CHAOS_FAULT_DELAY_MS"
-
-_LEGACY_ENVS = (
-    LEGACY_KILL_ENV,
-    LEGACY_MARKER_ENV,
-    LEGACY_KILL_HOST_ENV,
-    LEGACY_KILL_HOST_AFTER_ENV,
-    LEGACY_KILL_HOST_MARKER_ENV,
-    LEGACY_LEASE_DELAY_ENV,
-    LEGACY_FAULT_DELAY_ENV,
-)
-
 _installed: Optional[ChaosPlan] = None
-# (env fingerprint) -> compiled plan or None, so per-fault hook calls
-# cost environment lookups, not a recompile.
-_env_cache: Optional[tuple] = None
+# (env value) -> compiled plan or None, so per-fault hook calls cost
+# one environment lookup, not a recompile.
+_env_cache: Optional[str] = None
 _env_plan: Optional[ChaosPlan] = None
-_legacy_warned = False
 
 
 def install_plan(plan: Optional[ChaosPlan]) -> Optional[ChaosPlan]:
@@ -107,6 +82,20 @@ def uninstall_plan() -> None:
     install_plan(None)
 
 
+def forget_plan() -> None:
+    """Drop the installed plan and the cached environment plan, so the
+    next hook compiles a fresh plan from the environment.
+
+    A forked worker calls this first: the plan it inherited carries the
+    parent's event counters, and a worker must count its own events
+    from zero, exactly like a freshly started ``repro worker``.
+    """
+    global _installed, _env_cache, _env_plan
+    _installed = None
+    _env_cache = None
+    _env_plan = None
+
+
 def current_plan() -> Optional[ChaosPlan]:
     """The ambient plan, or ``None`` when no chaos is armed."""
     if _installed is not None:
@@ -116,36 +105,18 @@ def current_plan() -> Optional[ChaosPlan]:
 
 def _plan_from_env() -> Optional[ChaosPlan]:
     global _env_cache, _env_plan
-    fingerprint = tuple(
-        os.environ.get(name) for name in (SCENARIO_ENV,) + _LEGACY_ENVS
-    )
-    if fingerprint == _env_cache:
+    value = os.environ.get(SCENARIO_ENV)
+    if value == _env_cache:
         return _env_plan
-    scenario_value = fingerprint[0]
-    legacy_values = fingerprint[1:]
     plan: Optional[ChaosPlan] = None
-    if scenario_value or any(legacy_values):
-        specs: List[InjectionSpec] = []
-        seed = 0
-        name = "env"
-        if scenario_value:
-            try:
-                scenario = _load_scenario_value(scenario_value)
-            except ChaosError:
-                scenario = None  # malformed env disarms, like legacy hooks
-            if scenario is not None:
-                specs.extend(scenario.faults)
-                seed = scenario.seed
-                name = scenario.name
-        legacy_specs = _legacy_specs()
-        if legacy_specs:
-            _warn_legacy(legacy_specs, seed)
-            specs.extend(legacy_specs)
-        if specs:
-            plan = ChaosPlan(
-                ChaosScenario(name=name, seed=seed, faults=specs)
-            )
-    _env_cache = fingerprint
+    if value:
+        try:
+            scenario = _load_scenario_value(value)
+        except ChaosError:
+            scenario = None  # a malformed scenario disarms, never raises
+        if scenario is not None and scenario.faults:
+            plan = ChaosPlan(scenario)
+    _env_cache = value
     _env_plan = plan
     return plan
 
@@ -155,140 +126,6 @@ def _load_scenario_value(value: str) -> ChaosScenario:
     if value.startswith("{"):
         return ChaosScenario.from_json(value)
     return ChaosScenario.from_file(value)
-
-
-# ----------------------------------------------------------------------
-# Legacy environment conversion
-# ----------------------------------------------------------------------
-def _legacy_specs() -> List[InjectionSpec]:
-    """Injection specs equivalent to the legacy ``REPRO_CHAOS_*`` vars.
-
-    Preserves the original semantics exactly: malformed values disarm
-    the hook they configure, markers make kills one-shot across
-    processes, and a specific ``REPRO_CHAOS_FAULT_DELAY_MS`` index
-    overrides the ``*`` default (first-matching-delay-wins, with the
-    specific specs emitted first).
-    """
-    specs: List[InjectionSpec] = []
-    kill_index = os.environ.get(LEGACY_KILL_ENV)
-    if kill_index is not None:
-        try:
-            index = int(kill_index)
-        except ValueError:
-            index = None
-        if index is not None:
-            marker = os.environ.get(LEGACY_MARKER_ENV) or None
-            specs.append(
-                InjectionSpec(
-                    site="worker.fault",
-                    action="kill",
-                    index=index,
-                    times=None,
-                    once=bool(marker),
-                    marker=marker,
-                )
-            )
-    kill_host = os.environ.get(LEGACY_KILL_HOST_ENV)
-    if kill_host:
-        try:
-            after = int(os.environ.get(LEGACY_KILL_HOST_AFTER_ENV, "1"))
-        except ValueError:
-            after = None
-        if after is not None:
-            marker = os.environ.get(LEGACY_KILL_HOST_MARKER_ENV) or None
-            specs.append(
-                InjectionSpec(
-                    site="worker.chunk_done",
-                    action="kill",
-                    host=kill_host,
-                    after=max(0, after - 1),
-                    times=None,
-                    once=bool(marker),
-                    marker=marker,
-                )
-            )
-    lease_delay = os.environ.get(LEGACY_LEASE_DELAY_ENV)
-    if lease_delay:
-        target, _, ms_text = lease_delay.rpartition(":")
-        try:
-            ms = float(ms_text)
-        except ValueError:
-            ms = 0.0
-        if ms > 0:
-            specs.append(
-                InjectionSpec(
-                    site="worker.chunk",
-                    action="delay",
-                    host=target or None,
-                    value=ms,
-                    times=None,
-                )
-            )
-    fault_delay = os.environ.get(LEGACY_FAULT_DELAY_ENV)
-    if fault_delay:
-        try:
-            parsed = json.loads(fault_delay)
-        except ValueError:
-            parsed = None
-        if isinstance(parsed, dict):
-            default = None
-            for key, raw in parsed.items():
-                try:
-                    ms = float(raw)
-                except (TypeError, ValueError):
-                    continue
-                if ms <= 0:
-                    continue
-                if key == "*":
-                    default = ms
-                    continue
-                try:
-                    index = int(key)
-                except ValueError:
-                    continue
-                specs.append(
-                    InjectionSpec(
-                        site="worker.fault",
-                        action="delay",
-                        index=index,
-                        value=ms,
-                        times=None,
-                    )
-                )
-            if default is not None:
-                specs.append(
-                    InjectionSpec(
-                        site="worker.fault",
-                        action="delay",
-                        value=default,
-                        times=None,
-                    )
-                )
-    return specs
-
-
-def _warn_legacy(specs: List[InjectionSpec], seed: int) -> None:
-    """One :class:`DeprecationWarning` per process, quoting the
-    equivalent scenario snippet."""
-    global _legacy_warned
-    if _legacy_warned:
-        return
-    _legacy_warned = True
-    snippet = json.dumps(
-        {
-            "name": "migrated-from-env",
-            "seed": seed,
-            "faults": [spec.to_dict() for spec in specs],
-        },
-        sort_keys=True,
-    )
-    warnings.warn(
-        "the REPRO_CHAOS_* environment hooks are deprecated; use a "
-        f"repro.chaos scenario instead ({SCENARIO_ENV}=<file or JSON>). "
-        f"Equivalent scenario: {snippet}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -447,12 +284,3 @@ def wrap_handle(handle: Any) -> Any:
     from repro.chaos.inject import ChaosWorkerHandle
 
     return ChaosWorkerHandle(handle, plan)
-
-
-def _reset_for_tests() -> None:
-    """Drop all module state (installed plan, env cache, warning latch)."""
-    global _installed, _env_cache, _env_plan, _legacy_warned
-    _installed = None
-    _env_cache = None
-    _env_plan = None
-    _legacy_warned = False

@@ -14,8 +14,8 @@ Subcommands:
 * ``lint``    -- static netlist checks (loops, floating nets, fanout
   consistency, constant cones, unreachable/unobservable logic) over
   ``.bench``/``.isc`` files or registered circuits
-* ``worker``  -- distributed campaign worker (launched by a transport;
-  speaks newline-JSON on stdin/stdout, not for interactive use)
+* ``worker``  -- campaign worker for ``--transport command`` hosts
+  (speaks newline-JSON on stdin/stdout, not for interactive use)
 * ``chaos``   -- deterministic fault-injection campaigns
   (:mod:`repro.chaos`): ``chaos run`` executes a scripted failure
   scenario (dropped/duplicated/reordered frames, worker kills, torn
@@ -33,48 +33,43 @@ list).
 Campaign resilience (``mot`` subcommand): ``--budget-ms`` /
 ``--budget-events`` bound the work spent on any one fault,
 ``--checkpoint FILE`` journals verdicts so ``--resume`` continues an
-interrupted run, and ``--fail-fast`` turns off crash quarantine.
+interrupted run, and ``--fail-fast`` turns off crash quarantine in
+serial runs (under workers a raising fault always ends as a
+quarantined ``errored`` verdict).
 
-Campaign scale (``mot`` subcommand): ``--workers N`` shards the fault
-list over N worker processes (``--shard-strategy`` picks round-robin or
-size-aware shards); the fault-free response is computed once and shared
-with every worker, shard journals are merged back into the single
-``--checkpoint`` format, and verdicts are identical to a serial run.
+Worker processes (``mot`` subcommand): ``--workers N`` forks N local
+workers, ``--hosts A,B,...`` names the hosts to run on instead; both go
+through the lease dispatcher (:mod:`repro.runner.dispatch`) -- workers
+pull small chunk leases (hardest faults first), a silent lease expires
+and its faults are reassigned, idle workers steal from stragglers, and
+duplicated executions are deduplicated through the journal, so verdicts
+stay bit-identical to a serial run and a journal resumes with any
+worker count.  Forked workers share the parent's good-machine
+simulation.  ``--transport command --command-template 'ssh {host}
+repro worker --host {host}'`` launches host workers through any command
+(SSH, container exec) instead of forking.
 
-Self-healing (``mot`` subcommand): sharded runs are **supervised by
-default** -- a dead worker (OOM, SIGKILL) is relaunched automatically
-with exponential backoff (``--max-retries``), a fault confirmed to kill
-its worker is isolated as an ``errored``/``poison`` verdict instead of
-wedging the campaign, ``--heartbeat-interval``/``--stall-timeout`` arm
-a watchdog that recycles workers hung inside a single fault, and when
-retries run out the residue is finished serially unless
-``--no-degrade`` is given.  ``--no-supervise`` restores the bare
-sharded runner (first worker death fails the run with a ``--resume``
-hint).
-
-Distributed campaigns (``mot`` subcommand): ``--hosts A,B,...`` runs
-the fault list over named (pseudo-)hosts through the lease-based
-dispatcher (:mod:`repro.runner.dispatch`) -- workers pull small chunk
-leases, a silent lease expires and its faults are reassigned, idle
-hosts steal from stragglers, and duplicated executions are deduplicated
-through the journal so verdicts stay bit-identical to a serial run.
-``--transport local`` (default) launches ``repro worker`` subprocesses;
-``--transport command --command-template 'ssh {host} repro worker
---host {host}'`` launches workers through any command (SSH, container
-exec).  Supervised distributed runs degrade gracefully: distributed ->
-local-parallel -> serial, resuming from the same journal at each rung.
+Self-healing: a dead worker is relaunched and its leases reassigned; a
+fault in flight when a worker dies is re-run alone, on another host
+when one can take it, and a fault that kills a second worker that way
+is isolated as an ``errored``/``poison`` verdict; ``--stall-timeout``
+kills a worker silent that long on a chunk, even after its lease
+expired (the same suspect rule applies); a host that keeps failing is
+blacklisted (``--host-blacklist-after``), and when every worker is
+blacklisted the residue is finished serially unless ``--no-degrade``
+is given.  Decisions land in the ``<checkpoint>.events`` sidecar.
 
 Observability (``mot`` subcommand): ``--metrics-out FILE`` enables the
 metrics registry (:mod:`repro.obs`) for the campaign and writes the
 merged snapshot -- per-phase timers, expansion/backward counters,
-per-fault verdict counts, aggregated across every worker shard -- as
-JSON; ``repro stats FILE.json`` renders it as a profile report.
+per-fault verdict counts, aggregated across every worker -- as JSON;
+``repro stats FILE.json`` renders it as a profile report.
 ``--trace-out FILE`` streams structured JSONL events of the MOT hot
 path (expansion branches, backward-implication outcomes, resimulation,
-good-cache hits), sampled per fault with ``--trace-sample P``; worker
-shards write ``FILE.shard<k>``.  Both default off, and when off the
-hot paths run through no-op stubs -- campaign results are identical
-either way.
+good-cache hits), sampled per fault with ``--trace-sample P``; each
+local worker writes ``FILE.<worker>`` (``FILE.worker0``, ...).  Both
+default off, and when off the hot paths run through no-op stubs --
+campaign results are identical either way.
 
 Diagnostics go through the ``repro`` stdlib logger (stderr): progress
 at INFO, ``--verbose`` adds DEBUG detail, ``--quiet`` keeps warnings
@@ -88,10 +83,9 @@ branches just conflict earlier (``learning.hits`` /
 ``learning.conflicts_early`` in the metrics snapshot).
 
 Exit codes: 0 success; 1 usage or input error (taxonomy:
-:class:`repro.errors.ReproError`), including crashed campaign workers
-under ``--no-supervise`` and exhausted supervision retries (journaled
-verdicts are merged first, so ``--resume`` completes the run); 2
-argparse errors; 3 campaign completed but quarantined at least one
+:class:`repro.errors.ReproError`), including every worker lost under
+``--no-degrade`` (journaled verdicts are flushed first, so ``--resume``
+completes the run); 2 argparse errors; 3 campaign completed but quarantined at least one
 errored fault (including poison faults); 130 interrupted (SIGINT) with
 the checkpoint journal flushed.
 """
@@ -109,13 +103,7 @@ if TYPE_CHECKING:
     from repro.service.client import ServiceClient
 
 from repro.circuit.bench import load_bench
-from repro.errors import (
-    CampaignInterrupted,
-    DistributedFailed,
-    ReproError,
-    RetryExhausted,
-    WorkerCrashed,
-)
+from repro.errors import CampaignInterrupted, DistributedFailed, ReproError
 from repro.circuit.netlist import Circuit
 from repro.circuit.stats import circuit_stats
 from repro.circuits.registry import benchmark_entries, build_circuit
@@ -133,7 +121,6 @@ from repro.obs import (
 from repro.patterns.random_gen import random_patterns
 from repro.reporting.tables import Table
 from repro.runner.campaign import CampaignSpec, SpecError, run_campaign
-from repro.runner.parallel import SHARD_STRATEGIES
 
 #: Exit codes (see module docstring).
 EXIT_OK = 0
@@ -175,15 +162,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, got {text!r}"
-        )
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer, got {text!r}"
         )
     return value
 
@@ -318,7 +296,6 @@ def _mot_spec(args: argparse.Namespace) -> CampaignSpec:
         backward_depth=args.depth,
         learning=args.learning,
         workers=args.workers,
-        shard_strategy=args.shard_strategy,
         hosts=tuple(
             h for h in (args.hosts or "").split(",") if h.strip()
         ),
@@ -333,11 +310,8 @@ def _mot_spec(args: argparse.Namespace) -> CampaignSpec:
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
         fail_fast=args.fail_fast,
-        max_retries=args.max_retries,
-        heartbeat_interval=args.heartbeat_interval,
         stall_timeout=args.stall_timeout,
         no_degrade=args.no_degrade,
-        no_supervise=args.no_supervise,
     )
 
 
@@ -1001,33 +975,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_mot.add_argument(
         "--fail-fast", action="store_true",
-        help="re-raise the first per-fault exception instead of "
-             "quarantining it as an errored verdict",
+        help="serial runs: re-raise the first per-fault exception "
+             "instead of quarantining it as an errored verdict",
     )
     p_mot.add_argument(
         "--workers", type=_positive_int, default=1, metavar="N",
-        help="shard the fault list over N worker processes (verdicts "
-             "are identical to a serial run; shard journals merge into "
-             "the --checkpoint file)",
-    )
-    p_mot.add_argument(
-        "--shard-strategy", choices=SHARD_STRATEGIES,
-        default="round_robin",
-        help="how faults are assigned to workers: round_robin "
-             "(interleaved) or size_aware (balanced by a structural "
-             "cost estimate)",
+        help="run the campaign on N forked local worker processes via "
+             "lease dispatch (verdicts are identical to a serial run)",
     )
     p_mot.add_argument(
         "--hosts", metavar="A,B,...",
-        help="run the campaign distributed over these (pseudo-)host "
-             "names via lease-based chunk dispatch; a lost host's "
+        help="run the campaign over these (pseudo-)host names via "
+             "lease dispatch instead of --workers; a lost host's "
              "leases are reassigned and verdicts stay identical to a "
              "serial run",
     )
     p_mot.add_argument(
         "--transport", choices=("local", "command"), default="local",
-        help="how workers are launched per host: local subprocesses "
-             "(default) or an arbitrary --command-template",
+        help="how host workers are launched: forked locally (default) "
+             "or by an arbitrary --command-template",
     )
     p_mot.add_argument(
         "--command-template", metavar="CMD",
@@ -1037,7 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_mot.add_argument(
         "--chunk-size", type=_positive_int, default=4, metavar="N",
-        help="faults per lease chunk in distributed runs",
+        help="faults per lease chunk in worker runs",
     )
     p_mot.add_argument(
         "--lease-timeout", type=_positive_float, default=60.0,
@@ -1048,54 +1014,38 @@ def build_parser() -> argparse.ArgumentParser:
     p_mot.add_argument(
         "--host-blacklist-after", type=_positive_int, default=2,
         metavar="N",
-        help="host failures tolerated before the host is blacklisted "
-             "for the rest of the campaign",
-    )
-    p_mot.add_argument(
-        "--max-retries", type=_nonnegative_int, default=3, metavar="N",
-        help="supervised runs: relaunch dead workers up to N times "
-             "with exponential backoff before degrading (0 disables "
-             "retries)",
-    )
-    p_mot.add_argument(
-        "--heartbeat-interval", type=_positive_float, default=None,
-        metavar="SECONDS",
-        help="arm the stall watchdog: workers beacon progress at fault "
-             "boundaries and the parent polls every SECONDS",
+        help="worker failures tolerated per host (or local worker) "
+             "before it is blacklisted for the rest of the campaign",
     )
     p_mot.add_argument(
         "--stall-timeout", type=_positive_float, default=None,
         metavar="SECONDS",
-        help="recycle a worker silent for SECONDS (default 10x the "
-             "heartbeat interval); must exceed the slowest legitimate "
-             "per-fault simulation time",
+        help="kill a worker silent for SECONDS on a chunk (even after "
+             "its lease expired) and re-run its in-flight fault alone; "
+             "must exceed the slowest legitimate per-fault simulation "
+             "time",
     )
     p_mot.add_argument(
         "--no-degrade", action="store_true",
-        help="fail with a --resume hint when supervision retries run "
-             "out instead of finishing the residue serially",
-    )
-    p_mot.add_argument(
-        "--no-supervise", action="store_true",
-        help="run the bare sharded runner: the first worker death "
-             "fails the run (with a --resume hint) instead of healing",
+        help="fail with a --resume hint when every worker is lost "
+             "instead of finishing the residue serially",
     )
     p_mot.add_argument(
         "--metrics-out", metavar="FILE",
         help="enable the metrics registry for this campaign and write "
-             "the merged snapshot (all worker shards aggregated) to "
+             "the merged snapshot (all workers aggregated) to "
              "FILE as JSON; render it with 'stats FILE'",
     )
     p_mot.add_argument(
         "--trace-out", metavar="FILE",
         help="stream structured JSONL trace events of the MOT hot path "
-             "to FILE (worker shards write FILE.shard<k>)",
+             "to FILE (local workers write FILE.<worker>)",
     )
     p_mot.add_argument(
         "--trace-sample", type=_unit_float, default=1.0, metavar="P",
         help="probability that a fault is traced; the per-fault "
              "decision is a deterministic hash of (pattern seed, fault "
-             "label), so reruns and shard layouts trace the same faults",
+             "label), so reruns and worker counts trace the same faults",
     )
     p_mot.set_defaults(func=cmd_mot)
 
@@ -1329,7 +1279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--n-references", type=int, default=8)
     p_submit.add_argument(
         "--workers", type=int, default=1,
-        help="shard the campaign across N processes server-side",
+        help="run the campaign on N local worker processes server-side",
     )
     p_submit.add_argument("--budget-ms", type=int, default=None)
     p_submit.add_argument("--budget-events", type=int, default=None)
@@ -1396,7 +1346,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "resume with: --checkpoint %s --resume", exc.journal_path
             )
         return EXIT_INTERRUPTED
-    except (RetryExhausted, WorkerCrashed, DistributedFailed) as exc:
+    except DistributedFailed as exc:
         log.error("error: %s", exc)
         if exc.journal_path:
             log.error(

@@ -35,32 +35,6 @@ drivers) can distinguish *our* diagnostics from genuine bugs with one
     A checkpoint journal could not be read, or its manifest does not
     match the run being resumed (:mod:`repro.runner.journal`).
 
-``WorkerCrashed``
-    One or more worker processes of a sharded campaign died
-    (:mod:`repro.runner.parallel`); journaled verdicts were merged into
-    the campaign checkpoint before the error was raised, so the run can
-    be completed with ``--resume`` (or automatically by the
-    supervisor).  Carries per-shard :class:`WorkerCrashInfo` metadata so
-    post-mortems never require opening shard journals by hand.
-
-``WorkerStalled``
-    Specialization of :class:`WorkerCrashed`: every dead worker was
-    recycled by the heartbeat watchdog after going silent for longer
-    than the stall timeout (:mod:`repro.runner.parallel`), rather than
-    exiting on its own.
-
-``PoisonFault``
-    A fault was confirmed (by a solo re-run in a dedicated worker) to
-    kill or stall its worker process, and the supervisor was configured
-    *not* to isolate such faults (:mod:`repro.runner.supervisor`).
-    With isolation on -- the default -- the fault becomes an
-    ``errored``/``poison`` verdict instead and the campaign continues.
-
-``RetryExhausted``
-    The campaign supervisor ran out of retry attempts (or hit its
-    deadline) with faults still unsimulated, and graceful degradation
-    to a serial run was disabled (:mod:`repro.runner.supervisor`).
-
 ``ChaosError``
     An invalid chaos scenario -- unknown injection site or action,
     malformed scenario file (:mod:`repro.chaos`).
@@ -75,20 +49,21 @@ drivers) can distinguish *our* diagnostics from genuine bugs with one
     the newline-JSON worker protocol (:mod:`repro.runner.transport`).
 
 ``DistributedFailed``
-    A distributed campaign ran out of usable hosts (all dead or
-    blacklisted) with faults still unsimulated
+    A multi-process campaign ran out of usable workers (every host or
+    local worker dead or blacklisted) with faults still unsimulated
     (:mod:`repro.runner.dispatch`).  Journaled verdicts were flushed
     first, so the run can be completed with ``--resume`` -- or
-    automatically by the supervisor, which degrades to local workers.
+    automatically by the supervisor, which finishes it serially unless
+    ``--no-degrade`` is given.
+
+A worker that dies on a fault is not an exception at all: the
+dispatcher isolates the fault as an ``errored``/``poison`` verdict.
 
 This module is intentionally a leaf (stdlib imports only): ``circuit``,
 ``faults``, ``mot`` and ``runner`` all import from it without cycles.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 #: The closed set of per-fault verdict statuses.  Every
 #: ``FaultVerdict.status`` the package constructs -- and every status
@@ -168,139 +143,6 @@ class JournalError(ReproError):
     """Raised for unreadable or mismatched checkpoint journals."""
 
 
-@dataclass(frozen=True)
-class WorkerCrashInfo:
-    """Post-mortem metadata for one dead worker of a sharded campaign.
-
-    Attributes
-    ----------
-    shard:
-        Shard id the worker was assigned.
-    exitcode:
-        The process exit code (negative = killed by that signal number),
-        or ``None`` when unknown.
-    last_journaled_index:
-        The *global* fault index of the last verdict the worker durably
-        journaled before dying, or ``None`` when it journaled nothing.
-    suspect_index:
-        The global index of the first fault of the shard with no
-        journaled verdict -- the fault that was (or was about to be)
-        in flight when the worker died.  ``None`` when the shard was
-        actually complete (the worker died after its last fault).
-    stalled:
-        True when the worker did not die on its own: the heartbeat
-        watchdog recycled it after ``stall_timeout`` of silence.
-    """
-
-    shard: int
-    exitcode: Optional[int] = None
-    last_journaled_index: Optional[int] = None
-    suspect_index: Optional[int] = None
-    stalled: bool = False
-
-    def describe(self) -> str:
-        """One human-readable clause for the :class:`WorkerCrashed` message."""
-        cause = "stalled (no heartbeat)" if self.stalled else "crashed"
-        exit_part = (
-            f", exit code {self.exitcode}" if self.exitcode is not None else ""
-        )
-        last = (
-            f"last journaled fault index {self.last_journaled_index}"
-            if self.last_journaled_index is not None
-            else "no fault journaled"
-        )
-        suspect = (
-            f", in-flight fault index {self.suspect_index}"
-            if self.suspect_index is not None
-            else ""
-        )
-        return f"shard {self.shard} {cause}{exit_part} ({last}{suspect})"
-
-
-class WorkerCrashed(ReproError):
-    """Raised when worker processes of a sharded campaign died.
-
-    The parent merges every verdict the dead workers journaled before
-    crashing into the campaign checkpoint first, so a checkpointed run
-    can be completed with ``--resume`` -- or automatically by
-    :class:`repro.runner.supervisor.SupervisedCampaignRunner`, which
-    catches this error and relaunches only the missing work.
-
-    Attributes
-    ----------
-    shards:
-        Shard ids whose worker process exited abnormally.
-    completed:
-        Verdicts recovered across all shards before the crash.
-    journal_path:
-        Merged checkpoint journal holding them (``None`` when
-        checkpointing was off -- the partial results are lost).
-    crashes:
-        Per-shard :class:`WorkerCrashInfo` post-mortems (empty when the
-        caller had no shard-level metadata, e.g. the parent itself died
-        and a later run found only unaccounted-for faults).
-    """
-
-    def __init__(
-        self,
-        shards: "list[int]",
-        completed: int,
-        journal_path: "str | None" = None,
-        crashes: "list[WorkerCrashInfo] | None" = None,
-    ) -> None:
-        self.shards = list(shards)
-        self.completed = completed
-        self.journal_path = journal_path
-        self.crashes = list(crashes or [])
-        where = f"; journal: {journal_path}" if journal_path else ""
-        if self.crashes:
-            detail = "; ".join(info.describe() for info in self.crashes)
-        elif self.shards:
-            plural = "s" if len(self.shards) != 1 else ""
-            detail = (
-                f"shard{plural} {', '.join(map(str, self.shards))} crashed"
-            )
-        else:
-            detail = "faults left unaccounted for"
-        super().__init__(
-            f"worker failure: {detail}; "
-            f"{completed} verdicts recovered{where}"
-        )
-
-
-class WorkerStalled(WorkerCrashed):
-    """Raised when every dead worker was recycled by the heartbeat
-    watchdog (silent beyond ``stall_timeout``) rather than exiting on
-    its own.  Subclass of :class:`WorkerCrashed` so every crash-recovery
-    path (``--resume``, the supervisor) handles stalls identically."""
-
-
-class PoisonFault(ReproError):
-    """Raised when a fault confirmed to kill/stall its worker must abort
-    the campaign (supervisor configured with ``isolate_poison=False``).
-
-    Attributes
-    ----------
-    index:
-        Global fault-list index of the poison fault.
-    implicated:
-        How many worker deaths implicated this fault before the solo
-        confirmation run.
-    reason:
-        What the confirmation run observed (exit code or stall).
-    """
-
-    def __init__(self, index: int, implicated: int, reason: str) -> None:
-        self.index = index
-        self.implicated = implicated
-        self.reason = reason
-        super().__init__(
-            f"fault index {index} kills its worker ({reason}; implicated "
-            f"in {implicated} worker death(s)) and poison isolation is "
-            f"disabled"
-        )
-
-
 class ChaosError(ReproError):
     """Raised for invalid chaos scenarios (unknown sites or actions,
     malformed scenario files) by :mod:`repro.chaos`.  Injected faults
@@ -317,8 +159,8 @@ class ServiceError(ReproError):
 
 
 class TransportError(ReproError):
-    """Raised when a distributed worker cannot be launched or breaks
-    the worker protocol.
+    """Raised when a campaign worker cannot be launched or breaks the
+    worker protocol.
 
     Attributes
     ----------
@@ -337,12 +179,12 @@ class TransportError(ReproError):
 
 
 class DistributedFailed(ReproError):
-    """Raised when a distributed campaign runs out of usable hosts.
+    """Raised when a multi-process campaign runs out of usable workers.
 
     Every verdict received before the failure was durably journaled, so
     a checkpointed run can be completed with ``--resume`` -- or
     automatically by the supervisor, which catches this error and
-    degrades to the local parallel runner.
+    finishes the campaign serially.
 
     Attributes
     ----------
@@ -376,48 +218,6 @@ class DistributedFailed(ReproError):
         )
         super().__init__(
             f"distributed campaign out of usable hosts{banned}: "
-            f"{completed} verdicts recovered, {remaining} faults "
-            f"unsimulated{where}"
-        )
-
-
-class RetryExhausted(ReproError):
-    """Raised when the campaign supervisor gives up.
-
-    Every retry attempt (or the overall deadline) was spent and faults
-    remain unsimulated, with graceful degradation to a serial run
-    disabled or itself failed.
-
-    Attributes
-    ----------
-    attempts:
-        Worker-pool launches performed (1 initial + retries).
-    completed:
-        Verdicts durably journaled across all attempts.
-    remaining:
-        Faults still missing a verdict.
-    journal_path:
-        Checkpoint journal holding the completed verdicts.
-    last_error:
-        The final :class:`WorkerCrashed` that exhausted the policy.
-    """
-
-    def __init__(
-        self,
-        attempts: int,
-        completed: int,
-        remaining: int,
-        journal_path: "str | None" = None,
-        last_error: "WorkerCrashed | None" = None,
-    ) -> None:
-        self.attempts = attempts
-        self.completed = completed
-        self.remaining = remaining
-        self.journal_path = journal_path
-        self.last_error = last_error
-        where = f"; journal: {journal_path}" if journal_path else ""
-        super().__init__(
-            f"campaign supervision exhausted after {attempts} attempt(s): "
             f"{completed} verdicts recovered, {remaining} faults "
             f"unsimulated{where}"
         )

@@ -243,8 +243,8 @@ class ProposedSimulator:
         (:class:`~repro.sim.goodcache.GoodMachineCache`) so construction
         skips the good-machine simulation entirely.  The cache is
         validated against (circuit, patterns) and must match; it is
-        shared read-only with the forward fallback and, in sharded
-        campaigns, with every worker process."""
+        shared read-only with the forward fallback and, in worker
+        campaigns, with every forked worker process."""
         self.circuit = circuit
         self.patterns = [list(p) for p in patterns]
         self.config = config or MotConfig()

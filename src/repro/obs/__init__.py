@@ -15,11 +15,12 @@ computes.  Three coordinated pieces:
   by :mod:`repro.reporting.metrics` and the ``repro stats`` CLI.
 
 **Campaign wiring.**  The serial harness records into the global
-registry directly; sharded runs ship an :class:`ObsSpec` to every
-worker (fork *and* spawn start methods), each worker records into a
-fresh registry, serializes it into its shard journal as a ``kind:
-"metrics"`` record, and the parent merges every shard snapshot back --
-one registry per campaign no matter how the work was distributed.
+registry directly; every worker of a multi-process campaign records
+into a fresh registry (:func:`install_worker_metrics`) and ships its
+snapshot home in the protocol's ``bye`` message, where the dispatcher
+merges it -- one registry per campaign no matter how the work was
+distributed.  A forked worker traces to its own sibling file
+(:meth:`~repro.obs.trace.JsonlTracer.for_worker`).
 
 Default state is off: ``get_metrics()`` is a no-op registry and
 ``get_tracer()`` a no-op tracer, and with both defaults in place
@@ -27,9 +28,6 @@ campaign results are identical to an uninstrumented build.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable, Optional
 
 from repro.obs.metrics import (
     NULL_METRICS,
@@ -83,104 +81,20 @@ __all__ = [
     "PhaseProfile",
     "ProfileReport",
     "build_profile",
-    "ObsSpec",
-    "current_obs_spec",
-    "install_worker_obs",
+    "install_worker_metrics",
 ]
 
 
-@dataclass(frozen=True)
-class ObsSpec:
-    """Picklable description of the parent's observability setup.
+def install_worker_metrics() -> None:
+    """Give a worker process a fresh recording registry.
 
-    Shipped to worker processes inside the parallel runner's worker
-    spec, so observability survives the ``spawn`` start method (where
-    module globals are not inherited) and behaves identically under
-    ``fork``.
+    The snapshot a worker ships home must cover exactly its own work; a
+    forked worker would otherwise re-report the counts it inherited
+    from the parent.  Under a thread-scoped registry (the job server)
+    the *override* is replaced, not the process global.
     """
-
-    metrics: bool = False
-    trace_path: Optional[str] = None
-    trace_sample: float = 1.0
-    trace_seed: int = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.metrics or self.trace_path is not None
-
-
-def current_obs_spec() -> Optional[ObsSpec]:
-    """Capture the process-global observability state, or ``None`` when
-    everything is at its no-op default (the common case -- workers then
-    skip installation entirely)."""
-    metrics = get_metrics()
-    tracer = get_tracer()
-    if not metrics.enabled and not tracer.enabled:
-        return None
-    return ObsSpec(
-        metrics=metrics.enabled,
-        trace_path=tracer.path if tracer.enabled else None,
-        trace_sample=tracer.sample,
-        trace_seed=tracer.seed,
-    )
-
-
-def install_worker_obs(
-    spec: Optional[ObsSpec], shard: Optional[int] = None
-) -> Callable[[], None]:
-    """Install *spec* for one worker shard; returns a restore callback.
-
-    With metrics enabled, a **fresh** recording registry is installed so
-    the shard's snapshot covers exactly the shard's work -- the parent
-    re-merges it from the shard journal, so swapping (rather than
-    sharing) is what prevents double counting when a lone shard runs
-    in the parent process.  With tracing enabled, the worker writes to
-    ``<trace>.shard<k>``.
-
-    The restore callback re-installs whatever was active before (a
-    no-op concern in a forked child, essential for the in-process
-    single-shard fast path).
-    """
-    if spec is None or not spec.enabled:
-        return lambda: None
-    previous_tracer = get_tracer()
-
-    def _no_restore() -> None:
-        return None
-
-    restore_metrics: Callable[[], None] = _no_restore
-    if spec.metrics:
-        fresh = RecordingMetrics()
-        if thread_metrics_override() is not None:
-            # In-process shard under a thread-scoped registry (the job
-            # server): swap the *override*, not the process global --
-            # the global may belong to a different tenant.
-            previous_override = set_thread_metrics_override(fresh)
-
-            def _restore_override() -> None:
-                set_thread_metrics_override(previous_override)
-
-            restore_metrics = _restore_override
-        else:
-            previous_metrics = set_metrics(fresh)
-
-            def _restore_global() -> None:
-                set_metrics(previous_metrics)
-
-            restore_metrics = _restore_global
-    tracer: Optional[NullTracer] = None
-    if spec.trace_path is not None:
-        tracer = JsonlTracer(
-            spec.trace_path, sample=spec.trace_sample, seed=spec.trace_seed
-        )
-        if shard is not None:
-            tracer = tracer.for_shard(shard)
-        set_tracer(tracer)
-
-    def restore() -> None:
-        if tracer is not None:
-            tracer.close()
-        restore_metrics()
-        set_tracer(previous_tracer)
-
-    return restore
+    fresh = RecordingMetrics()
+    if thread_metrics_override() is not None:
+        set_thread_metrics_override(fresh)
+    else:
+        set_metrics(fresh)

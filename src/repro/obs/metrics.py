@@ -8,13 +8,13 @@ The registry is the quantitative half of the observability subsystem
   ``if metrics.enabled:`` and cost one attribute check when nobody is
   measuring.  Campaign results are unaffected either way: metrics only
   *observe*.
-* :class:`RecordingMetrics` -- a thread-safe in-memory store.  Shard
-  worker processes each record into their own instance (installed by
-  :func:`repro.obs.install_worker_obs`), serialize it into their shard
-  journal as a ``kind: "metrics"`` record, and the parent merges every
-  shard snapshot back into its own registry -- so a sharded or
-  supervised campaign ends with **one** registry describing all the
-  work, exactly as a serial run would.
+* :class:`RecordingMetrics` -- a thread-safe in-memory store.  Worker
+  processes each record into their own instance (installed by
+  :func:`repro.obs.install_worker_metrics`), ship its snapshot home
+  when they shut down, and the dispatcher merges every worker snapshot
+  back into its own registry -- so a multi-process campaign ends with
+  **one** registry describing all the work, exactly as a serial run
+  would.
 
 Four instrument kinds:
 
@@ -30,7 +30,7 @@ Four instrument kinds:
 
 :class:`MetricsSnapshot` is the frozen, JSON-serializable view used for
 journaling and merging.  ``merge`` is associative and commutative over
-snapshots, so shard registries aggregate to the serial registry
+snapshots, so worker registries aggregate to the serial registry
 regardless of merge order (asserted in ``tests/obs/test_metrics.py``).
 """
 
@@ -155,7 +155,7 @@ class MetricsSnapshot:
     def merge(cls, snapshots: Iterable["MetricsSnapshot"]) -> "MetricsSnapshot":
         """Aggregate *snapshots*: counters/histograms/phases add, gauges max.
 
-        Associative and commutative, so any grouping of shard snapshots
+        Associative and commutative, so any grouping of worker snapshots
         (or snapshot-of-merges) yields the same result.
         """
         counters: Dict[str, int] = {}
@@ -331,7 +331,7 @@ class RecordingMetrics(NullMetrics):
             )
 
     def merge_snapshot(self, snapshot: MetricsSnapshot) -> None:
-        """Fold a (shard) snapshot into this registry."""
+        """Fold a (worker) snapshot into this registry."""
         merged = MetricsSnapshot.merge([self.snapshot(), snapshot])
         with self._lock:
             self._counters = dict(merged.counters)
@@ -435,10 +435,10 @@ def scoped_metrics(
     while several campaigns run concurrently in one process.  Scopes
     nest; the previous override is restored on exit.
 
-    The override is thread-local, so it does **not** leak into worker
-    *processes* -- those receive their registry through the existing
-    :class:`~repro.obs.ObsSpec` channel, which the campaign runners
-    capture on the submitting thread (inside the scope).
+    The override is thread-local; a worker *process* forked from inside
+    the scope replaces it with a fresh registry of its own
+    (:func:`repro.obs.install_worker_metrics`) and ships that home, where
+    the dispatcher -- still on this thread -- merges it into *registry*.
     """
     if registry is None:
         registry = RecordingMetrics()

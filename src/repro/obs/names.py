@@ -29,10 +29,9 @@ METRIC_NAMES = frozenset(
         "good_sim",
         "learning",
         "resim",
-        # Campaign harness / supervisor.
+        # Campaign harness.
         "campaign.fault_ms",
         "campaign.verdict.errored",
-        "supervisor.poisoned",
         # Chaos injection plane (repro.chaos).
         "chaos.injections",
         # Distributed dispatch (repro.runner.dispatch / transport).
@@ -41,6 +40,7 @@ METRIC_NAMES = frozenset(
         "dispatch.lease.expired",
         "dispatch.lease.granted",
         "dispatch.lease.stolen",
+        "dispatch.poisoned",
         "host.blacklisted",
         "host.failures",
         "journal.corrupt_lines",

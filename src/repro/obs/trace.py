@@ -19,7 +19,7 @@ is decided *per fault*: :meth:`BaseTracer.begin_fault` hashes the fault
 label against the ``sample`` knob (a probability in ``[0, 1]``) and the
 tracer stays inert for unsampled faults.  The hash is deterministic in
 (seed, label): the same campaign traced twice samples the same faults,
-and shard layout cannot change which faults are traced.
+and the worker count cannot change which faults are traced.
 
 Event schema (all events carry ``"ev"``; fault-scoped events follow a
 ``fault_begin``):
@@ -85,7 +85,7 @@ class NullTracer:
     def emit(self, ev: str, **fields: Any) -> None:
         pass
 
-    def for_shard(self, shard: int) -> "NullTracer":
+    def for_worker(self, name: str) -> "NullTracer":
         return self
 
     def close(self) -> None:
@@ -113,7 +113,7 @@ class BaseTracer(NullTracer):
 
         Hashes (seed, label) to a uniform fraction and compares against
         the ``sample`` probability, so the traced subset is stable
-        across reruns and shard layouts.
+        across reruns and worker counts.
         """
         if self.sample >= 1.0:
             return True
@@ -170,15 +170,17 @@ class JsonlTracer(BaseTracer):
             self._handle = open(self.path, "a", buffering=1)
         self._handle.write(json.dumps(record, sort_keys=True) + "\n")
 
-    def for_shard(self, shard: int) -> "JsonlTracer":
-        """A sibling tracer for one worker shard.
+    def for_worker(self, name: str) -> "JsonlTracer":
+        """A sibling tracer for the worker process *name*.
 
-        Each worker writes ``<path>.shard<k>`` so concurrent processes
+        Each worker writes ``<path>.<name>`` so concurrent processes
         never interleave within one file; sampling (seed + probability)
-        is inherited, so sharding cannot change which faults are traced.
+        is inherited, so the worker count cannot change which faults are
+        traced.  The file is opened in append mode, so a relaunched
+        worker adds to its predecessor's trace.
         """
         return JsonlTracer(
-            f"{self.path}.shard{shard}", sample=self.sample, seed=self.seed
+            f"{self.path}.{name}", sample=self.sample, seed=self.seed
         )
 
     def close(self) -> None:

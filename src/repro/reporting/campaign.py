@@ -51,7 +51,7 @@ class CampaignSummary:
     errored: int = 0
     aborted_budget: int = 0
     unclassified: Dict[str, int] = field(default_factory=dict)
-    #: Faults the supervisor confirmed to kill/stall their worker
+    #: Faults the dispatcher confirmed to kill/stall their worker
     #: process (``errored`` verdicts with ``how == "poison"``); a
     #: subset of ``errored``.
     poisoned: int = 0
@@ -65,8 +65,8 @@ def dedupe_verdicts(campaign: Campaign) -> Campaign:
     """Collapse duplicate per-fault verdicts, last write wins.
 
     A fault can legitimately appear twice when campaigns are merged
-    from overlapping journals -- e.g. the shard journals of a killed
-    sharded run plus the partially merged campaign journal.  Counting
+    by hand from overlapping journals -- e.g. two interrupted runs of
+    the same campaign.  Counting
     both entries would corrupt every derived statistic (coverage over
     an inflated total), so the summary keeps only the **last** verdict
     recorded for each fault, with a warning naming the fault, and the
@@ -95,8 +95,8 @@ def dedupe_verdicts(campaign: Campaign) -> Campaign:
 def summarize_campaign(campaign: Campaign) -> CampaignSummary:
     """Compute :class:`CampaignSummary` for *campaign*.
 
-    Duplicate per-fault verdicts (possible when shard journals are
-    merged by hand) are collapsed last-write-wins first, with a
+    Duplicate per-fault verdicts (possible when journals are merged by
+    hand) are collapsed last-write-wins first, with a
     warning, so no fault is ever double-counted.
     """
     campaign = dedupe_verdicts(campaign)
@@ -213,80 +213,54 @@ def render_campaign_report(
 def render_supervision_report(stats) -> str:
     """One-line-per-fact summary of what a supervised run did.
 
-    *stats* is a :class:`repro.runner.supervisor.SupervisorStats` (duck
-    typed: any object with ``attempts`` / ``retries`` / ``stalls`` /
-    ``probes`` / ``poisoned`` / ``degraded``).  Returns ``""`` when
-    supervision never had to intervene, so callers can print the result
+    *stats* is a :class:`repro.runner.supervisor.SupervisorStats` (its
+    ``dispatch`` field holds the dispatcher's record).  Returns ``""``
+    when nothing had to intervene, so callers can print the result
     unconditionally.
     """
-    host_failures = getattr(stats, "host_failures", None) or {}
-    blacklisted = getattr(stats, "blacklisted_hosts", None) or []
-    distributed_failed = getattr(stats, "distributed_failed", False)
-    distributed = getattr(stats, "distributed", None)
-    interventions = (
-        stats.retries or stats.stalls or stats.probes
-        or stats.poisoned or stats.degraded
-        or host_failures or blacklisted or distributed_failed
-        or (distributed is not None
-            and (distributed.leases_expired or distributed.leases_stolen
-                 or distributed.duplicates or distributed.relaunches))
-    )
-    if not interventions:
-        return ""
-    lines: List[str] = [
-        f"  supervision: {stats.attempts} attempt(s), "
-        f"{stats.retries} retr{'y' if stats.retries == 1 else 'ies'}"
+    dispatch = stats.dispatch
+    facts = [
+        ("leases expired/reassigned", dispatch.leases_expired),
+        ("straggler leases stolen  ", dispatch.leases_stolen),
+        ("duplicate verdicts dropped", dispatch.duplicates),
+        ("stalled workers killed   ", dispatch.stalls),
     ]
-    if distributed is not None:
-        if distributed.leases_expired:
-            lines.append(
-                f"    leases expired/reassigned: "
-                f"{distributed.leases_expired}"
-            )
-        if distributed.leases_stolen:
-            lines.append(
-                f"    straggler leases stolen  : "
-                f"{distributed.leases_stolen}"
-            )
-        if distributed.duplicates:
-            lines.append(
-                f"    duplicate verdicts dropped: "
-                f"{distributed.duplicates}"
-            )
-        if distributed.relaunches:
-            lines.append(
-                f"    host workers relaunched  : {distributed.relaunches}"
-            )
-    if host_failures:
+    if not (any(count for _label, count in facts) or dispatch.relaunches
+            or dispatch.host_failures or dispatch.poisoned
+            or stats.degraded):
+        return ""
+    relaunches = dispatch.relaunches
+    lines: List[str] = [
+        f"  supervision: {dispatch.hosts} worker(s), {relaunches} "
+        f"relaunch{'' if relaunches == 1 else 'es'}"
+    ]
+    lines += [f"    {label}: {count}" for label, count in facts if count]
+    if dispatch.host_failures:
         detail = ", ".join(
-            f"{host} x{count}" for host, count in sorted(host_failures.items())
+            f"{host} x{count}"
+            for host, count in sorted(dispatch.host_failures.items())
         )
-        lines.append(f"    host failures            : {detail}")
-    if blacklisted:
+        lines.append(f"    worker failures          : {detail}")
+    if dispatch.blacklisted:
         lines.append(
-            f"    hosts blacklisted        : {', '.join(blacklisted)}"
+            f"    blacklisted              : "
+            f"{', '.join(dispatch.blacklisted)}"
         )
-    if distributed_failed:
-        lines.append(
-            "    distributed rung failed; degraded to local execution"
-        )
-    if stats.stalls:
-        lines.append(
-            f"    stalled workers recycled : {stats.stalls}"
-        )
-    if stats.probes:
-        lines.append(
-            f"    suspect faults probed    : {stats.probes}"
-        )
-    if stats.poisoned:
-        indices = ", ".join(map(str, stats.poisoned))
+    if dispatch.poisoned:
+        indices = ", ".join(map(str, dispatch.poisoned))
         lines.append(
             f"    poison faults isolated   : "
-            f"{len(stats.poisoned)} (index {indices})"
+            f"{len(dispatch.poisoned)} (index {indices})"
+        )
+    if stats.quarantined:
+        indices = ", ".join(map(str, stats.quarantined))
+        lines.append(
+            f"    suspects quarantined     : "
+            f"{len(stats.quarantined)} (index {indices})"
         )
     if stats.degraded:
         lines.append(
-            "    degraded to a serial run after retries were exhausted"
+            "    degraded to a serial run after every worker was lost"
         )
     return "\n".join(lines) + "\n"
 

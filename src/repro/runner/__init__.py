@@ -1,16 +1,24 @@
 """Campaign execution runner: budgets, journaling, quarantine, resume.
 
+A campaign runs on one of two executors: the serial
+:class:`~repro.runner.harness.CampaignHarness`, or -- for ``--workers
+N`` (N forked local workers) and ``--hosts`` -- the lease dispatcher
+under :class:`~repro.runner.supervisor.SupervisedCampaignRunner`, which
+degrades to the serial harness when every worker is lost.
+:func:`repro.runner.campaign.run_campaign` picks one.
+
 Public surface:
 
 * :mod:`repro.runner.errors` -- the shared error taxonomy;
 * :mod:`repro.runner.budget` -- per-fault work/time budgets;
 * :mod:`repro.runner.journal` -- JSONL checkpoint journal;
-* :mod:`repro.runner.harness` -- the resilient campaign harness;
-* :mod:`repro.runner.parallel` -- sharded multi-process campaigns;
+* :mod:`repro.runner.harness` -- the resilient serial campaign harness;
 * :mod:`repro.runner.retry` -- retry policy (backoff, jitter, deadline);
-* :mod:`repro.runner.supervisor` -- self-healing campaign supervision;
-* :mod:`repro.runner.transport` -- transport-agnostic worker protocol;
-* :mod:`repro.runner.dispatch` -- lease-based distributed dispatcher.
+* :mod:`repro.runner.transport` -- worker protocol, forked local and
+  command-launched workers;
+* :mod:`repro.runner.dispatch` -- the lease dispatcher (multi-process
+  executor, poison isolation);
+* :mod:`repro.runner.supervisor` -- dispatch with serial degradation.
 
 Submodules are loaded lazily (PEP 562): the simulators in ``repro.mot``
 import :mod:`repro.runner.budget` while :mod:`repro.runner.harness`
@@ -29,11 +37,6 @@ _EXPORTS = {
     "BudgetExceeded": "errors",
     "CampaignInterrupted": "errors",
     "JournalError": "errors",
-    "WorkerCrashed": "errors",
-    "WorkerCrashInfo": "errors",
-    "WorkerStalled": "errors",
-    "PoisonFault": "errors",
-    "RetryExhausted": "errors",
     "TransportError": "errors",
     "DistributedFailed": "errors",
     # budget
@@ -51,26 +54,16 @@ _EXPORTS = {
     "HarnessStats": "harness",
     "run_campaign": "harness",
     "simulator_manifest": "harness",
-    # parallel
-    "ParallelCampaignRunner": "parallel",
-    "ParallelConfig": "parallel",
-    "ParallelStats": "parallel",
-    "run_parallel_campaign": "parallel",
-    "shard_faults": "parallel",
-    "merge_verdict_maps": "parallel",
-    "SHARD_STRATEGIES": "parallel",
     # retry
     "RetryPolicy": "retry",
     # supervisor
     "SupervisedCampaignRunner": "supervisor",
-    "SupervisorConfig": "supervisor",
     "SupervisorStats": "supervisor",
-    "run_supervised_campaign": "supervisor",
     # transport
     "PROTOCOL_VERSION": "transport",
     "WorkloadSpec": "transport",
     "Transport": "transport",
-    "SubprocessTransport": "transport",
+    "LocalTransport": "transport",
     "CommandTransport": "transport",
     "WorkerHandle": "transport",
     "make_transport": "transport",

@@ -2,13 +2,12 @@
 
 :func:`run_campaign` is the single place that turns a declarative
 :class:`CampaignSpec` -- workload, simulator, execution knobs -- into a
-finished campaign, selecting the same runner ladder the ``repro mot``
-command line always has:
+finished campaign, on one of exactly two executors:
 
-* ``hosts`` set -> lease-based distributed dispatch (supervised unless
-  ``no_supervise``),
-* ``workers > 1`` -> sharded multi-process execution (supervised by
-  default),
+* ``workers > 1`` or ``hosts`` -> the lease dispatcher over worker
+  processes (``workers`` forked local workers, or the named hosts over
+  the spec's transport), supervised: when every worker is lost, the
+  residue finishes serially unless ``no_degrade``;
 * otherwise -> the serial :class:`~repro.runner.harness.CampaignHarness`.
 
 The CLI ``mot``/``fsim`` subcommands and the job-server executor
@@ -30,7 +29,7 @@ from __future__ import annotations
 import logging
 import threading
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, get_args, get_type_hints
 
 from repro.circuit.bench import load_bench, parse_bench
 from repro.circuit.netlist import Circuit
@@ -41,16 +40,7 @@ from repro.faults.sites import all_faults
 from repro.patterns.random_gen import random_patterns
 from repro.runner.budget import FaultBudget
 from repro.runner.harness import CampaignHarness, HarnessConfig
-from repro.runner.parallel import (
-    SHARD_STRATEGIES,
-    ParallelCampaignRunner,
-    ParallelConfig,
-)
-from repro.runner.retry import RetryPolicy
-from repro.runner.supervisor import (
-    SupervisedCampaignRunner,
-    SupervisorConfig,
-)
+from repro.runner.supervisor import SupervisedCampaignRunner
 from repro.sim.goodcache import GoodMachineCache
 
 __all__ = [
@@ -107,10 +97,11 @@ class CampaignSpec:
     ``implication_mode``/``backward_depth``/``learning`` to the
     proposed procedure only).
 
-    Execution: the runner-ladder knobs of the ``mot`` subcommand.
-    ``progress_path`` arms the serial harness's heartbeat beacon (the
-    sharded runners derive per-shard beacons from ``checkpoint_path``
-    when ``heartbeat_interval`` is set).
+    Execution: the executor knobs of the ``mot`` subcommand.
+    ``workers`` and ``hosts`` are mutually exclusive ways to ask for
+    worker processes.  ``fail_fast`` applies to serial runs; under
+    workers a raising fault ends as a quarantined ``errored`` verdict.
+    ``progress_path`` arms the serial harness's progress beacon.
     """
 
     # -- workload ------------------------------------------------------
@@ -133,7 +124,6 @@ class CampaignSpec:
 
     # -- execution -----------------------------------------------------
     workers: int = 1
-    shard_strategy: str = "round_robin"
     hosts: Tuple[str, ...] = ()
     transport: str = "local"
     command_template: Optional[str] = None
@@ -146,22 +136,14 @@ class CampaignSpec:
     checkpoint_every: int = 25
     resume: bool = False
     fail_fast: bool = False
-    max_retries: int = 3
-    heartbeat_interval: Optional[float] = None
     stall_timeout: Optional[float] = None
     no_degrade: bool = False
-    no_supervise: bool = False
     progress_path: Optional[str] = None
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Raise :class:`SpecError` on any inconsistent combination."""
-        for name in ("circuit", "bench_path", "bench_text"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, str):
-                raise SpecError(
-                    f"{name} must be a string, got {type(value).__name__}"
-                )
+        self._check_types()
         sources = [
             s for s in (self.circuit, self.bench_path, self.bench_text)
             if s
@@ -192,10 +174,10 @@ class CampaignSpec:
             )
         if self.workers < 1:
             raise SpecError(f"workers must be >= 1, got {self.workers}")
-        if self.shard_strategy not in SHARD_STRATEGIES:
+        if self.workers > 1 and self.hosts:
             raise SpecError(
-                f"unknown shard strategy {self.shard_strategy!r} "
-                f"(expected one of {SHARD_STRATEGIES})"
+                "workers and hosts are exclusive: --workers N launches N "
+                "local workers, --hosts names them"
             )
         if self.transport not in ("local", "command"):
             raise SpecError(
@@ -212,11 +194,7 @@ class CampaignSpec:
             raise SpecError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
             )
-        if self.max_retries < 0:
-            raise SpecError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        for name in ("lease_timeout", "heartbeat_interval", "stall_timeout"):
+        for name in ("lease_timeout", "stall_timeout"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise SpecError(f"{name} must be positive, got {value}")
@@ -237,6 +215,29 @@ class CampaignSpec:
                 "collapse='classes' requires a MOT-family campaign "
                 "(fsim verdicts carry no expansion provenance)"
             )
+
+    def _check_types(self) -> None:
+        """Every field must hold its annotated type, or ``None`` where
+        the annotation is ``Optional``; hosts are non-empty strings."""
+        for name, hint in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if name == "hosts":
+                if not isinstance(value, tuple) or not all(
+                    isinstance(h, str) and h.strip() for h in value
+                ):
+                    raise SpecError(
+                        f"hosts must be non-empty strings, got {value!r}"
+                    )
+                continue
+            args = get_args(hint)  # (T, NoneType) for Optional[T]
+            if value is None and type(None) in args:
+                continue
+            expected = args[0] if args else hint
+            if not _has_type(value, expected):
+                raise SpecError(
+                    f"{name} must be {_TYPE_NAMES[expected]}, got "
+                    f"{type(value).__name__} {value!r}"
+                )
 
     def effective_collapse(self) -> str:
         """The collapse mode after the legacy ``uncollapsed`` flag."""
@@ -284,19 +285,33 @@ class CampaignSpec:
         known = {f.name for f in fields(cls)}
         kwargs = {k: v for k, v in payload.items() if k in known}
         hosts = kwargs.get("hosts")
-        if hosts is not None:
-            if isinstance(hosts, str):
-                kwargs["hosts"] = tuple(
-                    h for h in hosts.split(",") if h.strip()
-                )
-            else:
-                kwargs["hosts"] = tuple(hosts)
+        if isinstance(hosts, str):
+            kwargs["hosts"] = tuple(h for h in hosts.split(",") if h.strip())
+        elif isinstance(hosts, list):
+            kwargs["hosts"] = tuple(hosts)
         try:
             spec = cls(**kwargs)
         except TypeError as exc:
             raise SpecError(f"bad spec payload: {exc}") from None
         spec.validate()
         return spec
+
+
+#: Resolved annotation of every spec field, for :meth:`CampaignSpec.validate`.
+_FIELD_TYPES = get_type_hints(CampaignSpec)
+
+_TYPE_NAMES = {bool: "a bool", int: "an integer", float: "a number",
+               str: "a string"}
+
+
+def _has_type(value: Any, expected: type) -> bool:
+    """``isinstance``, except that a bool is never a count or a number
+    and an int is a fine float."""
+    if isinstance(value, bool):
+        return expected is bool
+    if expected is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, expected)
 
 
 @dataclass
@@ -306,8 +321,7 @@ class CampaignResult:
     ``campaign`` is a :class:`repro.mot.simulator.Campaign` for the MOT
     kinds and a :class:`repro.fsim.conventional.ConventionalCampaign`
     for ``kind="fsim"``.  ``stats`` is the runner's stats object
-    (:class:`~repro.runner.harness.CampaignStats`,
-    :class:`~repro.runner.parallel.ParallelStats` or
+    (:class:`~repro.runner.harness.HarnessStats` or
     :class:`~repro.runner.supervisor.SupervisorStats`; ``None`` for
     fsim).  ``supervised`` marks results that carry a
     :class:`~repro.runner.supervisor.SupervisorStats` suitable for
@@ -488,9 +502,9 @@ def run_campaign(
 
     Raises whatever the selected runner raises
     (:class:`~repro.errors.CampaignInterrupted` on Ctrl-C or a set
-    ``cancel_event``, :class:`~repro.errors.WorkerCrashed` /
-    :class:`~repro.errors.RetryExhausted` / ... on unrecovered
-    failures) -- callers own the policy, as the CLI's ``main`` does.
+    ``cancel_event``, :class:`~repro.errors.DistributedFailed` when
+    every worker is lost under ``no_degrade``) -- callers own the
+    policy, as the CLI's ``main`` does.
     """
     spec.validate()
     circuit = spec.build_circuit()
@@ -527,88 +541,44 @@ def run_campaign(
     budget = spec.budget()
     supervised = False
 
-    if spec.hosts:
-        from repro.runner.dispatch import (
-            DispatchConfig,
-            DistributedCampaignRunner,
-        )
+    if spec.hosts or spec.workers > 1:
+        from repro.analysis.testability import hardest_first
+        from repro.runner.dispatch import DispatchConfig
         from repro.runner.transport import make_transport
 
-        from repro.analysis.testability import hardest_first
-
-        hosts = list(spec.hosts)
-        transport = make_transport(spec.transport, spec.command_template)
-        # Lease hard faults first: stragglers surface while cheap tail
-        # work remains for the lease book to rebalance.  Ordering is
-        # wall-clock only -- verdicts stay keyed by fault index.
-        order = tuple(hardest_first(circuit, faults))
-        dispatch_config = DispatchConfig(
-            chunk_size=spec.chunk_size,
-            lease_timeout=spec.lease_timeout,
-            host_blacklist_after=spec.host_blacklist_after,
-            checkpoint_path=spec.checkpoint_path,
-            checkpoint_every=spec.checkpoint_every,
-            resume=spec.resume,
-            budget=budget,
-            cancel_event=cancel_event,
-            dispatch_order=order,
+        hosts = list(spec.hosts) or [
+            f"worker{k}" for k in range(spec.workers)
+        ]
+        supervised = True
+        runner: Any = SupervisedCampaignRunner(
+            simulator,
+            hosts,
+            make_transport(spec.transport, spec.command_template),
+            DispatchConfig(
+                chunk_size=spec.chunk_size,
+                lease_timeout=spec.lease_timeout,
+                stall_timeout=spec.stall_timeout,
+                host_blacklist_after=spec.host_blacklist_after,
+                checkpoint_path=spec.checkpoint_path,
+                checkpoint_every=spec.checkpoint_every,
+                resume=spec.resume,
+                budget=budget,
+                cancel_event=cancel_event,
+                # Lease hard faults first: stragglers surface while
+                # cheap tail work remains for the lease book to
+                # rebalance.  Ordering is wall-clock only -- verdicts
+                # stay keyed by fault index.
+                dispatch_order=tuple(hardest_first(circuit, faults)),
+            ),
+            allow_degraded=not spec.no_degrade,
         )
-        if spec.no_supervise:
-            runner: Any = DistributedCampaignRunner(
-                simulator, hosts, transport, dispatch_config
+        if spec.hosts:
+            label += (
+                f", {len(hosts)} hosts over {spec.transport} transport"
+                " (supervised)"
             )
         else:
-            supervised = True
-            runner = SupervisedCampaignRunner(
-                simulator,
-                ParallelConfig(
-                    workers=max(spec.workers, 1),
-                    budget=budget,
-                    checkpoint_path=spec.checkpoint_path,
-                    checkpoint_every=spec.checkpoint_every,
-                    resume=spec.resume,
-                    fail_fast=spec.fail_fast,
-                    cancel_event=cancel_event,
-                ),
-                SupervisorConfig(
-                    retry=RetryPolicy(max_retries=spec.max_retries),
-                    allow_degraded=not spec.no_degrade,
-                ),
-                hosts=hosts,
-                transport=transport,
-                dispatch=dispatch_config,
-            )
-        label += (
-            f", {len(hosts)} hosts over {spec.transport} transport"
-            f" ({'unsupervised' if spec.no_supervise else 'supervised'})"
-        )
-    elif spec.workers > 1:
-        parallel_config = ParallelConfig(
-            workers=spec.workers,
-            shard_strategy=spec.shard_strategy,
-            budget=budget,
-            checkpoint_path=spec.checkpoint_path,
-            checkpoint_every=spec.checkpoint_every,
-            resume=spec.resume,
-            fail_fast=spec.fail_fast,
-            heartbeat_interval=spec.heartbeat_interval,
-            stall_timeout=spec.stall_timeout,
-            cancel_event=cancel_event,
-        )
-        if spec.no_supervise:
-            runner = ParallelCampaignRunner(simulator, parallel_config)
-        else:
-            supervised = True
-            runner = SupervisedCampaignRunner(
-                simulator,
-                parallel_config,
-                SupervisorConfig(
-                    retry=RetryPolicy(max_retries=spec.max_retries),
-                    allow_degraded=not spec.no_degrade,
-                ),
-            )
-        label += f", {spec.workers} workers ({spec.shard_strategy}"
-        label += ", unsupervised)" if spec.no_supervise else ", supervised)"
+            label += f", {spec.workers} workers (supervised)"
     else:
         runner = CampaignHarness(
             simulator,

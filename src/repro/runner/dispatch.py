@@ -1,10 +1,13 @@
-"""Lease-based chunk dispatcher for distributed campaigns.
+"""Lease-based chunk dispatcher: the one multi-process campaign executor.
 
-Static sharding (:mod:`repro.runner.parallel`) decides the whole
-assignment up front, which is exactly wrong once hosts can die or
-straggle: a dead shard strands its faults until a full retry round, and
-one slow host stretches the campaign to its pace.  The dispatcher
-replaces the static split with **dynamic chunk leases**:
+Procedure 1 decides each fault from the circuit, the patterns and the
+one fault-free response, so a campaign's only parallelism is handing
+faults to workers.  ``--workers N`` runs N forked local workers
+(:class:`~repro.runner.transport.LocalTransport`, which reuse the
+parent's simulator and its good-machine simulation); ``--hosts`` runs
+named hosts over any transport.  Either way the assignment is made of
+**dynamic chunk leases**, never decided up front, because workers can
+die or straggle:
 
 * The fault list becomes a queue of small chunks.  Workers *pull*: an
   idle worker is granted a lease -- a chunk plus a deadline -- and
@@ -24,13 +27,22 @@ replaces the static split with **dynamic chunk leases**:
   later duplicates -- from expiry reassignment or stealing -- are
   counted (``dispatch.duplicates``) and dropped.  Double execution can
   never double-count.
-* A lost host (transport EOF, heartbeat silence) is just a bigger
+* A lost host (transport EOF, protocol violation) is just a bigger
   version of the same event: its leases are revoked and requeued, the
   host is relaunched, and after ``host_blacklist_after`` failures it is
   blacklisted.  When every host is blacklisted,
   :class:`~repro.errors.DistributedFailed` reports what the journal
-  already holds -- ``--resume`` continues from there, locally if need
-  be.
+  already holds -- ``--resume`` continues from there, and the
+  supervisor (:mod:`repro.runner.supervisor`) finishes serially.
+* **Poison isolation** lives in the :class:`LeaseBook`: a worker that
+  dies while it owes a chunk -- or, with ``stall_timeout`` set, stays
+  silent that long while it owes one, even after the lease expired, and
+  is killed -- implicates the first fault of its chunks it had not
+  reported.  That suspect is re-leased *alone*, to a host whose worker
+  did not die with it whenever such a host can take work.  A worker
+  lost on that solo lease confirms the fault as poison: it gets an
+  ``errored``/``poison`` verdict and is never run again, and the solo
+  death is not held against the host.
 
 The journal (:mod:`repro.runner.journal`) is the durable half of the
 design: verdicts are checksummed and flushed every
@@ -48,7 +60,17 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Collection,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.chaos.runtime import chaos_clock_tick, chaos_now, wrap_handle
 from repro.errors import (
@@ -75,15 +97,20 @@ from repro.runner.transport import (
     Transport,
     WorkerHandle,
     WorkloadSpec,
+    wait_for_output,
 )
 
 __all__ = [
+    "POISON_HOW",
     "DispatchConfig",
     "DispatchStats",
     "Lease",
     "LeaseBook",
     "DistributedCampaignRunner",
 ]
+
+#: ``how`` tag of the verdict a confirmed poison fault receives.
+POISON_HOW = "poison"
 
 log = logging.getLogger("repro.runner.dispatch")
 
@@ -118,7 +145,16 @@ class DispatchConfig:
         Seconds to wait for a worker's ``bye`` (with its metrics
         snapshot) at the end of the campaign.
     poll_interval:
-        Idle sleep between event-loop passes when no messages arrived.
+        Longest idle wait between event-loop passes: the loop wakes as
+        soon as any worker has output, and at least this often to
+        check deadlines and the cancel event.
+    stall_timeout:
+        Seconds a worker that owes a chunk may stay silent (no verdict,
+        no ``chunk_done``) before it is presumed hung inside one fault
+        and killed, whether or not its lease has expired meanwhile; its
+        in-flight fault becomes a suspect.  ``None`` (default) relies on
+        ``lease_timeout`` alone, which requeues a silent lease but
+        leaves the worker running.
     host_blacklist_after:
         Host failures (crash, handshake timeout, protocol violation)
         tolerated before the host is blacklisted for the campaign.
@@ -154,6 +190,7 @@ class DispatchConfig:
     start_timeout: float = 60.0
     shutdown_timeout: float = 10.0
     poll_interval: float = 0.02
+    stall_timeout: Optional[float] = None
     host_blacklist_after: int = 2
     checkpoint_path: Optional[str] = None
     checkpoint_every: int = 25
@@ -173,12 +210,15 @@ class DispatchStats:
     leases_stolen: int = 0
     duplicates: int = 0
     relaunches: int = 0
+    stalls: int = 0
     reused: int = 0
     simulated: int = 0
     errored: int = 0
     aborted: int = 0
     host_failures: Dict[str, int] = field(default_factory=dict)
     blacklisted: List[str] = field(default_factory=list)
+    #: Fault indices confirmed poison (in confirmation order).
+    poisoned: List[int] = field(default_factory=list)
 
 
 # ----------------------------------------------------------------------
@@ -197,6 +237,10 @@ class Lease:
     stolen_from: Optional[int] = None
     last_progress: float = 0.0
     stolen: bool = False  # a speculative copy of this lease exists
+    solo: bool = False  # one suspect fault, re-run alone
+    #: Indices the lease's own worker has reported (see
+    #: :meth:`LeaseBook.in_flight`).
+    reported: Set[int] = field(default_factory=set)
 
     def unfinished(self, done: Dict[int, Any]) -> List[int]:
         return [i for i in self.indices if i not in done]
@@ -205,13 +249,17 @@ class Lease:
 class LeaseBook:
     """The dispatcher's source of truth for who owns which fault.
 
-    Tracks three disjoint-by-construction views of the fault index
-    space: a pending queue, active leases (an index may be covered by
-    several when stealing duplicated it), and the ``done`` map of
-    first-arrived verdicts.  :meth:`complete` is the idempotency
+    Tracks disjoint-by-construction views of the fault index space: a
+    pending queue, a queue of ``suspects`` (faults implicated in a
+    worker death, each re-leased alone), active leases (an index may be
+    covered by several when stealing duplicated it), and the ``done``
+    map of first-arrived verdicts.  :meth:`complete` is the idempotency
     point: the first verdict per index wins, every later one is a
     counted duplicate -- which is the entire correctness argument for
-    replaying chunks at will.
+    replaying chunks at will.  ``owed`` keeps, per host, the chunks its
+    worker has not yet finished -- past lease expiry, so a hung worker
+    can still be blamed for its fault -- and ``implicated`` lists, per
+    fault, the hosts whose workers died with it in flight.
     """
 
     def __init__(self, indices: Sequence[int], chunk_size: int,
@@ -223,27 +271,70 @@ class LeaseBook:
         self.lease_timeout = lease_timeout
         self.leases: Dict[int, Lease] = {}
         self.done: Dict[int, FaultVerdict] = {}
+        self.suspects: Deque[int] = deque()
+        self.implicated: Dict[int, List[str]] = {}
+        self.owed: Dict[str, List[Lease]] = {}
         self.duplicates = 0
         self._next_id = 1
 
     # ------------------------------------------------------------ state
     @property
     def exhausted(self) -> bool:
-        """True when no work is pending or in flight."""
-        return not self.pending and not any(
-            lease.unfinished(self.done) for lease in self.leases.values()
+        """True when no work is pending, suspected or in flight."""
+        return (
+            not self.pending
+            and all(index in self.done for index in self.suspects)
+            and not any(
+                lease.unfinished(self.done) for lease in self.leases.values()
+            )
         )
 
     def remaining(self) -> int:
-        """Fault indices without a verdict yet (pending or leased)."""
-        outstanding = set(self.pending)
+        """Fault indices without a verdict yet (queued or leased)."""
+        outstanding = set(self.pending) | set(self.suspects)
         for lease in self.leases.values():
             outstanding.update(lease.unfinished(self.done))
         return len(outstanding - set(self.done))
 
+    def uncleared(self) -> List[int]:
+        """Implicated faults no worker has produced a verdict for."""
+        return sorted(i for i in self.implicated if i not in self.done)
+
+    def owes(self, host: str) -> bool:
+        """True while *host*'s worker holds a chunk it has not finished."""
+        return bool(self.owed.get(host))
+
+    def in_flight(self, host: str) -> Optional[Tuple[Lease, int]]:
+        """The chunk and fault *host*'s worker is running: the first
+        index of its owed chunks it has not reported.  A worker runs
+        its chunks, and the faults of each, in the order granted."""
+        for lease in self.owed.get(host, ()):
+            for index in lease.indices:
+                if index not in lease.reported:
+                    return lease, index
+        return None
+
     # ------------------------------------------------------------ grant
-    def grant(self, host: str, now: float) -> Optional[Lease]:
-        """Lease the next chunk of pending faults to *host*."""
+    def grant(self, host: str, now: float,
+              usable: Collection[str] = ()) -> Optional[Lease]:
+        """Lease work to *host*: a suspect alone, else the next chunk.
+
+        A suspect skips a *host* whose worker already died with it in
+        flight while any of the *usable* hosts (those able to take work)
+        is one that did not: the solo run must tell a poison fault from
+        a flaky host.
+        """
+        for index in list(self.suspects):
+            if index in self.done:
+                self.suspects.remove(index)
+                continue
+            blamed = self.implicated.get(index, [])
+            if host in blamed and any(
+                other not in blamed for other in usable
+            ):
+                continue
+            self.suspects.remove(index)
+            return self._lease(host, [index], now, solo=True)
         indices: List[int] = []
         while self.pending and len(indices) < self.chunk_size:
             index = self.pending.popleft()
@@ -251,6 +342,10 @@ class LeaseBook:
                 indices.append(index)
         if not indices:
             return None
+        return self._lease(host, indices, now)
+
+    def _lease(self, host: str, indices: List[int], now: float,
+               solo: bool = False) -> Lease:
         lease = Lease(
             id=self._next_id,
             host=host,
@@ -258,25 +353,29 @@ class LeaseBook:
             granted_at=now,
             deadline=now + self.lease_timeout,
             last_progress=now,
+            solo=solo,
         )
         self._next_id += 1
         self.leases[lease.id] = lease
+        self.owed.setdefault(host, []).append(lease)
         return lease
 
     def steal(self, host: str, now: float,
               silence_threshold: float) -> Optional[Lease]:
         """Speculatively re-lease a straggler's unfinished faults.
 
-        Picks the lease (of another host, not already duplicated) that
-        has been silent the longest beyond *silence_threshold* seconds.
-        The original lease keeps running -- whichever copy reports a
-        fault first wins at :meth:`complete`.
+        Picks the lease (of another host, not already duplicated, not a
+        suspect's solo run) that has been silent the longest beyond
+        *silence_threshold* seconds.  The original lease keeps running
+        -- whichever copy reports a fault first wins at :meth:`complete`.
+        The copy leaves out implicated faults: those only ever run alone.
         """
         best: Optional[Lease] = None
         for lease in self.leases.values():
-            if lease.host == host or lease.speculative or lease.stolen:
+            if (lease.host == host or lease.speculative or lease.stolen
+                    or lease.solo):
                 continue
-            if not lease.unfinished(self.done):
+            if not self._stealable(lease):
                 continue
             if now - lease.last_progress < silence_threshold:
                 continue
@@ -288,7 +387,7 @@ class LeaseBook:
         copy = Lease(
             id=self._next_id,
             host=host,
-            indices=best.unfinished(self.done),
+            indices=self._stealable(best),
             granted_at=now,
             deadline=now + self.lease_timeout,
             speculative=True,
@@ -297,12 +396,25 @@ class LeaseBook:
         )
         self._next_id += 1
         self.leases[copy.id] = copy
+        self.owed.setdefault(host, []).append(copy)
         return copy
 
+    def _stealable(self, lease: Lease) -> List[int]:
+        return [
+            index for index in lease.unfinished(self.done)
+            if index not in self.implicated
+        ]
+
     # --------------------------------------------------------- progress
-    def complete(self, index: int, verdict: FaultVerdict,
-                 now: float) -> bool:
-        """Record one verdict; True when it is the first for *index*."""
+    def complete(self, index: int, verdict: FaultVerdict, now: float,
+                 host: Optional[str] = None) -> bool:
+        """Record one verdict, reported by *host*'s worker when given;
+        True when it is the first for *index*."""
+        if host is not None:
+            for lease in self.owed.get(host, ()):
+                if index in lease.indices and index not in lease.reported:
+                    lease.reported.add(index)
+                    break
         for lease in self.leases.values():
             if index in lease.indices:
                 lease.last_progress = now
@@ -321,11 +433,33 @@ class LeaseBook:
         (dropped by the transport, or the worker died mid-write after
         queueing its summary).  Those indices are requeued -- releasing
         must never strand a fault, only :meth:`complete` retires one.
+        The worker runs its chunks in the order granted, so every chunk
+        its host was granted before this one is settled too: the worker
+        finished it or never received it.
         """
         lease = self.leases.pop(lease_id, None)
         if lease is not None:
             self._requeue(lease)
+        for owed in self.owed.values():
+            ids = [entry.id for entry in owed]
+            if lease_id in ids:
+                cut = ids.index(lease_id)
+                for earlier in owed[:cut]:
+                    if self.leases.pop(earlier.id, None) is not None:
+                        self._requeue(earlier)
+                del owed[:cut + 1]
+                break
         return lease
+
+    def withdraw(self, lease_id: int) -> None:
+        """Take back a lease that never reached its worker (the send
+        failed): its faults are requeued and nobody owes them."""
+        lease = self.leases.pop(lease_id, None)
+        if lease is not None:
+            self._requeue(lease)
+            owed = self.owed.get(lease.host, [])
+            if lease in owed:
+                owed.remove(lease)
 
     # ---------------------------------------------------------- failure
     def expire(self, now: float) -> List[Lease]:
@@ -338,25 +472,58 @@ class LeaseBook:
             self._requeue(lease)
         return expired
 
+    def implicate(self, host: str) -> Optional[int]:
+        """*host*'s worker was lost: name the fault it had in flight.
+
+        That fault (:meth:`in_flight`, found even when its lease has
+        expired) becomes a suspect that :meth:`grant` re-leases alone,
+        ahead of all other work; one another worker already decided is
+        left alone.  Call before :meth:`revoke_host`.  Returns the fault
+        when the worker was lost on its *solo* lease -- confirmed
+        poison, for the caller to settle -- else ``None``.
+        """
+        found = self.in_flight(host)
+        if found is None or found[1] in self.done:
+            return None
+        lease, suspect = found
+        self.implicated.setdefault(suspect, []).append(host)
+        if lease.solo:
+            return suspect
+        if suspect in self.pending:
+            self.pending.remove(suspect)
+        solo_running = any(
+            other.solo and suspect in other.indices
+            for other in self.leases.values()
+        )
+        if suspect not in self.suspects and not solo_running:
+            self.suspects.append(suspect)
+        return None
+
     def revoke_host(self, host: str) -> List[Lease]:
-        """Remove every lease owned by *host*, requeueing the remainder."""
+        """Remove every lease owned by *host*, requeueing the remainder,
+        and forget the chunks its worker owed."""
         revoked = [
             lease for lease in self.leases.values() if lease.host == host
         ]
         for lease in revoked:
             del self.leases[lease.id]
             self._requeue(lease)
+        self.owed.pop(host, None)
         return revoked
 
     def _requeue(self, lease: Lease) -> None:
+        """Queue *lease*'s unfinished faults again -- a solo lease's
+        fault stays a suspect -- unless other work already covers them."""
         live = {
             index
             for other in self.leases.values()
             for index in other.unfinished(self.done)
         }
+        queue = self.suspects if lease.solo else self.pending
         for index in lease.unfinished(self.done):
-            if index not in live and index not in self.pending:
-                self.pending.appendleft(index)
+            if (index not in live and index not in self.pending
+                    and index not in self.suspects):
+                queue.appendleft(index)
 
 
 # ----------------------------------------------------------------------
@@ -374,6 +541,10 @@ class _Host:
         self.failures = 0
         self.handshake_retries = 0  # within the current handshake cycle
         self.relaunch_at = 0.0  # earliest monotonic time to relaunch
+        #: Last message, or the grant that ended an idle spell: a worker
+        #: owing a chunk and silent since then for ``stall_timeout`` is
+        #: presumed hung.
+        self.last_heard = 0.0
 
     @property
     def usable(self) -> bool:
@@ -390,10 +561,9 @@ class _Host:
 class DistributedCampaignRunner:
     """Run a campaign over leased chunks on transport-launched workers.
 
-    Drop-in sibling of :class:`~repro.runner.parallel.ParallelCampaignRunner`:
-    same constructor shape (simulator + config), same ``run(faults) ->
-    Campaign`` contract, same journal format -- a distributed journal
-    resumes locally and vice versa.
+    Same ``run(faults) -> Campaign`` contract and journal format as the
+    serial :class:`~repro.runner.harness.CampaignHarness`: a journal
+    written by either resumes under the other, with any worker count.
     """
 
     #: A handshake that misses its deadline gets exactly one backoff
@@ -426,7 +596,7 @@ class DistributedCampaignRunner:
         self.stats = DispatchStats(hosts=len(self.hosts))
         self._workload: Optional[WorkloadSpec] = None
         self._journal: Optional[CampaignJournal] = None
-        self._book: Optional[LeaseBook] = None
+        self.book: Optional[LeaseBook] = None
         self._faults: List[Fault] = []
         self._latencies: List[float] = []  # per-fault wall ms, parent-side
         self._seq = 0
@@ -434,7 +604,8 @@ class DistributedCampaignRunner:
     # ------------------------------------------------------------- run
     def run(self, faults: Sequence[Fault]) -> Campaign:
         fault_list = list(faults)
-        self._workload = WorkloadSpec.from_simulator(self.simulator)
+        if self.transport.ships_workload:
+            self._workload = WorkloadSpec.from_simulator(self.simulator)
         manifest = simulator_manifest(self.simulator, fault_list)
         journal, reused = self._open_journal(manifest)
         self._journal = journal
@@ -456,7 +627,7 @@ class DistributedCampaignRunner:
             self.config.lease_timeout,
         )
         book.done.update(reused)
-        self._book = book
+        self.book = book
         self._faults = fault_list
 
         try:
@@ -495,12 +666,17 @@ class DistributedCampaignRunner:
         while not book.exhausted:
             if cancel is not None and cancel.is_set():
                 raise _CancelRequested()
+            # Messages first: a verdict already waiting in a pipe is
+            # neither a stall nor a missed deadline.
+            progressed = self._drain_messages(book)
+            if book.exhausted:
+                break
             now = chaos_now()
             self._launch_down_hosts(now)
             self._check_handshakes(now)
+            self._check_stalls(book, now)
             self._expire_leases(book, now)
             self._grant_work(book, now)
-            progressed = self._drain_messages(book)
             if self._no_usable_hosts():
                 self._flush()
                 raise DistributedFailed(
@@ -510,7 +686,11 @@ class DistributedCampaignRunner:
                     blacklisted=list(self.stats.blacklisted),
                 )
             if not progressed:
-                time.sleep(self.config.poll_interval)
+                wait_for_output(
+                    [host.handle for host in self.hosts
+                     if host.live and host.handle is not None],
+                    self.config.poll_interval,
+                )
 
     # ------------------------------------------------- host lifecycle
     def _launch_down_hosts(self, now: float) -> None:
@@ -518,11 +698,16 @@ class DistributedCampaignRunner:
             if host.state != "down" or now < host.relaunch_at:
                 continue
             try:
-                host.handle = wrap_handle(self.transport.launch(host.name))
+                host.handle = wrap_handle(
+                    self.transport.launch(host.name, self.simulator)
+                )
                 host.handle.send({
                     "type": "init",
                     "protocol": PROTOCOL_VERSION,
-                    "workload": self._workload.to_payload(),
+                    "workload": (
+                        self._workload.to_payload()
+                        if self._workload is not None else None
+                    ),
                     "budget": self._budget_payload(),
                     "metrics": get_metrics().enabled,
                 })
@@ -573,22 +758,33 @@ class DistributedCampaignRunner:
             self._host_failure(host, "handshake timeout")
 
     def _host_failure(self, host: _Host, detail: str) -> None:
-        """One host strike: revoke, count, relaunch or blacklist."""
+        """One lost worker: implicate, revoke, then strike the host.
+
+        The fault the worker had in flight becomes a suspect.  A worker
+        lost on a suspect's solo lease confirms that fault as poison,
+        and the fault -- not the host -- takes the blame: no strike.
+        """
         if host.handle is not None:
-            host.handle.close()
+            host.handle.close(timeout=0.0)
             host.handle = None
-        if self._book is not None:
-            for lease in self._book.revoke_host(host.name):
+        poison: Optional[int] = None
+        book = self.book
+        if book is not None:
+            poison = book.implicate(host.name)
+            for lease in book.revoke_host(host.name):
                 self._coordinate(lease_to_record(
                     "revoked", self._next_seq(), lease=lease.id,
-                    host=host.name, indices=lease.unfinished(self._book.done),
+                    host=host.name, indices=lease.unfinished(book.done),
                 ))
         host.lease_id = None
-        host.failures += 1
-        self.stats.host_failures[host.name] = host.failures
         metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("host.failures")
+        if book is not None and poison is not None:
+            self._settle_poison(book, poison, host, detail)
+        else:
+            host.failures += 1
+            self.stats.host_failures[host.name] = host.failures
+            if metrics.enabled:
+                metrics.counter("host.failures")
         self._coordinate(host_to_record(
             "lost", self._next_seq(), host=host.name, detail=detail,
             failures=host.failures,
@@ -606,6 +802,48 @@ class DistributedCampaignRunner:
         else:
             host.state = "down"  # relaunched on the next loop pass
             self.stats.relaunches += 1
+
+    def _settle_poison(self, book: LeaseBook, index: int, host: _Host,
+                       detail: str) -> None:
+        """Record the ``errored``/``poison`` verdict of a confirmed
+        worker-killing fault; it is never leased again."""
+        deaths = len(book.implicated[index])
+        log.warning("fault index %d killed %d workers (last on host %s); "
+                    "isolated as poison", index, deaths, host.name)
+        verdict = FaultVerdict(
+            self._faults[index],
+            "errored",
+            how=POISON_HOW,
+            detail=(
+                f"fault kills its worker process ({detail}); implicated "
+                f"in {deaths} worker death(s), the last on a solo re-run; "
+                f"never run again"
+            ),
+        )
+        self.stats.poisoned.append(index)
+        metrics = get_metrics()
+        if metrics.enabled:
+            metrics.counter("dispatch.poisoned")
+        self._accept(book, index, verdict, chaos_now())
+
+    def _check_stalls(self, book: LeaseBook, now: float) -> None:
+        """Kill workers silent for longer than ``stall_timeout`` while
+        they owe a chunk -- busy, or quarantined after the lease
+        expired."""
+        timeout = self.config.stall_timeout
+        if timeout is None:
+            return
+        for host in self.hosts:
+            if not host.live or not book.owes(host.name):
+                continue
+            if now - host.last_heard <= timeout:
+                continue
+            self.stats.stalls += 1
+            log.warning("host %s: silent for %.1fs on its lease; killing "
+                        "the worker", host.name, now - host.last_heard)
+            self._host_failure(
+                host, f"silent for over {timeout:g} s on its lease"
+            )
 
     def _no_usable_hosts(self) -> bool:
         return not any(host.usable for host in self.hosts)
@@ -632,7 +870,12 @@ class DistributedCampaignRunner:
                 owner.lease_id = None
 
     def _grant_work(self, book: LeaseBook, now: float) -> None:
-        self._grant_to(("ready",), book, now)
+        usable = [
+            host.name for host in self.hosts
+            if host.usable and host.state != "quarantined"
+        ]
+        ready = [host for host in self.hosts if host.state == "ready"]
+        self._grant_to(ready, book, now, usable)
         if book.pending and not any(
             host.state == "ready" for host in self.hosts
         ):
@@ -642,15 +885,22 @@ class DistributedCampaignRunner:
             # lease to quarantined-but-idle hosts anyway -- first-write
             # -wins dedup makes double execution safe, and a host that
             # is actually dead fails the send and takes the normal
-            # host-failure path.
-            self._grant_to(("quarantined",), book, now)
+            # host-failure path.  One such chunk at most is stacked on
+            # a silent worker, so a hung one cannot fill its pipe.
+            starved = [
+                host for host in self.hosts
+                if host.state == "quarantined"
+                and len(book.owed.get(host.name, ())) < 2
+            ]
+            self._grant_to(starved, book, now, usable)
 
-    def _grant_to(self, states: Sequence[str], book: LeaseBook,
-                  now: float) -> None:
-        for host in self.hosts:
-            if host.state not in states or host.lease_id is not None:
+    def _grant_to(self, hosts: Sequence[_Host], book: LeaseBook,
+                  now: float, usable: Sequence[str]) -> None:
+        for host in hosts:
+            if host.lease_id is not None:
                 continue
-            lease = book.grant(host.name, now)
+            idle = not book.owes(host.name)
+            lease = book.grant(host.name, now, usable)
             event = "granted"
             if lease is None:
                 threshold = self._steal_threshold()
@@ -670,11 +920,13 @@ class DistributedCampaignRunner:
                     ],
                 })
             except TransportError as exc:
-                book.release(lease.id)  # requeues the unsent indices
+                book.withdraw(lease.id)
                 self._host_failure(host, f"send failed: {exc.detail}")
                 continue
             host.state = "busy"
             host.lease_id = lease.id
+            if idle:  # never restart the clock of a worker gone silent
+                host.last_heard = now
             metrics = get_metrics()
             if event == "stolen":
                 self.stats.leases_stolen += 1
@@ -687,6 +939,7 @@ class DistributedCampaignRunner:
             self._coordinate(lease_to_record(
                 event, self._next_seq(), lease=lease.id, host=host.name,
                 indices=lease.indices, stolen_from=lease.stolen_from,
+                solo=lease.solo,
             ))
 
     def _steal_threshold(self) -> Optional[float]:
@@ -723,6 +976,7 @@ class DistributedCampaignRunner:
         mtype = message.get("type")
         chaos_clock_tick(host.name)
         now = chaos_now()
+        host.last_heard = now
         if mtype == "ready":
             if message.get("protocol") != PROTOCOL_VERSION:
                 self._host_failure(
@@ -742,33 +996,23 @@ class DistributedCampaignRunner:
                 self._host_failure(host, "malformed verdict record")
                 return False
             self._observe_latency(host, now)
-            if book.complete(index, verdict, now):
-                self._count_verdict(verdict)
-                if self._journal is not None:
-                    self._journal.append(verdict_to_record(index, verdict))
-                    if self._journal.pending >= self.config.checkpoint_every:
-                        self._journal.flush()
-            else:
-                metrics = get_metrics()
-                if metrics.enabled:
-                    metrics.counter("dispatch.duplicates")
+            self._accept(book, index, verdict, now, host.name)
             return True
         if mtype == "chunk_done":
-            lease = book.release(message.get("lease"))
+            lease_id = message.get("lease")
+            book.release(lease_id)
             self._coordinate(lease_to_record(
                 "completed", self._next_seq(),
-                lease=message.get("lease"), host=host.name,
+                lease=lease_id, host=host.name,
                 count=message.get("count"),
                 elapsed_ms=message.get("elapsed_ms"),
             ))
-            if host.lease_id == message.get("lease"):
+            if host.lease_id == lease_id:
                 host.lease_id = None
             if host.state in ("busy", "quarantined"):
                 # A quarantined host that reported back is trustworthy
                 # again -- slow, but speaking the protocol.
-                host.state = "ready"
-            if lease is None and host.lease_id is None:
-                host.state = "ready" if host.live else host.state
+                host.state = "busy" if host.lease_id is not None else "ready"
             return True
         if mtype == "error":
             self._host_failure(
@@ -780,6 +1024,21 @@ class DistributedCampaignRunner:
             return False
         self._host_failure(host, f"unexpected message type {mtype!r}")
         return False
+
+    def _accept(self, book: LeaseBook, index: int, verdict: FaultVerdict,
+                now: float, host: Optional[str] = None) -> None:
+        """Record one verdict, reported by *host*'s worker when given:
+        journal the first per index, count the rest as duplicates."""
+        if not book.complete(index, verdict, now, host):
+            metrics = get_metrics()
+            if metrics.enabled:
+                metrics.counter("dispatch.duplicates")
+            return
+        self._count_verdict(verdict)
+        if self._journal is not None:
+            self._journal.append(verdict_to_record(index, verdict))
+            if self._journal.pending >= self.config.checkpoint_every:
+                self._journal.flush()
 
     def _count_verdict(self, verdict: FaultVerdict) -> None:
         """Per-status counters for one first-accepted verdict.
@@ -807,7 +1066,7 @@ class DistributedCampaignRunner:
         never re-observed into the registry (the workers' own samples
         arrive with their ``bye`` snapshots -- re-observing here would
         double-count)."""
-        book = self._book
+        book = self.book
         if book is None or host.lease_id is None:
             return
         lease = book.leases.get(host.lease_id)
@@ -868,36 +1127,45 @@ class DistributedCampaignRunner:
 
     # -------------------------------------------------------- shutdown
     def _shutdown_all(self, graceful: bool) -> None:
+        """Stop every worker: politely (``shutdown``, collect the
+        ``bye`` metrics, let it exit) when *graceful*, else kill."""
         for host in self.hosts:
             if host.handle is None:
                 continue
+            timeout = 0.0
             if graceful and host.live:
                 try:
                     host.handle.send({"type": "shutdown"})
-                    self._collect_bye(host)
+                    if self._collect_bye(host):
+                        timeout = self.config.shutdown_timeout
                 except TransportError:
                     pass
-            host.handle.close(timeout=self.config.shutdown_timeout)
+            host.handle.close(timeout=timeout)
             host.handle = None
             if host.live:
                 host.state = "down"
 
-    def _collect_bye(self, host: _Host) -> None:
+    def _collect_bye(self, host: _Host) -> bool:
+        """Wait for *host*'s ``bye``; False when it never came.  With
+        ``stall_timeout`` set, a worker silent that long is given up
+        on (it is still stuck in a fault another worker finished)."""
         deadline = time.monotonic() + self.config.shutdown_timeout
         while True:
             timeout = deadline - time.monotonic()  # wall wait, never skewed
             if timeout <= 0:
-                return
+                return False
+            if self.config.stall_timeout is not None:
+                timeout = min(timeout, self.config.stall_timeout)
             message = host.handle.recv(timeout=timeout)
             if message is None:
-                return
+                return False
             if message.get("type") != "bye":
                 continue  # late verdicts/chunk_done past completion
             payload = message.get("metrics")
             metrics = get_metrics()
             if payload and metrics.enabled:
                 metrics.merge_snapshot(MetricsSnapshot.from_payload(payload))
-            return
+            return True
 
     def _host_by_name(self, name: str) -> Optional[_Host]:
         for host in self.hosts:

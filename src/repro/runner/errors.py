@@ -13,13 +13,8 @@ from repro.errors import (
     DistributedFailed,
     FaultModelError,
     JournalError,
-    PoisonFault,
     ReproError,
-    RetryExhausted,
     TransportError,
-    WorkerCrashed,
-    WorkerCrashInfo,
-    WorkerStalled,
 )
 
 __all__ = [
@@ -29,11 +24,6 @@ __all__ = [
     "BudgetExceeded",
     "CampaignInterrupted",
     "JournalError",
-    "WorkerCrashed",
-    "WorkerCrashInfo",
-    "WorkerStalled",
-    "PoisonFault",
-    "RetryExhausted",
     "TransportError",
     "DistributedFailed",
 ]

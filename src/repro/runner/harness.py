@@ -25,8 +25,9 @@ needs:
 
 The harness is deliberately simulator-agnostic: budgets are passed via
 the optional ``meter`` argument of ``simulate_fault`` when the
-simulator supports it, so future sharded / multiprocess runners can
-reuse the same journal and quarantine machinery unchanged.
+simulator supports it.  The multi-process executor
+(:mod:`repro.runner.dispatch`) shares its per-fault semantics
+(:func:`simulate_fault_once`) and its journal format.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import time
 import traceback
 import warnings
 from dataclasses import asdict, dataclass, is_dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import BudgetExceeded, CampaignInterrupted
 from repro.faults.model import Fault
@@ -85,10 +86,9 @@ def simulate_fault_once(
 ) -> FaultVerdict:
     """Simulate one fault with budget + quarantine semantics.
 
-    The single place verdict semantics are defined: the serial harness,
-    the multiprocessing shard workers, and the distributed transport
-    workers all call this, so a fault produces the same verdict no
-    matter which execution layer ran it.  ``KeyboardInterrupt``
+    The single place verdict semantics are defined: the serial harness
+    and the dispatcher's workers both call this, so a fault produces the
+    same verdict no matter which executor ran it.  ``KeyboardInterrupt``
     propagates (callers own interruption policy); any other exception
     becomes an ``errored`` verdict unless ``fail_fast``.
 
@@ -144,8 +144,8 @@ def simulate_fault_once(
 def simulator_manifest(simulator: Any, faults: List[Fault]) -> Dict[str, Any]:
     """The journal manifest identifying a campaign of *simulator*.
 
-    Shared by the serial harness and the sharded parallel runner so
-    both journal formats stay interchangeable.  The harness budget is
+    Shared by the serial harness and the dispatcher so both journal
+    formats stay interchangeable.  The harness budget is
     excluded: it bounds *effort*, not the verdict semantics a journal
     identifies (a resumed run may legitimately raise the budget).
     """
@@ -185,23 +185,11 @@ class HarnessConfig:
         Install a SIGINT handler for the duration of the run so Ctrl-C
         stops at the next fault boundary with the journal flushed.
         Ignored off the main thread (signals cannot be installed there).
-    journal_indices:
-        Journal record index for each fault position (sharded runs:
-        the *global* campaign index of every fault in this shard, so
-        shard journals merge deterministically into the full-campaign
-        journal).  ``None`` journals positional indices, as before.
-    manifest_override:
-        Use this prebuilt manifest instead of deriving one from the
-        simulator and the (shard's) fault list.  Sharded runs pass the
-        *full-campaign* manifest plus shard metadata, so every shard
-        journal carries the campaign's ``config_hash``.
     progress_path:
         When set, a small JSON progress beacon (``completed`` count,
         ``in_flight`` journal index, wall-clock ``ts``) is rewritten at
-        every fault boundary.  The parallel runner's heartbeat watchdog
-        reads the file's mtime to detect workers that hang inside a
-        single fault and never return; the payload feeds post-mortems.
-        ``None`` (default) writes nothing.
+        every fault boundary; the job server streams it as live
+        progress.  ``None`` (default) writes nothing.
     cancel_event:
         Cooperative cancellation: a :class:`threading.Event` checked at
         every fault boundary, exactly where the deferred-SIGINT flag is
@@ -219,8 +207,6 @@ class HarnessConfig:
     resume: bool = False
     fail_fast: bool = False
     handle_sigint: bool = True
-    journal_indices: Optional[Sequence[int]] = None
-    manifest_override: Optional[Dict[str, Any]] = None
     progress_path: Optional[str] = None
     cancel_event: Optional[threading.Event] = None
 
@@ -254,18 +240,8 @@ class CampaignHarness:
     def _probe_meter_support(simulator: Any) -> bool:
         return probe_meter_support(simulator)
 
-    def _manifest(self, faults: List[Fault]) -> Dict[str, Any]:
-        if self.config.manifest_override is not None:
-            return dict(self.config.manifest_override)
-        return simulator_manifest(self.simulator, faults)
-
-    def _journal_index(self, position: int) -> int:
-        """Journal record index for fault-list *position*."""
-        indices = self.config.journal_indices
-        return position if indices is None else indices[position]
-
     def _write_progress(self, in_flight: Optional[int]) -> None:
-        """Rewrite the heartbeat beacon (a watchdog reads its mtime)."""
+        """Rewrite the progress beacon."""
         path = self.config.progress_path
         if path is None:
             return
@@ -313,23 +289,13 @@ class CampaignHarness:
             run.
         """
         fault_list = list(faults)
-        indices = self.config.journal_indices
-        if indices is not None and len(indices) != len(fault_list):
-            raise ValueError(
-                f"journal_indices has {len(indices)} entries for "
-                f"{len(fault_list)} faults"
-            )
-        manifest = self._manifest(fault_list)
+        manifest = simulator_manifest(self.simulator, fault_list)
         journal, reused = self._open_journal(fault_list, manifest)
 
         verdicts: List[Optional[FaultVerdict]] = [None] * len(fault_list)
-        position_of = {
-            self._journal_index(i): i for i in range(len(fault_list))
-        }
         for index, verdict in reused.items():
-            position = position_of.get(index)
-            if position is not None:
-                verdicts[position] = verdict
+            if 0 <= index < len(fault_list):
+                verdicts[index] = verdict
                 self.stats.reused += 1
 
         previous_handler = self._install_sigint()
@@ -344,12 +310,11 @@ class CampaignHarness:
                         completed=sum(v is not None for v in verdicts),
                         journal_path=self.config.checkpoint_path,
                     )
-                global_index = self._journal_index(index)
-                self._write_progress(in_flight=global_index)
+                self._write_progress(in_flight=index)
                 # One per-fault chaos event; a kill_mid_write flag
                 # degenerates to a plain kill here (there is no frame
                 # to tear in-process).
-                if chaos_fault(global_index) == "kill_mid_write":
+                if chaos_fault(index) == "kill_mid_write":
                     os._exit(CHAOS_EXIT_CODE)
                 try:
                     verdict = self._simulate_one(fault)
@@ -362,7 +327,7 @@ class CampaignHarness:
                 verdicts[index] = verdict
                 self.stats.simulated += 1
                 if journal is not None:
-                    journal.append(verdict_to_record(global_index, verdict))
+                    journal.append(verdict_to_record(index, verdict))
                     if journal.pending >= self.config.checkpoint_every:
                         journal.flush()
                 cancel = self.config.cancel_event
@@ -423,9 +388,7 @@ class CampaignHarness:
     def _append_metrics(journal: Optional[CampaignJournal]) -> None:
         """Journal the registry snapshot at successful completion.
 
-        Shard workers run their shard through this harness, so the
-        record is what carries a worker's metrics back to the parent;
-        a crashed or interrupted attempt leaves no record (its verdicts
+        A crashed or interrupted run leaves no record (its verdicts
         survive in the journal, its telemetry is lost -- acceptable,
         never misleading, since reruns re-count only missing faults).
         """

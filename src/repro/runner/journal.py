@@ -19,20 +19,18 @@ and the worst-case re-simulation after a crash.
 Supervised campaigns additionally keep a **supervision log**
 (:class:`SupervisionLog`): an append-only JSONL sidecar
 (``<checkpoint>.events``) recording every supervision decision --
-worker crash, stall, retry with its backoff, poison confirmation,
-degradation -- timestamped, for post-mortems.  The sidecar is separate
-from the campaign journal because each retry attempt legitimately
-recreates the journal (truncating it to manifest + reusable verdicts),
-while the event history must survive every attempt.  Verdict-journal
-readers skip any ``kind: "event"`` records they meet, so the two
-formats stay mergeable by hand.
+dispatch start, poison confirmation, dispatch failure, degradation,
+interruption -- timestamped, for post-mortems.  The sidecar is separate
+from the campaign journal because a fresh run legitimately recreates
+the journal, while the event history of a resumed campaign must
+survive.  Verdict-journal readers skip any ``kind: "event"`` records
+they meet, so the two formats stay mergeable by hand.
 
-When observability is on (:mod:`repro.obs`), a completed (shard)
-journal additionally carries one ``kind: "metrics"`` record -- the
-worker's serialized metrics registry -- appended after the last
-verdict.  Verdict readers skip it like events; the parallel merge step
-collects the payloads with :func:`load_metrics_payloads` and folds
-them into the parent registry before shard files are removed.
+When observability is on (:mod:`repro.obs`), a journal the serial
+harness completed additionally carries one ``kind: "metrics"`` record
+-- the serialized metrics registry -- appended after the last verdict.
+Verdict readers skip it like events; :func:`load_metrics_payloads`
+collects the payloads.
 
 **Hardening for multi-host coordination.**  Distributed campaigns
 (:mod:`repro.runner.dispatch`) use the journal as their durable merge

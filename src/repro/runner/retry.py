@@ -1,17 +1,17 @@
-"""Retry policy for supervised campaigns.
+"""Retry policy: bounded, backed-off retries of a failed operation.
 
-A :class:`RetryPolicy` decides, after a worker-pool failure, whether
-the supervisor may relaunch the missing work and how long to wait
-before doing so.  The delay is exponential with a cap -- crash storms
-(a dying filesystem, an OOM-thrashing host) get geometrically rarer
-relaunches instead of a tight fork loop -- plus proportional jitter so
-multiple supervised campaigns sharing one host do not relaunch in
-lockstep.
+A :class:`RetryPolicy` decides, after a failure, whether the caller may
+try again and how long to wait first.  The dispatcher uses one for a
+worker handshake that misses its deadline, the journal for a transient
+write error.  The delay is exponential with a cap -- failure storms get
+geometrically rarer retries instead of a tight loop -- plus optional
+proportional jitter so independent retriers sharing one host do not
+retry in lockstep.
 
 The jitter is *deterministic per attempt* (a hash of the attempt number
-and the policy's ``jitter_seed``): retrying the same campaign twice
-produces the same schedule, which keeps supervised runs reproducible
-and the backoff unit-testable without patching ``random``.
+and the policy's ``jitter_seed``): the same failures produce the same
+schedule, which keeps runs reproducible and the backoff unit-testable
+without patching ``random``.
 """
 
 from __future__ import annotations
@@ -25,18 +25,18 @@ __all__ = ["RetryPolicy"]
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """When and how fast a supervised campaign relaunches dead workers.
+    """When and how fast to retry a failed operation -- a worker
+    handshake in the dispatcher, a journal flush.
 
     Attributes
     ----------
     max_retries:
-        Relaunches allowed after the initial attempt (so a campaign may
-        run ``1 + max_retries`` worker pools).  ``0`` disables retries:
-        the first failure goes straight to degradation (or raises).
+        Retries allowed after the initial attempt.  ``0`` disables
+        retries: the first failure is final.
     backoff_base:
-        Delay in seconds before the first relaunch.
+        Delay in seconds before the first retry.
     backoff_factor:
-        Multiplier applied per further relaunch.
+        Multiplier applied per further retry.
     backoff_cap:
         Upper bound on the pre-jitter delay.
     jitter:
@@ -45,10 +45,9 @@ class RetryPolicy:
     jitter_seed:
         Seed folded into the per-attempt jitter hash.
     deadline:
-        Overall wall-clock budget (seconds) for the whole supervised
-        campaign, measured from its start; once exceeded, no further
-        relaunches are allowed even if retries remain.  ``None`` means
-        no deadline.
+        Overall wall-clock budget (seconds) measured from the first
+        attempt; once exceeded, no further retries are allowed even if
+        some remain.  ``None`` means no deadline.
     """
 
     max_retries: int = 3

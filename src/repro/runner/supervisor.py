@@ -1,165 +1,68 @@
-"""Self-healing campaign supervision.
+"""Self-healing campaign supervision: dispatch first, serial last.
 
-:class:`SupervisedCampaignRunner` wraps the sharded
-:class:`~repro.runner.parallel.ParallelCampaignRunner` and turns every
-worker failure into a policy decision instead of a campaign abort:
+:class:`SupervisedCampaignRunner` runs a campaign through the lease
+dispatcher (:class:`~repro.runner.dispatch.DistributedCampaignRunner`),
+which already heals everything a worker can do wrong: it relaunches
+dead workers, reassigns their leases, kills stalled ones, and isolates
+a fault that kills its workers as an ``errored``/``poison`` verdict.
+The supervisor adds the one rung below it and a post-mortem trail:
 
-* **automatic retry with backoff** -- on
-  :class:`~repro.errors.WorkerCrashed` (or its stall specialization
-  :class:`~repro.errors.WorkerStalled`), the verdicts the dead workers
-  journaled are already merged into the campaign checkpoint; the
-  supervisor simply relaunches the worker pool with ``resume=True`` --
-  the exact ``--resume`` machinery, applied in-process -- so only the
-  missing faults are re-simulated.  Relaunches are paced by an
-  exponential-backoff-with-jitter :class:`~repro.runner.retry.RetryPolicy`
-  (max attempts, base/cap, optional overall deadline);
+* **serial degradation** -- when the dispatcher runs out of usable
+  workers (every one blacklisted:
+  :class:`~repro.errors.DistributedFailed`), the residue is finished
+  in-process by the serial :class:`~repro.runner.harness.CampaignHarness`,
+  resumed from the same journal, so no verdict is computed twice.  A
+  fault implicated in a worker death and not yet cleared by a solo
+  re-run is *not* simulated in the supervising process -- it may kill
+  that one too; it is quarantined as an ``errored``/``suspect`` verdict
+  instead.  With ``allow_degraded=False`` the
+  :class:`~repro.errors.DistributedFailed` propagates, naming the
+  journal to ``--resume`` from;
 
-* **poison-fault isolation** -- each crash implicates a suspect: the
-  first fault of the dead worker's shard with no journaled verdict (the
-  fault that was in flight).  Before retrying, every suspect is
-  re-run *solo* in a dedicated sacrificial worker.  A suspect whose
-  solo worker also dies (or stalls past ``probe_timeout``) is confirmed
-  **poison**: it is journaled as an ``errored``/``poison`` verdict and
-  excluded from all further attempts, so one pathological fault can
-  never wedge a campaign.  A suspect whose solo run survives
-  contributes its real verdict immediately -- the crash was the
-  environment's fault, not the fault's;
-
-* **stall detection** -- the parallel runner's heartbeat watchdog
-  (``heartbeat_interval`` / ``stall_timeout`` on
-  :class:`~repro.runner.parallel.ParallelConfig`) recycles workers that
-  hang inside a single fault and never return -- a state per-fault
-  budgets cannot see.  Recycled workers surface here as stalled
-  crashes and follow the same retry/poison path;
-
-* **graceful degradation** -- when the retry policy is exhausted and
-  ``allow_degraded`` is set (the default), the residue is re-run
-  serially in-process under the plain
-  :class:`~repro.runner.harness.CampaignHarness`, resumed from the same
-  journal.  Serial execution trades throughput for independence from
-  whatever is killing worker processes (fork failures, a hostile
-  cgroup).  With degradation off, :class:`~repro.errors.RetryExhausted`
-  reports exactly how far the campaign got;
-
-* **host-level failure handling** -- given ``hosts`` (and a
-  :class:`~repro.runner.transport.Transport`), the supervisor first
-  runs the campaign through the lease-based
-  :class:`~repro.runner.dispatch.DistributedCampaignRunner`.  Heartbeat
-  loss there already means lease revocation and reassignment, and
-  repeatedly failing hosts are blacklisted; only when the dispatcher
-  runs out of usable hosts entirely
-  (:class:`~repro.errors.DistributedFailed`) does the supervisor step
-  down the ladder -- **distributed -> local-parallel -> serial** --
-  resuming from the same journal at every rung, so no verdict is ever
-  recomputed on the way down;
-
-* **post-mortem trail** -- every decision (attempt, crash, stall,
-  probe, poison, retry + backoff, degradation, completion) is appended
-  to a :class:`~repro.runner.journal.SupervisionLog` sidecar
-  (``<checkpoint>.events``) that survives every retry attempt.
+* **post-mortem trail** -- every decision (dispatch start, confirmed
+  poison, dispatch failure, degradation, interruption, completion) is
+  appended to a :class:`~repro.runner.journal.SupervisionLog` sidecar
+  (``<checkpoint>.events``).
 
 Verdicts are identical to a serial run for every non-poison fault, in
-the same order; supervision changes *when* work happens, never what it
+the same order; supervision changes *where* work happens, never what it
 computes.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+import shutil
 import tempfile
-import time
-from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Iterable, List, Optional, Sequence
 
-from repro.errors import (
-    CampaignInterrupted,
-    DistributedFailed,
-    PoisonFault,
-    RetryExhausted,
-    TransportError,
-    WorkerCrashed,
-)
+from repro.errors import CampaignInterrupted, DistributedFailed
 from repro.faults.model import Fault
 from repro.mot.simulator import Campaign, FaultVerdict
-from repro.obs import current_obs_spec
-from repro.obs.metrics import MetricsSnapshot, get_metrics
-from repro.runner.harness import (
-    CampaignHarness,
-    HarnessConfig,
-    simulator_manifest,
+from repro.obs.metrics import get_metrics
+from repro.runner.dispatch import (
+    DispatchConfig,
+    DispatchStats,
+    DistributedCampaignRunner,
 )
+from repro.runner.harness import CampaignHarness, HarnessConfig
 from repro.runner.journal import (
     CampaignJournal,
     SupervisionLog,
-    load_metrics_payloads,
     verdict_to_record,
 )
-from repro.runner.parallel import (
-    ParallelCampaignRunner,
-    ParallelConfig,
-    _WorkerSpec,
-    _worker_main,
-)
-from repro.runner.retry import RetryPolicy
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runner.dispatch import DispatchConfig, DispatchStats
-    from repro.runner.transport import Transport
+from repro.runner.transport import LocalTransport, Transport
 
 __all__ = [
-    "SupervisorConfig",
+    "SUSPECT_HOW",
     "SupervisorStats",
     "SupervisedCampaignRunner",
-    "run_supervised_campaign",
 ]
 
-#: ``how`` tag of the verdict a confirmed poison fault receives.
-POISON_HOW = "poison"
-
-
-@dataclass(frozen=True)
-class SupervisorConfig:
-    """Behavior knobs of :class:`SupervisedCampaignRunner`.
-
-    Attributes
-    ----------
-    retry:
-        The :class:`~repro.runner.retry.RetryPolicy` pacing worker-pool
-        relaunches.
-    probe_timeout:
-        Seconds a solo poison-confirmation worker may run before it is
-        presumed hung and its fault confirmed poison.  ``None`` uses
-        the parallel config's ``stall_timeout`` when set, else 60 s.
-    allow_degraded:
-        Re-run the residue serially in-process when retries are
-        exhausted, instead of raising
-        :class:`~repro.errors.RetryExhausted`.
-    isolate_poison:
-        Record confirmed poison faults as ``errored``/``poison``
-        verdicts and continue (default).  When off, a confirmed poison
-        aborts the campaign with :class:`~repro.errors.PoisonFault`.
-    """
-
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    probe_timeout: Optional[float] = None
-    allow_degraded: bool = True
-    isolate_poison: bool = True
-
-    def __post_init__(self) -> None:
-        if self.probe_timeout is not None and self.probe_timeout <= 0:
-            raise ValueError("probe_timeout must be > 0 seconds")
+#: ``how`` tag of an implicated fault quarantined, unsimulated, when the
+#: campaign degrades to serial before a solo re-run could clear it.
+SUSPECT_HOW = "suspect"
 
 
 @dataclass
@@ -167,59 +70,38 @@ class SupervisorStats:
     """What supervision did beyond the verdicts themselves.
 
     ``reused`` / ``simulated`` / ``errored`` / ``aborted`` mirror the
-    serial harness and parallel runner stats, so callers (the CLI)
-    can report any runner uniformly.
+    serial harness stats, so callers (the CLI) can report any runner
+    uniformly.  ``dispatch`` is the dispatcher's own record (relaunches,
+    stalls, poison, blacklisted hosts).
     """
 
-    attempts: int = 0
-    retries: int = 0
-    stalls: int = 0
-    probes: int = 0
-    poisoned: List[int] = field(default_factory=list)
+    dispatch: DispatchStats = field(default_factory=DispatchStats)
     degraded: bool = False
+    #: Implicated faults quarantined unsimulated on degradation.
+    quarantined: List[int] = field(default_factory=list)
     reused: int = 0
     simulated: int = 0
     errored: int = 0
     aborted: int = 0
-    #: Host-level ladder (populated only for distributed campaigns).
-    distributed_hosts: int = 0
-    distributed_failed: bool = False
-    host_failures: Dict[str, int] = field(default_factory=dict)
-    blacklisted_hosts: List[str] = field(default_factory=list)
-    distributed: Optional[DispatchStats] = None
 
 
 class SupervisedCampaignRunner:
-    """Run a sharded campaign to completion, whatever the workers do."""
+    """Run a campaign over workers to completion, whatever they do."""
 
     def __init__(
         self,
         simulator: Any,
-        config: Optional[ParallelConfig] = None,
-        supervision: Optional[SupervisorConfig] = None,
-        sleep: Callable[[float], None] = time.sleep,
-        hosts: Optional[Sequence[str]] = None,
+        hosts: Sequence[str],
         transport: Optional[Transport] = None,
-        dispatch: Optional[DispatchConfig] = None,
+        config: Optional[DispatchConfig] = None,
+        allow_degraded: bool = True,
     ) -> None:
         self.simulator = simulator
-        self.config = config or ParallelConfig()
-        self.supervision = supervision or SupervisorConfig()
+        self.hosts = list(hosts)
+        self.transport = transport or LocalTransport()
+        self.config = config or DispatchConfig()
+        self.allow_degraded = allow_degraded
         self.stats = SupervisorStats()
-        self._sleep = sleep
-        # Distributed rung of the ladder: only armed when hosts are
-        # given.  The transport defaults to local subprocesses, which
-        # exercises the full protocol without any remote machinery.
-        self.hosts = list(hosts) if hosts else []
-        self.dispatch = dispatch
-        if self.hosts and transport is None:
-            from repro.runner.transport import SubprocessTransport
-
-            transport = SubprocessTransport()
-        self.transport = transport
-        # Validate the parallel knobs once, up front, with the same
-        # rules a direct ParallelCampaignRunner would apply.
-        ParallelCampaignRunner(simulator, self.config)
 
     # ------------------------------------------------------------------
     def run(self, faults: Iterable[Fault]) -> Campaign:
@@ -228,19 +110,17 @@ class SupervisedCampaignRunner:
 
         Raises
         ------
-        RetryExhausted
-            Retries/deadline spent with faults remaining and
-            degradation disabled (or itself crashed).
-        PoisonFault
-            A confirmed worker-killing fault, with ``isolate_poison``
-            off.
+        DistributedFailed
+            Every worker was lost and degradation is disabled.
         CampaignInterrupted
-            Ctrl-C, after the running attempt merged its journals.
+            Ctrl-C or the config's ``cancel_event``, journal flushed.
         """
         fault_list = list(faults)
         public_path = self.config.checkpoint_path
         own_tmpdir: Optional[str] = None
         if public_path is None:
+            # Serial degradation resumes from the dispatcher's journal,
+            # so an unjournaled run still journals privately.
             own_tmpdir = tempfile.mkdtemp(prefix="repro-supervised-")
             path = os.path.join(own_tmpdir, "campaign.jsonl")
         else:
@@ -252,15 +132,7 @@ class SupervisedCampaignRunner:
             return self._supervise(fault_list, path, public_path, log)
         finally:
             if own_tmpdir is not None:
-                for name in os.listdir(own_tmpdir):
-                    try:
-                        os.remove(os.path.join(own_tmpdir, name))
-                    except OSError:  # pragma: no cover - defensive
-                        pass
-                try:
-                    os.rmdir(own_tmpdir)
-                except OSError:  # pragma: no cover - defensive
-                    pass
+                shutil.rmtree(own_tmpdir, ignore_errors=True)
 
     # ------------------------------------------------------------------
     def _supervise(
@@ -270,366 +142,92 @@ class SupervisedCampaignRunner:
         public_path: Optional[str],
         log: SupervisionLog,
     ) -> Campaign:
-        policy = self.supervision.retry
-        manifest = simulator_manifest(self.simulator, fault_list)
-        implicated: Counter = Counter()
-        started = time.monotonic()
-        resume = self.config.resume
-        retries = 0
-        first_reused: Optional[int] = None
-        if self.hosts:
-            campaign, resume, first_reused = self._run_distributed(
-                fault_list, path, public_path, log, resume
-            )
-            if campaign is not None:
-                self._finalize(campaign, log, first_reused)
-                return campaign
-        while True:
-            self.stats.attempts += 1
-            runner = ParallelCampaignRunner(
-                self.simulator,
-                replace(
-                    self.config,
-                    checkpoint_path=path,
-                    resume=resume,
-                    in_process_single_shard=False,
-                ),
-            )
-            log.record(
-                "attempt_started",
-                attempt=self.stats.attempts,
-                resume=resume,
-            )
-            try:
-                campaign = runner.run(fault_list)
-            except CampaignInterrupted as exc:
-                log.record("interrupted", completed=exc.completed)
-                if public_path is None:
-                    raise CampaignInterrupted(
-                        completed=exc.completed, journal_path=None
-                    ) from None
-                raise
-            except WorkerCrashed as exc:
-                resume = True  # journaled verdicts are durable now
-                if first_reused is None:
-                    first_reused = runner.stats.reused
-                stalls = sum(1 for info in exc.crashes if info.stalled)
-                self.stats.stalls += stalls
-                log.record(
-                    "worker_failure",
-                    attempt=self.stats.attempts,
-                    completed=exc.completed,
-                    stalled_shards=[
-                        info.shard for info in exc.crashes if info.stalled
-                    ],
-                    crashes=[
-                        {
-                            "shard": info.shard,
-                            "exitcode": info.exitcode,
-                            "last_journaled_index":
-                                info.last_journaled_index,
-                            "suspect_index": info.suspect_index,
-                            "stalled": info.stalled,
-                        }
-                        for info in exc.crashes
-                    ],
-                )
-                completed = self._triage_suspects(
-                    exc, fault_list, manifest, path, implicated, log
-                ) + exc.completed
-                elapsed = time.monotonic() - started
-                if policy.allows(retries) and policy.within_deadline(elapsed):
-                    retries += 1
-                    self.stats.retries = retries
-                    delay = policy.backoff(retries)
-                    log.record(
-                        "retry_scheduled", retry=retries, backoff_s=delay
-                    )
-                    cancel = self.config.cancel_event
-                    if delay > 0:
-                        try:
-                            if cancel is not None:
-                                # Responsive sleep: wakes the moment a
-                                # cooperative cancel lands mid-backoff.
-                                cancel.wait(delay)
-                            else:
-                                self._sleep(delay)
-                        except KeyboardInterrupt:
-                            log.record("interrupted", completed=completed)
-                            raise CampaignInterrupted(
-                                completed=completed,
-                                journal_path=public_path,
-                            ) from None
-                    if cancel is not None and cancel.is_set():
-                        log.record("interrupted", completed=completed)
-                        raise CampaignInterrupted(
-                            completed=completed,
-                            journal_path=public_path,
-                        ) from None
-                    continue
-                remaining = len(fault_list) - completed
-                if self.supervision.allow_degraded:
-                    log.record(
-                        "degraded_to_serial",
-                        attempts=self.stats.attempts,
-                        remaining=remaining,
-                    )
-                    self.stats.degraded = True
-                    campaign = self._run_serial(fault_list, path)
-                    self._finalize(campaign, log, first_reused)
-                    return campaign
-                log.record(
-                    "retry_exhausted",
-                    attempts=self.stats.attempts,
-                    remaining=remaining,
-                )
-                raise RetryExhausted(
-                    attempts=self.stats.attempts,
-                    completed=completed,
-                    remaining=remaining,
-                    journal_path=public_path,
-                    last_error=exc,
-                ) from None
-            if first_reused is None:
-                first_reused = runner.stats.reused
-            self._finalize(campaign, log, first_reused)
-            return campaign
-
-    # ------------------------------------------------------------------
-    def _run_distributed(
-        self,
-        fault_list: List[Fault],
-        path: str,
-        public_path: Optional[str],
-        log: SupervisionLog,
-        resume: bool,
-    ) -> Tuple[Optional[Campaign], bool, Optional[int]]:
-        """Top rung of the ladder: the lease-based dispatcher.
-
-        Returns ``(campaign, resume, first_reused)``; a ``None``
-        campaign means the dispatcher ran out of usable hosts and the
-        caller should continue down the ladder with ``resume=True`` --
-        every verdict the hosts produced is already in the journal.
-        """
-        from repro.runner.dispatch import (
-            DispatchConfig,
-            DistributedCampaignRunner,
-        )
-
-        self.stats.attempts += 1
-        self.stats.distributed_hosts = len(self.hosts)
-        dispatch = self.dispatch or DispatchConfig()
-        dispatch = replace(
-            dispatch,
-            checkpoint_path=path,
-            checkpoint_every=self.config.checkpoint_every,
-            resume=resume,
-            budget=dispatch.budget or self.config.budget,
-            cancel_event=self.config.cancel_event,
-        )
         runner = DistributedCampaignRunner(
-            self.simulator, self.hosts, self.transport, dispatch
+            self.simulator,
+            self.hosts,
+            self.transport,
+            replace(self.config, checkpoint_path=path),
         )
+        self.stats.dispatch = runner.stats
         log.record(
-            "distributed_started",
+            "dispatch_started",
             hosts=list(self.hosts),
             transport=self.transport.kind,
         )
         try:
-            campaign = runner.run(fault_list)
+            try:
+                campaign = runner.run(fault_list)
+            finally:
+                for index in runner.stats.poisoned:
+                    log.record("poison_confirmed", index=index)
         except CampaignInterrupted as exc:
             log.record("interrupted", completed=exc.completed)
             raise CampaignInterrupted(
                 completed=exc.completed, journal_path=public_path
             ) from None
-        except (DistributedFailed, TransportError) as exc:
-            self.stats.distributed_failed = True
-            self.stats.distributed = runner.stats
-            self.stats.host_failures = dict(runner.stats.host_failures)
-            self.stats.blacklisted_hosts = list(runner.stats.blacklisted)
-            completed = getattr(exc, "completed", 0)
-            remaining = getattr(exc, "remaining", len(fault_list))
+        except DistributedFailed as exc:
             log.record(
-                "distributed_failed",
-                completed=completed,
-                remaining=remaining,
-                blacklisted=list(runner.stats.blacklisted),
-                detail=str(exc),
+                "dispatch_failed",
+                completed=exc.completed,
+                remaining=exc.remaining,
+                blacklisted=list(exc.blacklisted),
             )
-            if not self.supervision.allow_degraded:
-                raise
-            log.record(
-                "degraded_to_parallel",
-                remaining=remaining,
-            )
-            return None, True, runner.stats.reused
-        self.stats.distributed = runner.stats
-        self.stats.host_failures = dict(runner.stats.host_failures)
-        self.stats.blacklisted_hosts = list(runner.stats.blacklisted)
-        return campaign, resume, runner.stats.reused
-
-    # ------------------------------------------------------------------
-    def _finalize(
-        self,
-        campaign: Campaign,
-        log: SupervisionLog,
-        first_reused: Optional[int],
-    ) -> None:
-        self.stats.reused = first_reused or 0
+            if not self.allow_degraded:
+                raise DistributedFailed(
+                    completed=exc.completed,
+                    remaining=exc.remaining,
+                    journal_path=public_path,
+                    blacklisted=exc.blacklisted,
+                ) from None
+            campaign = self._degrade(runner, fault_list, path, public_path,
+                                     log)
+        self.stats.reused = runner.stats.reused
         self.stats.simulated = len(campaign.verdicts) - self.stats.reused
         self.stats.errored = campaign.errored
         self.stats.aborted = campaign.aborted_budget
         log.record(
             "campaign_completed",
             verdicts=len(campaign.verdicts),
-            attempts=self.stats.attempts,
-            retries=self.stats.retries,
-            stalls=self.stats.stalls,
-            poisoned=list(self.stats.poisoned),
+            poisoned=list(runner.stats.poisoned),
             degraded=self.stats.degraded,
         )
+        return campaign
 
     # ------------------------------------------------------------------
-    def _triage_suspects(
+    def _degrade(
         self,
-        error: WorkerCrashed,
+        runner: DistributedCampaignRunner,
         fault_list: List[Fault],
-        manifest: Dict[str, Any],
         path: str,
-        implicated: Counter,
+        public_path: Optional[str],
         log: SupervisionLog,
-    ) -> int:
-        """Solo-probe every suspect fault of *error*.
-
-        Survivors contribute their real verdict to the journal (and the
-        returned count); confirmed killers become ``errored``/``poison``
-        verdicts excluded from further attempts.
-        """
-        suspects = sorted(
-            {
-                info.suspect_index
-                for info in error.crashes
-                if info.suspect_index is not None
-            }
-        )
-        settled = 0
-        for index in suspects:
-            implicated[index] += 1
-            verdict, poison_reason = self._probe(
-                index, fault_list[index], manifest, path, log
-            )
-            if poison_reason is not None:
-                if not self.supervision.isolate_poison:
-                    log.record(
-                        "poison_aborted", index=index, reason=poison_reason
-                    )
-                    raise PoisonFault(
-                        index=index,
-                        implicated=implicated[index],
-                        reason=poison_reason,
-                    )
-                verdict = FaultVerdict(
+    ) -> Campaign:
+        """The last rung: quarantine uncleared suspects, then finish the
+        residue in-process, resumed from the dispatcher's journal."""
+        book = runner.book
+        suspects = book.uncleared() if book is not None else []
+        self.stats.degraded = True
+        log.record("degraded_to_serial", quarantined=suspects)
+        if book is not None and suspects:
+            journal = CampaignJournal(path)
+            metrics = get_metrics()
+            for index in suspects:
+                deaths = len(book.implicated[index])
+                journal.append(verdict_to_record(index, FaultVerdict(
                     fault_list[index],
                     "errored",
-                    how=POISON_HOW,
+                    how=SUSPECT_HOW,
                     detail=(
-                        f"fault kills its worker process "
-                        f"({poison_reason}); implicated in "
-                        f"{implicated[index]} worker death(s), confirmed "
-                        f"by a solo re-run; excluded from retries"
+                        f"implicated in {deaths} worker death(s) and every "
+                        f"worker was lost before a solo re-run cleared it; "
+                        f"not simulated in the supervising process"
                     ),
-                )
-                self.stats.poisoned.append(index)
-                log.record(
-                    "poison_confirmed", index=index, reason=poison_reason
-                )
-                metrics = get_metrics()
+                )))
                 if metrics.enabled:
-                    # The poison verdict is minted here in the parent --
-                    # it never passes through a harness -- so it is
-                    # counted here to keep merged verdict counters equal
-                    # to the campaign summary.
+                    # Minted here, not by a harness: count it here.
                     metrics.counter("campaign.verdict.errored")
-                    metrics.counter("supervisor.poisoned")
-            if verdict is not None:
-                journal = CampaignJournal(path)
-                journal.append(verdict_to_record(index, verdict))
-                journal.flush()
-                settled += 1
-        return settled
-
-    def _probe(
-        self,
-        index: int,
-        fault: Fault,
-        manifest: Dict[str, Any],
-        path: str,
-        log: SupervisionLog,
-    ) -> Tuple[Optional[FaultVerdict], Optional[str]]:
-        """Re-run one suspect fault in a sacrificial solo worker.
-
-        Returns ``(verdict, None)`` when the solo run survives,
-        ``(None, reason)`` when it crashes or stalls (poison), and
-        ``(None, None)`` when the outcome is inconclusive (clean exit
-        but no journaled verdict) -- the fault stays in the residue.
-        """
-        self.stats.probes += 1
-        probe_path = f"{path}.probe{index}"
-        spec = _WorkerSpec(
-            shard=-1,
-            simulator=self.simulator,
-            faults=[fault],
-            indices=[index],
-            journal_path=probe_path,
-            manifest={**manifest, "shard": -1, "workers": 1,
-                      "strategy": "probe"},
-            budget=self.config.budget,
-            checkpoint_every=1,
-            fail_fast=False,
-            obs=current_obs_spec(),
-        )
-        timeout = self.supervision.probe_timeout
-        if timeout is None:
-            timeout = self.config.stall_timeout or 60.0
-        log.record("probe_started", index=index, timeout_s=timeout)
-        context = self._mp_context()
-        process = context.Process(
-            target=_worker_main, args=(spec,), name=f"repro-probe-{index}"
-        )
-        process.start()
-        try:
-            process.join(timeout)
-            if process.is_alive():
-                process.terminate()
-                process.join(5.0)
-                if process.is_alive():  # pragma: no cover - SIGTERM ignored
-                    process.kill()
-                    process.join()
-                return None, f"solo re-run hung for over {timeout:g} s"
-            if process.exitcode != 0:
-                return None, f"solo re-run died with exit code {process.exitcode}"
-            try:
-                _manifest, verdicts = CampaignJournal(probe_path).load()
-            except Exception:  # pragma: no cover - clean exit, no journal
-                return None, None
-            verdict = verdicts.get(index)
-            if verdict is None:  # pragma: no cover - clean exit, no verdict
-                return None, None
-            metrics = get_metrics()
-            if metrics.enabled:
-                for payload in load_metrics_payloads(probe_path):
-                    metrics.merge_snapshot(MetricsSnapshot.from_payload(payload))
-            log.record("probe_survived", index=index, status=verdict.status)
-            return verdict, None
-        finally:
-            try:
-                os.remove(probe_path)
-            except OSError:
-                pass
-
-    # ------------------------------------------------------------------
-    def _run_serial(self, fault_list: List[Fault], path: str) -> Campaign:
-        """Final-resort degradation: finish the residue in-process."""
+            journal.flush()
+            self.stats.quarantined = suspects
         harness = CampaignHarness(
             self.simulator,
             HarnessConfig(
@@ -637,25 +235,13 @@ class SupervisedCampaignRunner:
                 checkpoint_path=path,
                 checkpoint_every=self.config.checkpoint_every,
                 resume=True,
-                fail_fast=self.config.fail_fast,
                 cancel_event=self.config.cancel_event,
             ),
         )
-        return harness.run(fault_list)
-
-    def _mp_context(self):
-        method = self.config.start_method
-        if method is None:
-            available = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in available else "spawn"
-        return multiprocessing.get_context(method)
-
-
-def run_supervised_campaign(
-    simulator: Any,
-    faults: Iterable[Fault],
-    config: Optional[ParallelConfig] = None,
-    supervision: Optional[SupervisorConfig] = None,
-) -> Campaign:
-    """One-shot convenience: ``SupervisedCampaignRunner(...).run(faults)``."""
-    return SupervisedCampaignRunner(simulator, config, supervision).run(faults)
+        try:
+            return harness.run(fault_list)
+        except CampaignInterrupted as exc:
+            log.record("interrupted", completed=exc.completed)
+            raise CampaignInterrupted(
+                completed=exc.completed, journal_path=public_path
+            ) from None

@@ -1,33 +1,33 @@
-"""Transport-agnostic worker protocol for distributed campaigns.
+"""Transport-agnostic worker protocol for multi-process campaigns.
 
-A distributed campaign is the same per-fault loop as everywhere else in
-the runner -- :func:`~repro.runner.harness.simulate_fault_once` -- but
-executed by **worker processes the dispatcher cannot assume anything
-about**: a subprocess on this box, an SSH session to another one, a
-container exec.  This module isolates everything transport-specific so
-the dispatcher (:mod:`repro.runner.dispatch`) sees one interface:
+Every multi-process campaign is the same per-fault loop as the serial
+harness -- :func:`~repro.runner.harness.simulate_fault_once` -- run by
+**worker processes** that the dispatcher (:mod:`repro.runner.dispatch`)
+talks to through one interface:
 
-* :class:`Transport` -- ``launch(host) -> WorkerHandle``.  Two
-  implementations ship: :class:`SubprocessTransport` (spawn
-  ``python -m repro worker`` locally; the distributed analogue of the
-  ``multiprocessing`` sharding) and :class:`CommandTransport` (spawn
-  any user-supplied command template with ``{host}`` substituted --
-  ``ssh {host} repro worker --host {host}`` is the canonical shape).
+* :class:`Transport` -- ``launch(host, simulator) -> WorkerHandle``.
+  Two implementations ship: :class:`LocalTransport` (fork a worker on
+  this box; it reuses the parent's in-memory simulator, so ``--workers
+  N`` and ``--hosts ... --transport local`` share one good-machine
+  simulation) and :class:`CommandTransport` (spawn any user-supplied
+  command template with ``{host}`` substituted -- ``ssh {host} repro
+  worker --host {host}`` is the canonical shape).
 * :class:`WorkerHandle` -- one live worker: line-framed JSON messages
-  over the child's stdin/stdout, non-blocking receive with a deadline,
-  and EOF surfaced as :class:`~repro.errors.TransportError` so a dead
-  host looks the same no matter which transport lost it.
+  over a pipe pair, non-blocking receive with a deadline, and EOF
+  surfaced as :class:`~repro.errors.TransportError` so a dead host looks
+  the same no matter which transport lost it.
 * :class:`WorkloadSpec` -- the JSON-serializable description of *what*
   to simulate (circuit, patterns, simulator class + config) that the
-  dispatcher ships in the ``init`` message, and
+  dispatcher ships in the ``init`` message to workers that cannot
+  inherit the simulator (``Transport.ships_workload``), and
 * :func:`worker_main` -- the worker side of the protocol, mounted as
-  the ``repro worker`` CLI subcommand.
+  the ``repro worker`` CLI subcommand and run in every forked worker.
 
 Protocol (version 1), newline-delimited JSON objects
 ----------------------------------------------------
 ::
 
-    parent -> worker   {"type": "init", "protocol": 1, "workload": ...,
+    parent -> worker   {"type": "init", "protocol": 1, "workload": ... | null,
                         "budget": ... | null, "metrics": bool}
     worker -> parent   {"type": "ready", "protocol": 1, "host": ..., "pid": ...}
     parent -> worker   {"type": "chunk", "lease": N, "indices": [...],
@@ -46,9 +46,10 @@ remainder.  Fault indices ride in every record, which is what makes
 replayed chunks idempotent: the dispatcher journals the first verdict
 per index and drops duplicates (see ``LeaseBook``).
 
-The worker's stdout **is** the protocol channel; nothing else in the
-package may write to it (the repo lint bans ``print`` outright, which
-is what makes mounting the worker inside the normal CLI safe).
+The worker's stdout **is** the protocol channel of a ``repro worker``
+process; nothing else in the package may write to it (the repo lint
+bans ``print`` outright, which is what makes mounting the worker inside
+the normal CLI safe).
 """
 
 from __future__ import annotations
@@ -58,11 +59,12 @@ import json
 import os
 import select
 import shlex
+import signal
 import subprocess
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import IO, Any, Dict, List, Optional, Sequence
 
 from repro.circuit.bench import parse_bench, write_bench
 from repro.circuit.netlist import Circuit
@@ -71,7 +73,7 @@ from repro.errors import TransportError
 from repro.mot.baseline import BaselineConfig, BaselineSimulator
 from repro.mot.simulator import MotConfig, ProposedSimulator
 from repro.mot.unrestricted import UnrestrictedConfig, UnrestrictedSimulator
-from repro.obs import ObsSpec, install_worker_obs
+from repro.obs import get_tracer, install_worker_metrics, set_tracer
 from repro.obs.metrics import get_metrics
 from repro.runner.budget import FaultBudget
 from repro.chaos.runtime import (
@@ -80,6 +82,7 @@ from repro.chaos.runtime import (
     chaos_chunk_done,
     chaos_fault,
     chaos_worker_ready,
+    forget_plan,
 )
 from repro.runner.harness import probe_meter_support, simulate_fault_once
 from repro.runner.journal import fault_from_payload, verdict_to_record
@@ -88,10 +91,11 @@ __all__ = [
     "PROTOCOL_VERSION",
     "WorkloadSpec",
     "Transport",
-    "SubprocessTransport",
+    "LocalTransport",
     "CommandTransport",
     "WorkerHandle",
     "make_transport",
+    "wait_for_output",
     "worker_main",
 ]
 
@@ -163,7 +167,8 @@ class WorkloadSpec:
     # ------------------------------------------------------------- build
     @classmethod
     def from_simulator(cls, simulator: Any) -> "WorkloadSpec":
-        """Describe *simulator* so a remote worker can rebuild it.
+        """Describe *simulator* so a worker in another process image
+        (a :class:`CommandTransport` host) can rebuild it.
 
         Prefers shipping the registered circuit name (self-verifying:
         both sides build from the same registry).  Falls back to
@@ -253,6 +258,8 @@ class WorkloadSpec:
 class WorkerHandle:
     """One live worker process, speaking line-framed JSON.
 
+    *process* is a :class:`subprocess.Popen` (or the same surface --
+    ``stdin``/``stdout`` binary streams, ``poll``/``wait``/``kill``).
     ``recv`` never blocks past its deadline and raises
     :class:`TransportError` when the worker's stdout reaches EOF (the
     transport-agnostic signature of a dead host); a torn final line --
@@ -260,7 +267,7 @@ class WorkerHandle:
     journal's torn-tail tolerance.
     """
 
-    def __init__(self, host: str, process: subprocess.Popen) -> None:
+    def __init__(self, host: str, process: Any) -> None:
         self.host = host
         self.process = process
         self._buffer = b""
@@ -338,7 +345,11 @@ class WorkerHandle:
         return self.process.poll() is None
 
     def close(self, timeout: float = 5.0) -> Optional[int]:
-        """Tear the worker down (idempotent); returns its exit code."""
+        """Tear the worker down (idempotent); returns its exit code.
+
+        Closing the pipes lets a healthy worker exit on EOF; one still
+        running after *timeout* seconds (``0`` = at once) is killed.
+        """
         for stream in (self.process.stdin, self.process.stdout):
             try:
                 if stream is not None:
@@ -350,9 +361,31 @@ class WorkerHandle:
         except subprocess.TimeoutExpired:
             self.process.kill()
             try:
-                return self.process.wait(timeout=timeout)
+                return self.process.wait(timeout=5.0)
             except subprocess.TimeoutExpired:  # pragma: no cover
                 return None
+
+
+def wait_for_output(handles: Sequence[Any], timeout: float) -> None:
+    """Block until a worker in *handles* has protocol bytes to read (or
+    has exited), or *timeout* seconds pass.
+
+    The dispatcher's idle wait: it wakes on the next verdict instead of
+    sleeping a fixed interval.  Handles without a process (test fakes)
+    just sleep.
+    """
+    streams = [
+        handle.process.stdout
+        for handle in handles
+        if getattr(handle, "process", None) is not None
+    ]
+    if not streams:
+        time.sleep(timeout)
+        return
+    try:
+        select.select(streams, [], [], timeout)
+    except (OSError, ValueError):  # a stream closed under us: recv reports it
+        pass
 
 
 #: Default bound on worker startup: spawn to ``ready`` (seconds).
@@ -367,51 +400,139 @@ class Transport:
     treated as dead by the dispatcher (which retries the launch once
     with backoff before striking the host) -- a worker that dies or
     hangs before speaking must never leave dispatch polling forever.
+
+    ``ships_workload`` tells the dispatcher whether a launched worker
+    needs the :class:`WorkloadSpec` in its ``init`` message; a forked
+    worker already holds the parent's simulator.
     """
 
     kind = "abstract"
     handshake_timeout = DEFAULT_HANDSHAKE_TIMEOUT
+    ships_workload = True
 
-    def launch(self, host: str) -> WorkerHandle:
+    def launch(self, host: str, simulator: Any) -> WorkerHandle:
+        """Start one worker for *host* serving *simulator*'s campaign."""
         raise NotImplementedError
 
-    @staticmethod
-    def _spawn(argv: Sequence[str], host: str) -> WorkerHandle:
-        try:
-            process = subprocess.Popen(
-                list(argv),
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=None,  # workers inherit stderr for tracebacks
-            )
-        except OSError as exc:
-            raise TransportError(
-                host, f"cannot spawn {argv[0]!r}: {exc}"
-            ) from None
-        return WorkerHandle(host, process)
+
+class _ForkedProcess:
+    """The :class:`subprocess.Popen` surface :class:`WorkerHandle` uses,
+    for a child made by :func:`os.fork`."""
+
+    def __init__(self, pid: int, stdin: IO[bytes], stdout: IO[bytes]) -> None:
+        self.pid = pid
+        self.stdin = stdin
+        self.stdout = stdout
+        self.returncode: Optional[int] = None
+
+    def poll(self) -> Optional[int]:
+        if self.returncode is None:
+            try:
+                pid, status = os.waitpid(self.pid, os.WNOHANG)
+            except ChildProcessError:  # pragma: no cover - reaped elsewhere
+                self.returncode = 255  # gone; its exit status is lost
+                return self.returncode
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            code = self.poll()
+            if code is not None:
+                return code
+            if deadline is not None and time.monotonic() >= deadline:
+                raise subprocess.TimeoutExpired(f"worker {self.pid}", timeout)
+            time.sleep(0.005)
+
+    def kill(self) -> None:
+        if self.poll() is None:
+            try:
+                os.kill(self.pid, signal.SIGKILL)
+            except ProcessLookupError:  # pragma: no cover - just exited
+                pass
 
 
-class SubprocessTransport(Transport):
-    """Local worker processes: ``python -m repro worker --host <host>``.
+def _serve_forked(host: str, simulator: Any, read_fd: int,
+                  write_fd: int) -> int:
+    """The body of a forked worker: the protocol over its pipe pair.
 
-    The distributed-protocol analogue of the ``multiprocessing``
-    sharding -- same box, but exercising the exact protocol a remote
-    host would speak, which is what the smoke tests rely on.
+    Interruption belongs to the parent (it kills its workers), so
+    SIGINT is ignored.  The parent's chaos plan and tracer are not
+    reused: the worker compiles its own plan from the environment, as
+    a ``repro worker`` process would, and traces to ``<trace>.<host>``
+    instead of writing through the inherited file handle.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    forget_plan()
+    tracer = get_tracer()
+    if tracer.enabled:
+        set_tracer(tracer.for_worker(host))
+    stdin = os.fdopen(read_fd, "r", encoding="utf-8")
+    stdout = os.fdopen(write_fd, "w", encoding="utf-8")
+    return worker_main(host, stdin, stdout, simulator=simulator)
+
+
+class LocalTransport(Transport):
+    """Forked worker processes on this machine.
+
+    Each worker is a :func:`os.fork` of the dispatcher: it inherits the
+    simulator -- circuit, patterns and the one good-machine simulation
+    -- instead of rebuilding it, so nothing ships but fault chunks and
+    any circuit works, including ones whose ``.bench`` round-trip
+    renumbers lines.  It speaks the same protocol as a remote worker
+    over a pipe pair.
     """
 
     kind = "local"
+    ships_workload = False
 
     def __init__(
-        self,
-        python: Optional[str] = None,
-        handshake_timeout: float = DEFAULT_HANDSHAKE_TIMEOUT,
+        self, handshake_timeout: float = DEFAULT_HANDSHAKE_TIMEOUT
     ) -> None:
-        self.python = python or sys.executable
         self.handshake_timeout = float(handshake_timeout)
+        self._children: List[_ForkedProcess] = []
 
-    def launch(self, host: str) -> WorkerHandle:
-        argv = [self.python, "-m", "repro", "worker", "--host", host]
-        return self._spawn(argv, host)
+    def launch(self, host: str, simulator: Any) -> WorkerHandle:
+        # The parent's ends of earlier workers' pipes must not stay open
+        # in the new child, or those workers never see EOF on stdin.
+        self._children = [c for c in self._children if not c.stdout.closed]
+        inherited = [
+            stream.fileno()
+            for child in self._children
+            for stream in (child.stdin, child.stdout)
+        ]
+        to_worker = os.pipe()
+        from_worker = os.pipe()
+        for stream in (sys.stdout, sys.stderr):
+            try:  # or the child re-emits whatever the parent buffered
+                stream.flush()
+            except (AttributeError, OSError, ValueError):
+                pass
+        try:
+            pid = os.fork()
+        except OSError as exc:
+            for fd in to_worker + from_worker:
+                os.close(fd)
+            raise TransportError(host, f"cannot fork: {exc}") from None
+        if pid == 0:  # pragma: no cover - runs in the child
+            code = 1
+            try:
+                for fd in inherited + [to_worker[1], from_worker[0]]:
+                    os.close(fd)
+                code = _serve_forked(
+                    host, simulator, to_worker[0], from_worker[1]
+                )
+            finally:
+                os._exit(code)
+        os.close(to_worker[0])
+        os.close(from_worker[1])
+        child = _ForkedProcess(
+            pid, os.fdopen(to_worker[1], "wb"), os.fdopen(from_worker[0], "rb")
+        )
+        self._children.append(child)
+        return WorkerHandle(host, child)
 
 
 class CommandTransport(Transport):
@@ -440,12 +561,23 @@ class CommandTransport(Transport):
         self.template = template
         self.handshake_timeout = float(handshake_timeout)
 
-    def launch(self, host: str) -> WorkerHandle:
+    def launch(self, host: str, simulator: Any) -> WorkerHandle:
         command = self.template.replace("{host}", shlex.quote(host))
         argv = shlex.split(command)
         if not argv:
             raise TransportError(host, "command template expands to nothing")
-        return self._spawn(argv, host)
+        try:
+            process = subprocess.Popen(
+                argv,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=None,  # workers inherit stderr for tracebacks
+            )
+        except OSError as exc:
+            raise TransportError(
+                host, f"cannot spawn {argv[0]!r}: {exc}"
+            ) from None
+        return WorkerHandle(host, process)
 
 
 def make_transport(
@@ -455,7 +587,7 @@ def make_transport(
 ) -> Transport:
     """Build the transport the CLI's ``--transport`` flag names."""
     if kind == "local":
-        return SubprocessTransport(handshake_timeout=handshake_timeout)
+        return LocalTransport(handshake_timeout=handshake_timeout)
     if kind == "command":
         if not command_template:
             raise ValueError(
@@ -488,10 +620,17 @@ def _read_message(stream: Any) -> Optional[Dict[str, Any]]:
         return parsed
 
 
-def worker_main(host: str, stdin: Any = None, stdout: Any = None) -> int:
+def worker_main(
+    host: str,
+    stdin: Any = None,
+    stdout: Any = None,
+    simulator: Any = None,
+) -> int:
     """Serve chunks over the worker protocol until shutdown.
 
-    Mounted as ``repro worker --host <name>``.  Returns the process
+    Mounted as ``repro worker --host <name>``, where the simulator is
+    rebuilt from the ``init`` message's workload; a forked worker passes
+    the *simulator* it inherited instead.  Returns the process
     exit code: 0 after a clean ``shutdown``/``bye`` exchange, 1 on any
     protocol or workload failure (reported to the parent as an
     ``error`` message when the pipe still works), 130 on SIGINT.
@@ -526,12 +665,15 @@ def worker_main(host: str, stdin: Any = None, stdout: Any = None) -> int:
                 f"{PROTOCOL_VERSION}"
             )
         if init.get("metrics"):
-            install_worker_obs(ObsSpec(metrics=True))
-        try:
-            workload = WorkloadSpec.from_payload(init["workload"])
-            simulator = workload.build_simulator()
-        except Exception as exc:
-            return fail(f"cannot build workload: {type(exc).__name__}: {exc}")
+            install_worker_metrics()
+        if simulator is None:
+            try:
+                workload = WorkloadSpec.from_payload(init["workload"])
+                simulator = workload.build_simulator()
+            except Exception as exc:
+                return fail(
+                    f"cannot build workload: {type(exc).__name__}: {exc}"
+                )
         budget = _budget_from_fields(init.get("budget"))
         supports_meter = probe_meter_support(simulator)
         ready_flag = chaos_worker_ready(host)

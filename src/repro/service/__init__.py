@@ -1,11 +1,11 @@
 """Campaign-as-a-service: a long-running job server over the runner.
 
 ``repro.service`` turns the foreground campaign stack -- harness,
-sharded/distributed runners, supervisor, metrics -- into a submission
-API.  Five coordinated pieces, all stdlib-only:
+worker dispatch, supervisor, metrics -- into a submission API.  Five
+coordinated pieces, all stdlib-only:
 
 * :mod:`repro.service.store` -- the on-disk layout: one directory per
-  job (campaign journal, supervision log, heartbeat beacon, metrics
+  job (campaign journal, supervision log, progress beacon, metrics
   snapshot, results CSV, rendered report) plus content-addressed
   circuit uploads.  Per-job directories are what keeps two concurrent
   jobs on the same circuit from ever colliding on artifact paths
@@ -23,8 +23,8 @@ API.  Five coordinated pieces, all stdlib-only:
   concurrency quotas, priority aging and cooperative cancellation.
 * :mod:`repro.service.api` -- the threaded HTTP/JSON API
   (``http.server``): submit, list, inspect, stream progress events
-  (chunked NDJSON fed by the real heartbeat beacons), fetch artifacts,
-  cancel.
+  (chunked NDJSON fed by the progress beacon and the journal), fetch
+  artifacts, cancel.
 * :mod:`repro.service.browser` -- a minimal HTML results browser over
   the same store.
 

@@ -24,10 +24,10 @@ rejected.  Artifact fields (``checkpoint_path``/``progress_path``/
 
 Progress streaming: ``/jobs/<id>/events`` emits one JSON object per
 line, chunked, with a **monotonically non-decreasing** ``completed``
-count sourced from the run's real heartbeat beacons (the serial
-harness beacon, or the summed per-shard beacons of a sharded run; the
-campaign journal's verdict count is the fallback between beacon
-rewrites).  The stream ends with the job's terminal state.
+count sourced from the run itself: the serial harness's progress
+beacon, or the campaign journal's verdict count (what a multi-worker
+run's dispatcher journals as verdicts arrive).  The stream ends with
+the job's terminal state.
 """
 
 from __future__ import annotations
@@ -164,27 +164,16 @@ class CampaignService:
 
     # ---------------------------------------------------------- progress
     def progress(self, job: JobRecord) -> Optional[int]:
-        """Live completed-fault count for *job*, beacon-first.
-
-        Sources, in order: the serial harness beacon
-        (``<job>/progress``), the summed per-shard beacons of a
-        sharded run, the campaign journal's verdict count.  ``None``
-        when the job has not started producing any of them.
+        """Live completed-fault count for *job*: the larger of the
+        serial harness beacon (``<job>/progress``) and the campaign
+        journal's verdict count.  ``None`` when the job has not started
+        producing either.
         """
         paths = self.store.paths(job.job_id)
         counts: List[int] = []
         beacon = self._beacon_completed(paths.progress)
         if beacon is not None:
             counts.append(beacon)
-        shard_total = 0
-        shard_seen = False
-        for shard_path in paths.shard_progress_paths():
-            completed = self._beacon_completed(shard_path)
-            if completed is not None:
-                shard_seen = True
-                shard_total += completed
-        if shard_seen:
-            counts.append(shard_total)
         journal = self._journal_completed(paths)
         if journal is not None:
             counts.append(journal)

@@ -8,14 +8,14 @@ transition.  Per-job isolation comes from three existing mechanisms:
 * **artifact paths** -- the spec's ``checkpoint_path`` and
   ``progress_path`` are rewritten into the job's own directory
   (:class:`~repro.service.store.JobPaths`), so journals, ``.events``
-  sidecars, ``.corrupt`` quarantines and heartbeat beacons of
+  sidecars, ``.corrupt`` quarantines and progress beacons of
   concurrent jobs can never collide;
 * **metrics** -- every job runs inside
   :func:`repro.obs.scoped_metrics`, a thread-local registry override,
   so concurrent campaigns in one process keep separate counters (the
   per-job snapshot lands in ``metrics.json``);
 * **cancellation** -- each running job owns a ``threading.Event``
-  plumbed through the runner ladder (the deferred-SIGINT path
+  plumbed through to the executor (the deferred-SIGINT path
   triggered programmatically); ``DELETE /jobs/<id>`` sets it.
 
 Crash safety is delegated to the journals: a job interrupted by server

@@ -4,11 +4,10 @@ The store owns exactly two invariants:
 
 * **Per-job isolation.**  Every artifact of a job -- campaign journal,
   its ``.events`` supervision sidecar and ``.corrupt`` quarantine, the
-  per-shard journals and progress beacons, the metrics snapshot, the
-  results CSV, the rendered report -- lives under
-  ``<root>/jobs/<job_id>/``.  The journal machinery derives sidecar
-  names from the journal path (``journal.jsonl.events``,
-  ``journal.jsonl.corrupt``, ``journal.jsonl.shard<k>``...), so two
+  progress beacon, the metrics snapshot, the results CSV, the rendered
+  report -- lives under ``<root>/jobs/<job_id>/``.  The journal
+  machinery derives sidecar names from the journal path
+  (``journal.jsonl.events``, ``journal.jsonl.corrupt``), so two
   concurrent jobs simulating the *same* circuit can never collide: the
   predictable names are scoped by the unique job directory.
 * **Content-addressed uploads.**  Submitted ``.bench`` text is stored
@@ -68,20 +67,6 @@ class JobPaths:
     @property
     def report(self) -> str:
         return os.path.join(self.root, "report.txt")
-
-    def shard_progress_paths(self) -> List[str]:
-        """Existing per-shard heartbeat beacons of a sharded run."""
-        directory = self.root
-        try:
-            entries = os.listdir(directory)
-        except OSError:
-            return []
-        return sorted(
-            os.path.join(directory, entry)
-            for entry in entries
-            if entry.startswith("journal.jsonl.shard")
-            and entry.endswith(".progress")
-        )
 
 
 class JobStore:

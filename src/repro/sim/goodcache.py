@@ -5,9 +5,8 @@ the test sequence -- the *good machine* -- as the reference that faulty
 responses are compared against.  Historically each simulator instance
 computed its own copy in its constructor, so a campaign that builds
 several simulators (the proposed procedure plus its forward fallback,
-the ``n_references`` runners of the unrestricted simulator, one
-simulator per worker process in a sharded campaign) re-simulated the
-good machine once per instance.
+the ``n_references`` runners of the unrestricted simulator) re-simulated
+the good machine once per instance.
 
 :class:`GoodMachineCache` computes the fault-free trajectory **once**
 per (circuit, pattern sequence) -- with per-frame line values kept, so
@@ -20,9 +19,11 @@ read-only:
   ``good_cache`` argument and skip their own good-machine simulation;
 * :func:`~repro.mot.resimulate.resimulate_sequence` accepts a cache in
   place of raw ``reference_outputs``;
-* :func:`~repro.runner.parallel.run_parallel_campaign` computes the
-  cache in the parent process and ships it to every worker, so ``N``
-  workers cost one good-machine simulation, not ``N``.
+* :func:`~repro.runner.campaign.run_campaign` computes the cache once
+  in the parent process; ``--workers N`` forks its local workers
+  (:class:`~repro.runner.transport.LocalTransport`) from that parent,
+  so ``N`` workers share one good-machine simulation instead of
+  computing ``N``.
 
 The cache is a frozen value object and nothing mutates it after
 construction (workers only read).  Since PR 7 the per-frame line values
@@ -30,10 +31,9 @@ are stored as **packed two-plane masks** straight out of the compiled
 kernel (:mod:`repro.sim.kernel`): ``line_one[line]`` has bit ``u`` set
 when *line* is 1 at time unit *u* (``line_zero`` likewise; neither bit
 set means X).  Two arbitrary-precision integers per line replace ``L``
-lists of ``num_lines`` values each, which shrinks what a sharded
-campaign pickles to every worker by roughly the sequence length; the
-familiar ``frames`` list shape is decoded lazily on first access and
-never crosses a process boundary.  :meth:`GoodMachineCache.matches`
+lists of ``num_lines`` values each, which shrinks the cache by roughly
+the sequence length; the familiar ``frames`` list shape is decoded
+lazily on first access.  :meth:`GoodMachineCache.matches`
 guards against accidentally applying a cache to a different circuit or
 pattern sequence -- a mismatched cache raises instead of silently
 producing wrong verdicts.

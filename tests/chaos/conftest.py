@@ -1,30 +1,17 @@
 """Chaos-suite fixtures: every test starts with chaos fully disarmed.
 
-The runtime module caches the environment-compiled plan and latches the
-legacy deprecation warning per process; tests poke at both, so each one
-gets a clean slate before and after.
+The runtime module caches the environment-compiled plan per process;
+tests poke at it, so each one gets a clean slate before and after.
 """
 
 import pytest
 
-from repro.chaos.runtime import _reset_for_tests
-
-_CHAOS_ENVS = (
-    "REPRO_CHAOS_SCENARIO",
-    "REPRO_CHAOS_KILL_INDEX",
-    "REPRO_CHAOS_KILL_MARKER",
-    "REPRO_CHAOS_KILL_HOST",
-    "REPRO_CHAOS_KILL_HOST_AFTER",
-    "REPRO_CHAOS_KILL_HOST_MARKER",
-    "REPRO_CHAOS_LEASE_DELAY_MS",
-    "REPRO_CHAOS_FAULT_DELAY_MS",
-)
+from repro.chaos.runtime import SCENARIO_ENV, forget_plan
 
 
 @pytest.fixture(autouse=True)
 def clean_chaos_state(monkeypatch):
-    for name in _CHAOS_ENVS:
-        monkeypatch.delenv(name, raising=False)
-    _reset_for_tests()
+    monkeypatch.delenv(SCENARIO_ENV, raising=False)
+    forget_plan()
     yield
-    _reset_for_tests()
+    forget_plan()

@@ -121,7 +121,7 @@ class _SilentTransport(Transport):
         def close(self, timeout=5.0):
             return 0
 
-    def launch(self, host):
+    def launch(self, host, simulator):
         return self._Handle(host)
 
 

@@ -1,9 +1,4 @@
-"""Ambient plan resolution, legacy env conversion, and hook behavior."""
-
-import json
-import warnings
-
-import pytest
+"""Ambient plan resolution and hook behavior."""
 
 from repro.chaos import ChaosPlan, ChaosScenario, InjectionSpec
 from repro.chaos.runtime import (
@@ -75,80 +70,6 @@ def test_uninstall_restores_environment_fallback(monkeypatch):
     install_plan(ChaosPlan(ChaosScenario(name="x", seed=0)))
     uninstall_plan()
     assert current_plan().scenario.name == "env"
-
-
-# ----------------------------------------------------------------------
-# Legacy REPRO_CHAOS_* conversion
-# ----------------------------------------------------------------------
-def _legacy_plan(monkeypatch, **env):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return current_plan()
-
-
-def test_legacy_kill_index_converts(monkeypatch):
-    plan = _legacy_plan(
-        monkeypatch,
-        REPRO_CHAOS_KILL_INDEX="20",
-        REPRO_CHAOS_KILL_MARKER="/tmp/marker",
-    )
-    (spec,) = plan.scenario.faults
-    assert spec.site == "worker.fault"
-    assert spec.action == "kill"
-    assert spec.index == 20
-    assert spec.once and spec.marker == "/tmp/marker"
-
-
-def test_legacy_kill_host_after_is_one_based(monkeypatch):
-    plan = _legacy_plan(
-        monkeypatch,
-        REPRO_CHAOS_KILL_HOST="beta",
-        REPRO_CHAOS_KILL_HOST_AFTER="2",
-    )
-    (spec,) = plan.scenario.faults
-    assert spec.site == "worker.chunk_done"
-    assert spec.host == "beta"
-    assert spec.after == 1  # "after the 2nd chunk" = skip 1 event
-
-
-def test_legacy_lease_delay_with_and_without_host(monkeypatch):
-    plan = _legacy_plan(monkeypatch, REPRO_CHAOS_LEASE_DELAY_MS="beta:50")
-    (spec,) = plan.scenario.faults
-    assert (spec.site, spec.host, spec.value) == ("worker.chunk", "beta",
-                                                  50.0)
-
-
-def test_legacy_fault_delay_specific_overrides_default(monkeypatch):
-    plan = _legacy_plan(
-        monkeypatch,
-        REPRO_CHAOS_FAULT_DELAY_MS=json.dumps({"3": 80, "*": 10}),
-    )
-    specs = plan.scenario.faults
-    # Specific index first: first-matching-delay-wins keeps the legacy
-    # "specific overrides the * default" semantics.
-    assert [s.index for s in specs] == [3, None]
-    assert [s.value for s in specs] == [80.0, 10.0]
-
-
-def test_legacy_malformed_values_disarm(monkeypatch):
-    assert _legacy_plan(monkeypatch, REPRO_CHAOS_KILL_INDEX="banana") is None
-    assert current_plan() is None
-
-
-def test_legacy_emits_one_deprecation_warning_with_snippet(monkeypatch):
-    monkeypatch.setenv("REPRO_CHAOS_KILL_INDEX", "5")
-    with pytest.warns(DeprecationWarning, match=SCENARIO_ENV) as caught:
-        current_plan()
-    message = str(caught[0].message)
-    assert '"site": "worker.fault"'.replace(" ", "") in \
-        message.replace(" ", "")
-    # The warning is latched: recompiling does not warn again.
-    monkeypatch.setenv("REPRO_CHAOS_KILL_INDEX", "6")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        current_plan()
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,8 @@
 runs the standard s27 campaign against it and returns everything a
 resume/merge test needs.  ``campaign_workers`` reads the
 ``REPRO_TEST_WORKERS`` environment variable (default 1) so CI can rerun
-the whole suite with the sharded executor exercised at a higher worker
-count without editing any test.
+the whole suite with the local-worker executor exercised at a higher
+worker count without editing any test.
 """
 
 import os
@@ -31,8 +31,8 @@ def campaign_workers():
     """Worker count for parametrizable campaign tests.
 
     Defaults to 1; CI sets ``REPRO_TEST_WORKERS=2`` in the
-    parallel-smoke job to push every campaign test through the sharded
-    executor.
+    parallel-smoke job to push the consuming campaign tests through
+    more local workers.
     """
     return int(os.environ.get("REPRO_TEST_WORKERS", "1"))
 

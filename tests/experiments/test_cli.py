@@ -223,27 +223,40 @@ def test_mot_rejects_invalid_workers(capsys):
     _argparse_exit(["mot", "--circuit", "s27", "--workers", "two"])
 
 
-def test_mot_rejects_unknown_shard_strategy(capsys):
-    _argparse_exit(
-        ["mot", "--circuit", "s27", "--workers", "2",
-         "--shard-strategy", "magic"]
-    )
-    err = capsys.readouterr().err
-    assert "round_robin" in err and "size_aware" in err
-
-
 def test_mot_rejects_invalid_supervision_flags(capsys):
-    _argparse_exit(["mot", "--circuit", "s27", "--max-retries", "-1"])
-    assert "non-negative integer" in capsys.readouterr().err
-    _argparse_exit(["mot", "--circuit", "s27", "--heartbeat-interval", "0"])
+    _argparse_exit(["mot", "--circuit", "s27", "--stall-timeout", "0"])
     assert "positive number of seconds" in capsys.readouterr().err
     _argparse_exit(["mot", "--circuit", "s27", "--stall-timeout", "-5"])
+    _argparse_exit(
+        ["mot", "--circuit", "s27", "--host-blacklist-after", "0"]
+    )
+    assert "positive integer" in capsys.readouterr().err
     _argparse_exit(["mot", "--circuit", "s27", "--checkpoint-every", "0"])
+    # The retired static-shard and retry flags are gone.
+    for flag in ("--shard-strategy", "--max-retries",
+                 "--heartbeat-interval", "--no-supervise"):
+        _argparse_exit(["mot", "--circuit", "s27", flag, "1"])
+
+
+def test_mot_rejects_workers_with_hosts(capsys):
+    assert main(
+        ["mot", "--circuit", "s27", "--workers", "2", "--hosts", "a,b"]
+    ) == 1
+    assert "exclusive" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
-# Supervised campaigns end to end (chaos injected via the env hook)
+# Supervised campaigns end to end (chaos injected via a scenario)
 # ----------------------------------------------------------------------
+def _arm_kill_at_20(monkeypatch, marker=None):
+    from repro.chaos.runtime import SCENARIO_ENV
+    from repro.chaos.scenario import ChaosScenario, InjectionSpec
+
+    monkeypatch.setenv(SCENARIO_ENV, ChaosScenario(
+        name="kill-20", seed=0,
+        faults=[InjectionSpec(site="worker.fault", action="kill", index=20,
+                              once=marker is not None, marker=marker)],
+    ).to_json())
 def test_mot_workers_supervised_by_default(tmp_path, capsys):
     journal = tmp_path / "run.jsonl"
     assert main(
@@ -259,20 +272,27 @@ def test_mot_workers_supervised_by_default(tmp_path, capsys):
 def test_mot_supervised_recovers_from_transient_worker_kill(
     tmp_path, capsys, monkeypatch
 ):
-    """The ISSUE acceptance scenario: a stock CLI campaign whose worker
-    is hard-killed mid-shard completes without operator action."""
+    """A stock CLI campaign whose worker is hard-killed at a fault
+    completes without operator action, with the serial CSV."""
+    serial = tmp_path / "serial.csv"
+    assert main(
+        ["mot", "--circuit", "s27", "--length", "16", "--seed", "1",
+         "--csv", str(serial)]
+    ) == 0
+    capsys.readouterr()
     journal = tmp_path / "run.jsonl"
-    monkeypatch.setenv("REPRO_CHAOS_KILL_INDEX", "20")
-    monkeypatch.setenv("REPRO_CHAOS_KILL_MARKER", str(tmp_path / "marker"))
+    workers = tmp_path / "workers.csv"
+    _arm_kill_at_20(monkeypatch, marker=str(tmp_path / "marker"))
     assert main(
         ["mot", "--circuit", "s27", "--length", "16", "--seed", "1",
          "--workers", "2", "--checkpoint", str(journal),
-         "--checkpoint-every", "1"]
+         "--checkpoint-every", "1", "--csv", str(workers)]
     ) == 0
     out = capsys.readouterr().out
     assert "supervision:" in out
-    assert "1 retry" in out
+    assert "1 relaunch" in out
     assert (tmp_path / "marker").exists()  # the kill really fired
+    assert workers.read_bytes() == serial.read_bytes()
 
 
 def test_mot_supervised_isolates_deterministic_killer(
@@ -281,33 +301,19 @@ def test_mot_supervised_isolates_deterministic_killer(
     """A fault that kills its worker on every attempt ends as an
     errored/poison verdict (exit 3: errored faults present)."""
     journal = tmp_path / "run.jsonl"
-    monkeypatch.setenv("REPRO_CHAOS_KILL_INDEX", "20")
-    monkeypatch.delenv("REPRO_CHAOS_KILL_MARKER", raising=False)
+    _arm_kill_at_20(monkeypatch)
     assert main(
         ["mot", "--circuit", "s27", "--length", "16", "--seed", "1",
          "--workers", "2", "--checkpoint", str(journal),
          "--checkpoint-every", "1", "--report"]
     ) == 3
     captured = capsys.readouterr()
-    assert "poison faults isolated" in captured.out
+    assert "poison faults isolated   : 1 (index 20)" in captured.out
     assert "poison: killed their worker" in captured.out
+    assert "blacklisted" not in captured.out
+    assert "degraded" not in captured.out
     assert "errored (quarantined)" in captured.err
-
-
-def test_mot_no_supervise_fails_fast_with_resume_hint(
-    tmp_path, capsys, monkeypatch
-):
-    journal = tmp_path / "run.jsonl"
-    monkeypatch.setenv("REPRO_CHAOS_KILL_INDEX", "20")
-    monkeypatch.delenv("REPRO_CHAOS_KILL_MARKER", raising=False)
-    assert main(
-        ["mot", "--circuit", "s27", "--length", "16", "--seed", "1",
-         "--workers", "2", "--checkpoint", str(journal),
-         "--checkpoint-every", "1", "--no-supervise"]
-    ) == 1
-    err = capsys.readouterr().err
-    assert "worker failure" in err
-    assert f"--checkpoint {journal} --resume" in err
+    assert "poison_confirmed" in (tmp_path / "run.jsonl.events").read_text()
 
 
 def test_mot_supervised_interrupt_exits_130(tmp_path, capsys, monkeypatch):
@@ -380,6 +386,48 @@ def test_mot_trace_out_writes_jsonl_events(tmp_path, capsys):
     assert "implication" in names and "branch" in names
 
 
+def _traced_faults(path):
+    import json
+
+    if not path.exists():
+        return []
+    return [
+        event["fault"]
+        for event in map(json.loads, path.read_text().splitlines())
+        if event["ev"] == "fault_begin"
+    ]
+
+
+def test_mot_trace_out_writes_one_file_per_worker(tmp_path, capsys):
+    """Each forked worker traces to its own sibling file with the
+    parent's sampling: together they trace exactly the faults a serial
+    run traces, and no fault goes through the parent's file handle."""
+    base = ["mot", "--circuit", "s27", "--length", "16", "--seed", "1",
+            "--trace-sample", "0.5"]
+    serial = tmp_path / "serial" / "trace.jsonl"
+    serial.parent.mkdir()
+    assert main(base + ["--trace-out", str(serial)]) == 0
+    target = tmp_path / "workers" / "trace.jsonl"
+    target.parent.mkdir()
+    assert main(
+        base + ["--trace-out", str(target), "--workers", "2",
+                "--chunk-size", "1"]
+    ) == 0
+    files = sorted(p.name for p in target.parent.iterdir())
+    assert [name for name in files if name != "trace.jsonl"] == [
+        "trace.jsonl.worker0", "trace.jsonl.worker1",
+    ]
+    per_worker = [
+        _traced_faults(target.parent / name)
+        for name in ("trace.jsonl.worker0", "trace.jsonl.worker1")
+    ]
+    assert all(per_worker)
+    assert sorted(per_worker[0] + per_worker[1]) == sorted(
+        _traced_faults(serial)
+    )
+    assert _traced_faults(target) == []
+
+
 def test_mot_trace_sample_zero_traces_no_faults(tmp_path, capsys):
     import json
 
@@ -431,22 +479,22 @@ def test_verbose_and_quiet_are_mutually_exclusive():
 def test_mot_retry_exhausted_exits_with_resume_hint(
     tmp_path, capsys, monkeypatch
 ):
-    from repro.errors import RetryExhausted
-    from repro.runner.supervisor import SupervisedCampaignRunner
+    """Every worker blacklisted under --no-degrade: exit 1 with a
+    --resume hint, and the resume completes the campaign."""
+    from repro.chaos.runtime import SCENARIO_ENV
+    from repro.chaos.scenario import ChaosScenario, InjectionSpec
 
     journal = tmp_path / "run.jsonl"
-
-    def exhausted_run(self, faults):
-        raise RetryExhausted(
-            attempts=4, completed=30, remaining=2,
-            journal_path=str(journal),
-        )
-
-    monkeypatch.setattr(SupervisedCampaignRunner, "run", exhausted_run)
-    assert main(
-        ["mot", "--circuit", "s27", "--length", "16", "--seed", "1",
-         "--workers", "2", "--checkpoint", str(journal), "--no-degrade"]
-    ) == 1
+    argv = ["mot", "--circuit", "s27", "--length", "16", "--seed", "1",
+            "--workers", "2", "--checkpoint", str(journal)]
+    monkeypatch.setenv(SCENARIO_ENV, ChaosScenario(
+        name="no-workers", seed=0,
+        faults=[InjectionSpec(site="worker.ready", action="kill_before",
+                              times=None)],
+    ).to_json())
+    assert main(argv + ["--no-degrade"]) == 1
     err = capsys.readouterr().err
-    assert "4 attempt(s)" in err
+    assert "out of usable hosts" in err
     assert f"--checkpoint {journal} --resume" in err
+    monkeypatch.delenv(SCENARIO_ENV)
+    assert main(argv + ["--resume"]) == 0

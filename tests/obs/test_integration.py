@@ -1,8 +1,8 @@
 """Observability across the campaign stack.
 
 The tests here pin the ISSUE acceptance criteria: the paper-walkthrough
-trace of the introductory example, shard registries aggregating to the
-serial registry, merged verdict counters equalling the campaign
+trace of the introductory example, worker registries aggregating to
+the serial registry, merged verdict counters equalling the campaign
 summary, and the disabled path leaving campaign results untouched.
 """
 
@@ -22,13 +22,10 @@ from repro.obs import (
     set_tracer,
 )
 from repro.runner.harness import CampaignHarness, HarnessConfig
+from repro.runner.dispatch import DispatchConfig, DistributedCampaignRunner
 from repro.runner.journal import CampaignJournal, load_metrics_payloads
-from repro.runner.parallel import ParallelConfig, run_parallel_campaign
-from repro.runner.retry import RetryPolicy
-from repro.runner.supervisor import (
-    SupervisedCampaignRunner,
-    SupervisorConfig,
-)
+from repro.runner.supervisor import SupervisedCampaignRunner
+from repro.runner.transport import LocalTransport
 
 from tests.helpers import s27_faults, s27_patterns, toggle_circuit
 
@@ -143,11 +140,11 @@ def test_harness_appends_metrics_record_and_counts_verdicts(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Sharded: two shard registries aggregate to the serial registry
+# Workers: two worker registries aggregate to the serial registry
 # ----------------------------------------------------------------------
 def test_split_registries_merge_to_the_serial_registry():
     """Simulate the fault list in two halves with a fresh registry each
-    (exactly what two shard workers do) and merge the snapshots: the
+    (exactly what two workers do) and merge the snapshots: the
     deterministic counters equal one serial registry's."""
     from repro.circuits.library import s27
 
@@ -199,11 +196,11 @@ def test_parallel_campaign_merges_worker_registries():
 
     enable_metrics()
     try:
-        parallel = run_parallel_campaign(
+        parallel = DistributedCampaignRunner(
             ProposedSimulator(circuit, patterns),
-            faults,
-            ParallelConfig(workers=2),
-        )
+            ["worker0", "worker1"],
+            LocalTransport(),
+        ).run(faults)
         parallel_snapshot = get_metrics().snapshot()
     finally:
         disable_metrics()
@@ -211,6 +208,12 @@ def test_parallel_campaign_merges_worker_registries():
     assert parallel.verdicts == serial.verdicts
     assert _campaign_counters(parallel_snapshot) == _campaign_counters(
         serial_snapshot
+    )
+    # Forked workers ship only their own work home: the histogram
+    # counts each fault once, not the parent's history again.
+    assert (
+        parallel_snapshot.histograms["campaign.fault_ms"]["count"]
+        == len(faults)
     )
 
 
@@ -225,10 +228,10 @@ def test_supervised_campaign_metrics_match_summary(tmp_path):
     try:
         runner = SupervisedCampaignRunner(
             ProposedSimulator(s27(), s27_patterns()),
-            ParallelConfig(
-                workers=2, checkpoint_path=str(tmp_path / "run.jsonl")
+            ["worker0", "worker1"],
+            config=DispatchConfig(
+                checkpoint_path=str(tmp_path / "run.jsonl")
             ),
-            SupervisorConfig(retry=RetryPolicy(max_retries=1)),
         )
         campaign = runner.run(faults)
         snapshot = get_metrics().snapshot()

@@ -26,7 +26,7 @@ def test_null_tracer_absorbs_everything():
     assert null.begin_fault("G1/0") is False
     null.emit("branch", u=1)
     null.end_fault("mot")
-    assert null.for_shard(3) is null
+    assert null.for_worker("worker3") is null
     null.close()
 
 
@@ -107,13 +107,13 @@ def test_jsonl_tracer_opens_lazily(tmp_path):
     assert not path.exists()
 
 
-def test_for_shard_writes_sibling_file_with_same_sampling(tmp_path):
+def test_for_worker_writes_sibling_file_with_same_sampling(tmp_path):
     path = tmp_path / "trace.jsonl"
     tracer = JsonlTracer(str(path), sample=0.25, seed=3)
-    shard = tracer.for_shard(2)
-    assert shard.path == str(path) + ".shard2"
-    assert shard.sample == 0.25 and shard.seed == 3
-    shard.emit("goodcache", event="hit")
-    shard.close()
-    assert (tmp_path / "trace.jsonl.shard2").exists()
+    worker = tracer.for_worker("worker2")
+    assert worker.path == str(path) + ".worker2"
+    assert worker.sample == 0.25 and worker.seed == 3
+    worker.emit("goodcache", event="hit")
+    worker.close()
+    assert (tmp_path / "trace.jsonl.worker2").exists()
     assert not path.exists()

@@ -34,18 +34,22 @@ def test_spec_requires_exactly_one_source():
     [
         ("kind", "bogus"),
         ("engine", "bogus"),
-        ("shard_strategy", "bogus"),
         ("transport", "bogus"),
         ("length", 0),
         ("n_states", 0),
         ("workers", 0),
-        ("max_retries", -1),
         ("lease_timeout", 0.0),
     ],
 )
 def test_spec_rejects_bad_values(field, value):
     with pytest.raises(SpecError):
         CampaignSpec(circuit="s27", **{field: value}).validate()
+
+
+def test_spec_rejects_workers_with_hosts():
+    with pytest.raises(SpecError, match="exclusive"):
+        CampaignSpec(circuit="s27", workers=2, hosts=("a", "b")).validate()
+    CampaignSpec(circuit="s27", workers=1, hosts=("a", "b")).validate()
 
 
 def test_spec_resume_requires_checkpoint():
@@ -68,11 +72,13 @@ def test_unknown_circuit_is_spec_error():
 # ---------------------------------------------------------- payload I/O
 def test_payload_round_trip():
     spec = CampaignSpec(
-        circuit="s27", kind="baseline", workers=2, hosts=("a", "b"),
-        budget_ms=500,
+        circuit="s27", kind="baseline", hosts=("a", "b"), budget_ms=500,
+        stall_timeout=2.5,
     )
     clone = CampaignSpec.from_payload(spec.to_payload())
     assert clone == spec
+    workers = CampaignSpec(circuit="s27", workers=2)
+    assert CampaignSpec.from_payload(workers.to_payload()) == workers
 
 
 def test_from_payload_ignores_unknown_keys_and_coerces_hosts():
@@ -80,6 +86,19 @@ def test_from_payload_ignores_unknown_keys_and_coerces_hosts():
         {"circuit": "s27", "hosts": ["a"], "someday": True}
     )
     assert spec.hosts == ("a",)
+    assert CampaignSpec.from_payload(
+        {"circuit": "s27", "hosts": "a, b"}
+    ).hosts == ("a", " b")
+
+
+def test_from_payload_accepts_retired_executor_keys():
+    """Payloads from older clients still carry the static-shard and
+    retry knobs; they are dropped like any unknown key."""
+    spec = CampaignSpec.from_payload({
+        "circuit": "s27", "workers": 2, "shard_strategy": "size_aware",
+        "max_retries": 3, "heartbeat_interval": 0.5, "no_supervise": True,
+    })
+    assert spec.workers == 2
 
 
 def test_from_payload_validates():
@@ -87,16 +106,43 @@ def test_from_payload_validates():
         CampaignSpec.from_payload({"circuit": "s27", "kind": "bogus"})
 
 
+#: Mistyped payloads the HTTP API must answer with a 400, not a crash.
+MISTYPED = [
+    {"circuit": ["not", "a", "string"]},
+    {"workers": "2"},
+    {"workers": 2.5},
+    {"workers": True},
+    {"length": "16"},
+    {"seed": None},
+    {"learning": "yes"},
+    {"budget_ms": "fast"},
+    {"lease_timeout": False},
+    {"engine": 7},
+    {"hosts": 5},
+    {"hosts": [1, 2]},
+    {"hosts": ["a", ""]},
+    {"hosts": {"a": 1}},
+]
+
+
 def test_from_payload_rejects_wrong_types():
-    with pytest.raises(SpecError):
-        CampaignSpec.from_payload({"circuit": ["not", "a", "string"]})
+    for bad in MISTYPED:
+        with pytest.raises(SpecError):
+            CampaignSpec.from_payload({"circuit": "s27", **bad})
+
+
+def test_numeric_fields_accept_ints_for_floats():
+    spec = CampaignSpec.from_payload(
+        {"circuit": "s27", "lease_timeout": 5, "budget_ms": 250}
+    )
+    assert spec.lease_timeout == 5
 
 
 # ----------------------------------------------------- result identity
 def test_run_campaign_matches_direct_harness():
     """The entrypoint must replicate a hand-built serial campaign
     verbatim -- the byte-identity guarantee of service results."""
-    result = run_campaign(CampaignSpec(no_supervise=True, **S27))
+    result = run_campaign(CampaignSpec(**S27))
     from repro.circuits.library import s27 as build_s27
     from repro.mot.simulator import MotConfig
 
@@ -137,21 +183,20 @@ def test_run_campaign_cancel_event_pre_set():
     cancel = threading.Event()
     cancel.set()
     with pytest.raises(CampaignInterrupted):
-        run_campaign(
-            CampaignSpec(no_supervise=True, **S27), cancel_event=cancel
-        )
+        run_campaign(CampaignSpec(**S27), cancel_event=cancel)
 
 
 def test_run_campaign_cancel_event_supervised(tmp_path):
     cancel = threading.Event()
     cancel.set()
-    with pytest.raises(CampaignInterrupted):
+    journal = tmp_path / "j.jsonl"
+    with pytest.raises(CampaignInterrupted) as excinfo:
         run_campaign(
-            CampaignSpec(
-                checkpoint_path=str(tmp_path / "j.jsonl"), **S27
-            ),
+            CampaignSpec(workers=2, checkpoint_path=str(journal), **S27),
             cancel_event=cancel,
         )
+    assert excinfo.value.journal_path == str(journal)
+    assert journal.exists()  # flushed, resumable
 
 
 def test_run_campaign_writes_progress_beacon(tmp_path):
@@ -159,9 +204,7 @@ def test_run_campaign_writes_progress_beacon(tmp_path):
 
     beacon = tmp_path / "progress"
     result = run_campaign(
-        CampaignSpec(
-            no_supervise=True, progress_path=str(beacon), **S27
-        )
+        CampaignSpec(progress_path=str(beacon), **S27)
     )
     payload = json.loads(beacon.read_text())
     assert payload["completed"] == result.campaign.total

@@ -5,22 +5,22 @@ with one host killed mid-run must complete via lease reassignment with
 verdicts bit-identical to a serial run and zero duplicated fault
 indices in the merged journal.  The :class:`LeaseBook` unit tests pin
 the idempotency argument (first verdict wins, requeue never duplicates
-live work); the integration tests run real ``repro worker``
-subprocesses over the local transport.
+live work) and poison isolation (a suspect runs alone; dying on that
+solo run confirms it); the integration tests run real forked workers
+over the local transport.
 """
 
 import json
 import os
+import shlex
+import sys
 
 import pytest
 
+import repro
+from repro.chaos.runtime import SCENARIO_ENV
+from repro.chaos.scenario import ChaosScenario, InjectionSpec
 from repro.errors import DistributedFailed
-from repro.runner.chaos import (
-    CHAOS_KILL_HOST_AFTER_ENV,
-    CHAOS_KILL_HOST_ENV,
-    CHAOS_KILL_HOST_MARKER_ENV,
-    CHAOS_LEASE_DELAY_ENV,
-)
 from repro.runner.dispatch import (
     DispatchConfig,
     DistributedCampaignRunner,
@@ -28,9 +28,8 @@ from repro.runner.dispatch import (
 )
 from repro.runner.harness import CampaignHarness, HarnessConfig, run_campaign
 from repro.runner.journal import record_checksum_ok
-from repro.runner.parallel import ParallelConfig
 from repro.runner.supervisor import SupervisedCampaignRunner
-from repro.runner.transport import CommandTransport, SubprocessTransport
+from repro.runner.transport import CommandTransport, LocalTransport
 
 from tests.helpers import s27_faults, s27_simulator
 
@@ -121,6 +120,118 @@ def test_exhausted_when_every_index_has_a_verdict():
     assert book.exhausted
 
 
+def test_dead_worker_implicates_its_in_flight_fault():
+    book = LeaseBook(range(8), chunk_size=4, lease_timeout=60.0)
+    lease = book.grant("alpha", now=0.0)
+    book.complete(0, "v0", now=1.0, host="alpha")
+    assert book.implicate("alpha") is None  # a first death: a suspect
+    book.revoke_host("alpha")
+    assert list(book.suspects) == [1]
+    assert sorted(book.pending) == [2, 3, 4, 5, 6, 7]
+    # The suspect is leased alone, ahead of the queue.
+    solo = book.grant("beta", now=2.0, usable=["alpha", "beta"])
+    assert solo.solo and solo.indices == [1]
+    assert lease.id != solo.id
+    # Nobody steals a solo run.
+    assert book.steal("gamma", now=100.0, silence_threshold=1.0) is None
+    # Dying on the solo lease confirms the poison.
+    assert book.implicate("beta") == 1
+    assert book.implicated[1] == ["alpha", "beta"]
+    book.revoke_host("beta")
+    book.complete(1, "poison", now=3.0)
+    assert book.uncleared() == []
+
+
+def test_suspect_cleared_by_its_solo_run():
+    book = LeaseBook(range(4), chunk_size=4, lease_timeout=60.0)
+    book.grant("alpha", now=0.0)
+    book.implicate("alpha")
+    book.revoke_host("alpha")
+    assert book.uncleared() == [0]
+    assert not book.exhausted
+    solo = book.grant("beta", now=1.0)
+    book.complete(0, "v0", now=2.0, host="beta")
+    book.release(solo.id)
+    assert book.uncleared() == []
+    assert sorted(book.grant("beta", now=3.0).indices) == [1, 2, 3]
+
+
+def test_solo_run_goes_to_another_host_while_one_can_take_it():
+    book = LeaseBook(range(8), chunk_size=4, lease_timeout=60.0)
+    book.grant("alpha", now=0.0)
+    book.implicate("alpha")
+    book.revoke_host("alpha")
+    # alpha's relaunched worker asks first: beta can still take the
+    # suspect, so alpha gets ordinary work and the suspect waits.
+    plain = book.grant("alpha", now=1.0, usable=["alpha", "beta"])
+    assert not plain.solo and sorted(plain.indices) == [1, 2, 3, 4]
+    solo = book.grant("beta", now=1.0, usable=["alpha", "beta"])
+    assert solo.solo and solo.indices == [0]
+
+
+def test_solo_run_falls_back_to_the_same_host_when_no_other_can():
+    book = LeaseBook(range(8), chunk_size=4, lease_timeout=60.0)
+    book.grant("alpha", now=0.0)
+    book.implicate("alpha")
+    book.revoke_host("alpha")
+    # beta is quarantined or blacklisted: not usable.
+    solo = book.grant("alpha", now=1.0, usable=["alpha"])
+    assert solo.solo and solo.indices == [0]
+
+
+def test_hung_worker_is_implicated_after_its_lease_expired():
+    book = LeaseBook(range(8), chunk_size=4, lease_timeout=10.0)
+    book.grant("alpha", now=0.0)
+    book.complete(0, "v0", now=1.0, host="alpha")
+    book.expire(now=20.0)
+    assert not book.leases and book.owes("alpha")
+    assert sorted(book.pending) == [1, 2, 3, 4, 5, 6, 7]
+    # alpha is still stuck on fault 1 when it is killed.
+    assert book.implicate("alpha") is None
+    assert list(book.suspects) == [1]
+    assert 1 not in book.pending  # a suspect only ever runs alone
+    book.revoke_host("alpha")
+    assert not book.owes("alpha")
+
+
+def test_in_flight_fault_is_the_workers_own_next_one():
+    book = LeaseBook(range(4), chunk_size=4, lease_timeout=60.0)
+    book.grant("alpha", now=0.0)
+    # beta's stolen copy races ahead; alpha is still on fault 0.
+    book.steal("beta", now=100.0, silence_threshold=50.0)
+    for index in (0, 1, 2):
+        book.complete(index, f"v{index}", now=101.0, host="beta")
+    lease, index = book.in_flight("alpha")
+    assert index == 0
+    # Fault 0 already has beta's verdict: nothing to suspect.
+    assert book.implicate("alpha") is None
+    assert not book.suspects and book.uncleared() == []
+
+
+def test_steal_leaves_out_implicated_faults():
+    book = LeaseBook(range(4), chunk_size=4, lease_timeout=600.0)
+    book.grant("alpha", now=0.0)
+    # beta's worker died on fault 2 from a copy of alpha's chunk.
+    book.implicated[2] = ["beta"]
+    copy = book.steal("gamma", now=100.0, silence_threshold=50.0)
+    assert copy.indices == [0, 1, 3]  # a suspect only ever runs alone
+    # A lease holding nothing but implicated faults is not stolen.
+    only = LeaseBook([0], chunk_size=4, lease_timeout=600.0)
+    only.grant("alpha", now=0.0)
+    only.implicated[0] = ["beta"]
+    assert only.steal("gamma", now=100.0, silence_threshold=50.0) is None
+
+
+def test_chunk_done_settles_the_chunks_granted_before_it():
+    book = LeaseBook(range(8), chunk_size=4, lease_timeout=10.0)
+    lost = book.grant("alpha", now=0.0)  # its frame never arrived
+    book.expire(now=20.0)
+    regrant = book.grant("alpha", now=21.0)
+    assert [lease.id for lease in book.owed["alpha"]] == [lost.id, regrant.id]
+    book.release(regrant.id)
+    assert not book.owes("alpha")
+
+
 def test_chunk_size_must_be_positive():
     with pytest.raises(ValueError, match="chunk_size"):
         LeaseBook(range(4), chunk_size=0, lease_timeout=60.0)
@@ -129,12 +240,12 @@ def test_chunk_size_must_be_positive():
 def test_duplicate_hosts_are_rejected():
     with pytest.raises(ValueError, match="duplicate host"):
         DistributedCampaignRunner(
-            s27_simulator(), ["alpha", "alpha"], SubprocessTransport()
+            s27_simulator(), ["alpha", "alpha"], LocalTransport()
         )
 
 
 # ----------------------------------------------------------------------
-# Integration: real workers over the local transport
+# Integration: real forked workers over the local transport
 # ----------------------------------------------------------------------
 def _verdict_key(verdict):
     fault = verdict.fault
@@ -165,7 +276,7 @@ def test_two_hosts_match_serial_exactly(tmp_path):
     runner = DistributedCampaignRunner(
         s27_simulator(),
         ["alpha", "beta"],
-        SubprocessTransport(),
+        LocalTransport(),
         DispatchConfig(checkpoint_path=path),
     )
     campaign = runner.run(faults)
@@ -176,21 +287,46 @@ def test_two_hosts_match_serial_exactly(tmp_path):
     assert sorted(indices) == list(range(len(faults)))
 
 
+def test_spawned_command_workers_match_serial_exactly(tmp_path):
+    """``--transport command`` workers are fresh ``repro worker``
+    processes: the workload ships in ``init`` and each worker rebuilds
+    the simulator from it."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    template = (
+        f"env PYTHONPATH={shlex.quote(src)} {shlex.quote(sys.executable)} "
+        "-m repro worker --host {host}"
+    )
+    faults = s27_faults()
+    path = str(tmp_path / "dist.jsonl")
+    runner = DistributedCampaignRunner(
+        s27_simulator(),
+        ["alpha", "beta"],
+        CommandTransport(template),
+        DispatchConfig(checkpoint_path=path),
+    )
+    campaign = runner.run(faults)
+    reference = run_campaign(s27_simulator(), faults)
+    assert _signature(campaign) == _signature(reference)
+    assert runner.stats.relaunches == 0
+    assert sorted(_journal_verdict_indices(path)) == list(range(len(faults)))
+
+
 def test_host_killed_mid_run_completes_via_lease_reassignment(
     tmp_path, monkeypatch
 ):
     """The ISSUE acceptance scenario."""
     faults = s27_faults()
     path = str(tmp_path / "dist.jsonl")
-    monkeypatch.setenv(CHAOS_KILL_HOST_ENV, "beta")
-    monkeypatch.setenv(CHAOS_KILL_HOST_AFTER_ENV, "1")
-    monkeypatch.setenv(
-        CHAOS_KILL_HOST_MARKER_ENV, str(tmp_path / "killed")
-    )
+    monkeypatch.setenv(SCENARIO_ENV, ChaosScenario(
+        name="kill-beta", seed=0,
+        faults=[InjectionSpec(site="worker.chunk_done", action="kill",
+                              host="beta", once=True,
+                              marker=str(tmp_path / "killed"))],
+    ).to_json())
     runner = DistributedCampaignRunner(
         s27_simulator(),
         ["alpha", "beta"],
-        SubprocessTransport(),
+        LocalTransport(),
         DispatchConfig(checkpoint_path=path, host_blacklist_after=10),
     )
     campaign = runner.run(faults)
@@ -204,17 +340,52 @@ def test_host_killed_mid_run_completes_via_lease_reassignment(
     assert len(indices) == len(set(indices)) == len(faults)
 
 
+def test_flaky_host_never_turns_an_innocent_fault_into_poison(
+    tmp_path, monkeypatch
+):
+    """Every worker alpha launches dies on its first fault, while beta
+    is still busy with a slow chunk.  Each such fault's solo re-run
+    waits for beta instead of going to alpha's relaunched worker, and
+    gets its real verdict; only alpha takes the blame."""
+    faults = s27_faults()
+    monkeypatch.setenv(SCENARIO_ENV, ChaosScenario(
+        name="flaky-alpha", seed=0,
+        faults=[
+            InjectionSpec(site="worker.chunk", action="delay", host="alpha",
+                          value=100.0),
+            InjectionSpec(site="worker.fault", action="kill", host="alpha"),
+            InjectionSpec(site="worker.chunk", action="delay", host="beta",
+                          value=500.0, times=None),
+        ],
+    ).to_json())
+    runner = DistributedCampaignRunner(
+        s27_simulator(),
+        ["alpha", "beta"],
+        LocalTransport(),
+        DispatchConfig(checkpoint_path=str(tmp_path / "dist.jsonl")),
+    )
+    campaign = runner.run(faults)
+    assert runner.stats.poisoned == []
+    assert runner.stats.blacklisted == ["alpha"]
+    reference = run_campaign(s27_simulator(), faults)
+    assert _signature(campaign) == _signature(reference)
+
+
 def test_slow_host_lease_expires_and_work_is_reassigned(
     tmp_path, monkeypatch
 ):
     faults = s27_faults()
     path = str(tmp_path / "dist.jsonl")
     # beta sits on every chunk for 2 s; the lease times out in 0.5 s.
-    monkeypatch.setenv(CHAOS_LEASE_DELAY_ENV, "beta:2000")
+    monkeypatch.setenv(SCENARIO_ENV, ChaosScenario(
+        name="slow-beta", seed=0,
+        faults=[InjectionSpec(site="worker.chunk", action="delay",
+                              host="beta", value=2000.0, times=None)],
+    ).to_json())
     runner = DistributedCampaignRunner(
         s27_simulator(),
         ["alpha", "beta"],
-        SubprocessTransport(),
+        LocalTransport(),
         DispatchConfig(
             checkpoint_path=path,
             lease_timeout=0.5,
@@ -278,7 +449,7 @@ def test_distributed_resume_reuses_a_local_journal(tmp_path):
     runner = DistributedCampaignRunner(
         s27_simulator(),
         ["alpha"],
-        SubprocessTransport(),
+        LocalTransport(),
         DispatchConfig(checkpoint_path=full_path, resume=True),
     )
     campaign = runner.run(faults)
@@ -289,20 +460,18 @@ def test_distributed_resume_reuses_a_local_journal(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The supervisor's distributed rung
+# Under the supervisor: dispatch, then serial
 # ----------------------------------------------------------------------
 def test_supervisor_runs_distributed_when_hosts_are_given(tmp_path):
     faults = s27_faults()
     runner = SupervisedCampaignRunner(
         s27_simulator(),
-        config=ParallelConfig(
-            checkpoint_path=str(tmp_path / "dist.jsonl")
-        ),
-        hosts=["alpha", "beta"],
+        ["alpha", "beta"],
+        config=DispatchConfig(checkpoint_path=str(tmp_path / "dist.jsonl")),
     )
     campaign = runner.run(faults)
-    assert runner.stats.distributed_hosts == 2
-    assert not runner.stats.distributed_failed
+    assert runner.stats.dispatch.hosts == 2
+    assert not runner.stats.degraded
     reference = run_campaign(s27_simulator(), faults)
     assert _signature(campaign) == _signature(reference)
 
@@ -311,14 +480,12 @@ def test_supervisor_degrades_to_local_when_distribution_fails(tmp_path):
     faults = s27_faults()
     runner = SupervisedCampaignRunner(
         s27_simulator(),
-        config=ParallelConfig(
-            checkpoint_path=str(tmp_path / "dist.jsonl")
-        ),
-        hosts=["alpha", "beta"],
-        transport=CommandTransport("/nonexistent/worker --host {host}"),
+        ["alpha", "beta"],
+        CommandTransport("/nonexistent/worker --host {host}"),
+        DispatchConfig(checkpoint_path=str(tmp_path / "dist.jsonl")),
     )
     campaign = runner.run(faults)
-    assert runner.stats.distributed_failed
-    assert sorted(runner.stats.blacklisted_hosts) == ["alpha", "beta"]
+    assert runner.stats.degraded
+    assert sorted(runner.stats.dispatch.blacklisted) == ["alpha", "beta"]
     reference = run_campaign(s27_simulator(), faults)
     assert _signature(campaign) == _signature(reference)

@@ -1,39 +1,34 @@
-"""Tests for the sharded multi-process campaign executor.
+"""Local worker campaigns: ``--workers N`` on the lease dispatcher.
 
-The ISSUE acceptance scenarios: serial and parallel runs produce
-identical verdict lists for workers in {1, 2, 4} -- including campaigns
-with budget-aborted and quarantined (crashing) faults -- and a campaign
-whose worker processes are killed mid-run resumes from the shard
-journals and completes correctly.
+Serial and multi-worker runs produce identical verdict lists for
+workers in {1, 2, 4} -- including campaigns with budget-aborted and
+quarantined (crashing) faults, whose simulators only forked workers can
+run, since nothing ships but fault chunks -- and journals move freely
+between the two executors: a worker run's journal resumes serially, a
+serial journal resumes on workers, and a worker run that lost every
+worker resumes with a different worker count.
 """
 
-import os
 import re
-import warnings
 
 import pytest
 
-from repro.errors import WorkerCrashed
-from repro.faults.model import Fault
-from repro.mot.simulator import FaultVerdict, ProposedSimulator
+from repro.analysis.testability import hardest_first
+from repro.chaos.runtime import SCENARIO_ENV
+from repro.chaos.scenario import ChaosScenario, InjectionSpec
+from repro.errors import DistributedFailed
+from repro.mot.simulator import ProposedSimulator
 from repro.runner.budget import FaultBudget
+from repro.runner.dispatch import DispatchConfig, DistributedCampaignRunner
 from repro.runner.harness import CampaignHarness, HarnessConfig
-from repro.runner.parallel import (
-    SHARD_STRATEGIES,
-    ParallelCampaignRunner,
-    ParallelConfig,
-    ParallelStats,
-    merge_verdict_maps,
-    run_parallel_campaign,
-    shard_faults,
-)
+from repro.runner.transport import LocalTransport
 
 from tests.helpers import s27_faults, s27_patterns, s27_simulator
 
 
 class CrashOnLineSimulator(ProposedSimulator):
-    """Raises on faults at ``crash_line`` -- picklable, so it behaves the
-    same in a worker process as in the parent."""
+    """Raises on faults at ``crash_line`` -- in a forked worker exactly
+    as in the parent."""
 
     crash_line = None
 
@@ -43,22 +38,19 @@ class CrashOnLineSimulator(ProposedSimulator):
         return super().simulate_fault(fault, meter=meter)
 
 
-class KillerSimulator(ProposedSimulator):
-    """Hard-kills its own process on faults at ``kill_line`` -- the
-    worker dies without journaling that verdict, like an OOM kill."""
-
-    kill_line = None
-
-    def simulate_fault(self, fault, meter=None):
-        if self.kill_line is not None and fault.line == self.kill_line:
-            os._exit(17)
-        return super().simulate_fault(fault, meter=meter)
-
-
 def _serial(simulator, budget=None):
     return CampaignHarness(
         simulator, HarnessConfig(budget=budget, handle_sigint=False)
     ).run(s27_faults())
+
+
+def _workers(simulator, workers, **config):
+    return DistributedCampaignRunner(
+        simulator,
+        [f"worker{k}" for k in range(workers)],
+        LocalTransport(),
+        DispatchConfig(**config),
+    )
 
 
 def _timeless(verdicts):
@@ -82,34 +74,40 @@ def _timeless(verdicts):
 
 
 # ----------------------------------------------------------------------
-# Serial / parallel equivalence
+# Serial / worker equivalence
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_parallel_matches_serial(workers):
     reference = _serial(s27_simulator())
-    runner = ParallelCampaignRunner(
-        s27_simulator(), ParallelConfig(workers=workers)
-    )
+    runner = _workers(s27_simulator(), workers)
     campaign = runner.run(s27_faults())
     assert campaign.verdicts == reference.verdicts
     assert runner.stats.simulated == len(s27_faults())
     assert runner.stats.reused == 0
 
 
-@pytest.mark.parametrize("strategy", SHARD_STRATEGIES)
+#: The lease orders that replaced the two static shard strategies:
+#: fault-list order (chunks dealt out in turn) and hardest-first, the
+#: structural-cost order ``size_aware`` approximated.
+STRATEGIES = {
+    "round_robin": lambda circuit, faults: None,
+    "size_aware": lambda circuit, faults: tuple(
+        hardest_first(circuit, faults)
+    ),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
 def test_parallel_matches_serial_under_both_strategies(strategy):
-    reference = _serial(s27_simulator())
-    campaign = run_parallel_campaign(
-        s27_simulator(),
-        s27_faults(),
-        ParallelConfig(workers=3, shard_strategy=strategy),
-    )
-    assert campaign.verdicts == reference.verdicts
+    simulator = s27_simulator()
+    order = STRATEGIES[strategy](simulator.circuit, s27_faults())
+    campaign = _workers(simulator, 3, dispatch_order=order).run(s27_faults())
+    assert campaign.verdicts == _serial(s27_simulator()).verdicts
 
 
 def test_parallel_with_budget_and_crashing_fault_matches_serial():
     """A campaign containing quarantined (crashing) *and* budget-aborted
-    faults still merges to the exact serial verdict list."""
+    faults still yields the exact serial verdict list."""
     budget = FaultBudget(max_events=2)
     faults = s27_faults()
 
@@ -124,9 +122,7 @@ def test_parallel_with_budget_and_crashing_fault_matches_serial():
     assert reference.errored > 0
     assert reference.aborted_budget > 0
 
-    runner = ParallelCampaignRunner(
-        crashing_simulator(), ParallelConfig(workers=4, budget=budget)
-    )
+    runner = _workers(crashing_simulator(), 4, budget=budget)
     campaign = runner.run(faults)
     assert _timeless(campaign.verdicts) == _timeless(reference.verdicts)
     assert runner.stats.errored == reference.errored
@@ -134,14 +130,10 @@ def test_parallel_with_budget_and_crashing_fault_matches_serial():
 
 
 def test_campaign_workers_fixture_equivalence(campaign_workers):
-    """CI reruns this test with REPRO_TEST_WORKERS=2 to force the
-    sharded executor through the standard campaign."""
+    """CI reruns this test with REPRO_TEST_WORKERS=2 to push the
+    standard campaign through local workers."""
     reference = _serial(s27_simulator())
-    campaign = run_parallel_campaign(
-        s27_simulator(),
-        s27_faults(),
-        ParallelConfig(workers=campaign_workers),
-    )
+    campaign = _workers(s27_simulator(), campaign_workers).run(s27_faults())
     assert campaign.verdicts == reference.verdicts
 
 
@@ -149,14 +141,11 @@ def test_campaign_workers_fixture_equivalence(campaign_workers):
 # Checkpoint / resume across executors
 # ----------------------------------------------------------------------
 def test_parallel_journal_consumed_by_serial_harness(tmp_journal):
-    """The merged journal of a sharded run is a plain campaign journal:
-    the serial harness resumes from it and reuses every verdict."""
+    """A worker run's journal is a plain campaign journal: the serial
+    harness resumes from it and reuses every verdict."""
     faults = s27_faults()
-    parallel = run_parallel_campaign(
-        s27_simulator(),
-        faults,
-        ParallelConfig(workers=2, checkpoint_path=tmp_journal),
-    )
+    parallel = _workers(s27_simulator(), 2, checkpoint_path=tmp_journal)
+    campaign = parallel.run(faults)
     serial_harness = CampaignHarness(
         s27_simulator(),
         HarnessConfig(
@@ -166,23 +155,16 @@ def test_parallel_journal_consumed_by_serial_harness(tmp_journal):
     resumed = serial_harness.run(faults)
     assert serial_harness.stats.reused == len(faults)
     assert serial_harness.stats.simulated == 0
-    assert resumed.verdicts == parallel.verdicts
-    # No shard journals are left behind after a clean merge.
-    directory = os.path.dirname(tmp_journal)
-    assert not [
-        name for name in os.listdir(directory) if ".shard" in name
-    ]
+    assert resumed.verdicts == campaign.verdicts
 
 
 def test_parallel_resumes_serial_journal(journaled_campaign):
-    """The sharded executor reuses every verdict of a serial journal."""
-    runner = ParallelCampaignRunner(
+    """Local workers reuse every verdict of a serial journal."""
+    runner = _workers(
         journaled_campaign.fresh_simulator(),
-        ParallelConfig(
-            workers=4,
-            checkpoint_path=journaled_campaign.journal_path,
-            resume=True,
-        ),
+        4,
+        checkpoint_path=journaled_campaign.journal_path,
+        resume=True,
     )
     campaign = runner.run(journaled_campaign.faults)
     assert runner.stats.reused == len(journaled_campaign.faults)
@@ -190,196 +172,40 @@ def test_parallel_resumes_serial_journal(journaled_campaign):
     assert campaign.verdicts == journaled_campaign.campaign.verdicts
 
 
-def test_worker_kill_then_resume_completes(tmp_journal):
-    """A worker hard-killed mid-shard loses at most the unjournaled
-    verdicts: the parent merges what was journaled and raises
-    WorkerCrashed; a later --resume run (any worker count) completes
-    with verdicts identical to a serial run."""
+def test_worker_kill_then_resume_completes(tmp_path, monkeypatch):
+    """Two workers that are each killed once are blacklisted (one
+    failure allowed); the DistributedFailed names the journal, and a
+    --resume run on 4 healthy workers completes with verdicts identical
+    to a serial run."""
     faults = s27_faults()
-    patterns = s27_patterns()
-    circuit = s27_simulator().circuit
-
-    killer = KillerSimulator(circuit, patterns)
-    killer.kill_line = faults[20].line
-    runner = ParallelCampaignRunner(
-        killer,
-        ParallelConfig(
-            workers=2, checkpoint_path=tmp_journal, checkpoint_every=1
-        ),
+    journal = str(tmp_path / "run.jsonl")
+    monkeypatch.setenv(SCENARIO_ENV, ChaosScenario(
+        name="two-kills", seed=0,
+        faults=[
+            InjectionSpec(site="worker.fault", action="kill", index=index,
+                          once=True)
+            for index in (3, 20)
+        ],
+    ).with_markers(str(tmp_path)).to_json())
+    runner = _workers(
+        s27_simulator(), 2, checkpoint_path=journal, host_blacklist_after=1,
     )
-    with pytest.raises(WorkerCrashed) as excinfo:
+    with pytest.raises(DistributedFailed) as excinfo:
         runner.run(faults)
-    assert excinfo.value.shards
+    assert sorted(excinfo.value.blacklisted) == ["worker0", "worker1"]
     assert 0 < excinfo.value.completed < len(faults)
-    assert excinfo.value.journal_path == tmp_journal
+    assert excinfo.value.journal_path == journal
     assert "--resume" not in str(excinfo.value)  # hint belongs to the CLI
-    # Post-mortem metadata: which shard died, how far it had journaled,
-    # and which fault was in flight when it did.
-    assert excinfo.value.crashes
-    crash = excinfo.value.crashes[0]
-    assert crash.exitcode == 17
-    assert crash.suspect_index in range(len(faults))
-    assert f"shard {crash.shard} crashed" in str(excinfo.value)
-    assert "in-flight fault index" in str(excinfo.value)
-    # No shard journals or beacons survive the crash: everything
-    # readable was merged into the durable campaign journal.
-    directory = os.path.dirname(tmp_journal)
-    assert not [
-        name
-        for name in os.listdir(directory)
-        if ".shard" in name or ".progress" in name
-    ]
+    # Fault 20 killed the last worker: implicated, never cleared.
+    assert 20 in runner.book.uncleared()
 
-    healthy = KillerSimulator(circuit, patterns)  # kill_line stays None
-    resumed_runner = ParallelCampaignRunner(
-        healthy,
-        ParallelConfig(
-            workers=4, checkpoint_path=tmp_journal, resume=True
-        ),
+    monkeypatch.delenv(SCENARIO_ENV)
+    resumed_runner = _workers(
+        s27_simulator(), 4, checkpoint_path=journal, resume=True,
     )
     resumed = resumed_runner.run(faults)
     assert resumed_runner.stats.reused == excinfo.value.completed
-    assert resumed_runner.stats.simulated == len(faults) - excinfo.value.completed
-
-    reference = _serial(KillerSimulator(circuit, patterns))
-    assert resumed.verdicts == reference.verdicts
-
-
-def test_shard_journals_removed_even_when_merge_raises(
-    tmp_journal, monkeypatch
-):
-    """Regression: the ``.shard<k>`` temp files (and progress beacons)
-    are cleaned up even when the merge step itself raises."""
-    import repro.runner.parallel as parallel_module
-
-    def exploding_merge(*_args, **_kwargs):
-        raise RuntimeError("injected merge failure")
-
-    monkeypatch.setattr(
-        parallel_module, "merge_verdict_maps", exploding_merge
+    assert resumed_runner.stats.simulated == (
+        len(faults) - excinfo.value.completed
     )
-    runner = ParallelCampaignRunner(
-        s27_simulator(),
-        ParallelConfig(workers=2, checkpoint_path=tmp_journal),
-    )
-    with pytest.raises(RuntimeError, match="injected merge failure"):
-        runner.run(s27_faults())
-    directory = os.path.dirname(tmp_journal)
-    assert not [
-        name
-        for name in os.listdir(directory)
-        if ".shard" in name or ".progress" in name
-    ]
-
-
-def test_resume_tolerates_corrupt_shard_journal(tmp_journal):
-    """A corrupt leftover shard journal is skipped with a warning on
-    resume; its faults are simply re-simulated."""
-    faults = s27_faults()
-    first = run_parallel_campaign(
-        s27_simulator(),
-        faults,
-        ParallelConfig(workers=2, checkpoint_path=tmp_journal),
-    )
-    with open(tmp_journal + ".shard0", "w") as handle:
-        handle.write("not json at all\n")
-    runner = ParallelCampaignRunner(
-        s27_simulator(),
-        ParallelConfig(workers=2, checkpoint_path=tmp_journal, resume=True),
-    )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        campaign = runner.run(faults)
-    assert campaign.verdicts == first.verdicts
-    assert runner.stats.reused == len(faults)
-    assert any(
-        "unreadable shard journal" in str(w.message) for w in caught
-    )
-
-
-# ----------------------------------------------------------------------
-# Sharding
-# ----------------------------------------------------------------------
-def _indexed(faults):
-    return list(enumerate(faults))
-
-
-def test_shard_faults_partitions_every_index_exactly_once():
-    indexed = _indexed(s27_faults())
-    circuit = s27_simulator().circuit
-    for strategy in SHARD_STRATEGIES:
-        for workers in (1, 2, 3, 4, 7):
-            shards = shard_faults(indexed, workers, strategy, circuit)
-            seen = [index for shard in shards for index, _fault in shard]
-            assert sorted(seen) == list(range(len(indexed)))
-            assert all(shard for shard in shards)
-            # Within a shard, faults stay in global-index order.
-            for shard in shards:
-                indices = [index for index, _fault in shard]
-                assert indices == sorted(indices)
-
-
-def test_shard_faults_is_deterministic():
-    indexed = _indexed(s27_faults())
-    circuit = s27_simulator().circuit
-    for strategy in SHARD_STRATEGIES:
-        first = shard_faults(indexed, 4, strategy, circuit)
-        second = shard_faults(indexed, 4, strategy, circuit)
-        assert first == second
-
-
-def test_shard_faults_round_robin_layout():
-    indexed = _indexed([Fault(0, 0), Fault(0, 1), Fault(1, 0), Fault(1, 1)])
-    shards = shard_faults(indexed, 2, "round_robin")
-    assert [[i for i, _f in shard] for shard in shards] == [[0, 2], [1, 3]]
-
-
-def test_shard_faults_more_workers_than_faults():
-    indexed = _indexed([Fault(0, 0), Fault(1, 1)])
-    shards = shard_faults(indexed, 8, "round_robin")
-    assert len(shards) == 2
-
-
-def test_shard_faults_empty_and_invalid_inputs():
-    assert shard_faults([], 4) == []
-    with pytest.raises(ValueError, match="workers"):
-        shard_faults(_indexed([Fault(0, 0)]), 0)
-    with pytest.raises(ValueError, match="strategy"):
-        shard_faults(_indexed([Fault(0, 0)]), 2, "magic")
-    with pytest.raises(ValueError, match="strategy"):
-        ParallelCampaignRunner(
-            s27_simulator(), ParallelConfig(shard_strategy="magic")
-        )
-
-
-# ----------------------------------------------------------------------
-# Merge dedup
-# ----------------------------------------------------------------------
-def _verdict(tag):
-    return FaultVerdict(fault=Fault(0, 0), status="undetected", how=tag)
-
-
-def test_merge_verdict_maps_last_write_wins_with_warning():
-    stats = ParallelStats()
-    sources = [
-        ("journal A", {0: _verdict("a0"), 1: _verdict("a1")}),
-        ("journal B", {1: _verdict("b1"), 2: _verdict("b2")}),
-    ]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        merged = merge_verdict_maps(sources, stats=stats)
-    assert sorted(merged) == [0, 1, 2]
-    assert merged[1].how == "b1"  # journal B wins for the duplicate
-    assert stats.duplicate_indices == [1]
-    assert len(caught) == 1
-    message = str(caught[0].message)
-    assert "journal A" in message and "journal B" in message
-
-
-def test_merge_verdict_maps_disjoint_sources_are_silent():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        merged = merge_verdict_maps(
-            [("A", {0: _verdict("a")}), ("B", {1: _verdict("b")})]
-        )
-    assert sorted(merged) == [0, 1]
+    assert resumed.verdicts == _serial(s27_simulator()).verdicts

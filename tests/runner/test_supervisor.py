@@ -1,46 +1,36 @@
-"""Chaos tests for the self-healing campaign supervisor.
+"""Chaos tests for supervised worker campaigns.
 
-The ISSUE acceptance scenarios: a campaign whose worker is SIGKILLed
-mid-shard completes under supervision with verdicts identical to a
-serial run; a fault that deterministically kills its worker ends as an
-``errored``/``poison`` verdict instead of wedging the campaign; Ctrl-C
-during supervision merges journals and propagates; a worker hung inside
-one fault is recycled by the heartbeat watchdog.
+The acceptance scenarios, on two forked local workers with
+``checkpoint_every=1``: a campaign whose worker is SIGKILLed mid-chunk
+completes with verdicts identical to a serial run; a fault that kills
+its worker on every attempt ends as one ``errored``/``poison`` verdict;
+a worker hung inside one fault is killed after ``stall_timeout`` (and a
+fault that hangs every worker is poison too); when every worker is
+lost the campaign degrades to serial, or -- with degradation off --
+raises an error the journal resumes from; an interrupt propagates with
+the journal flushed.
 """
 
 import os
+import threading
 import time
 
 import pytest
 
-from repro.errors import (
-    CampaignInterrupted,
-    PoisonFault,
-    RetryExhausted,
-    WorkerCrashed,
-    WorkerStalled,
-)
+from repro.chaos.runtime import SCENARIO_ENV, chaos_fault
+from repro.chaos.scenario import ChaosScenario, InjectionSpec
+from repro.errors import CampaignInterrupted, DistributedFailed
 from repro.mot.simulator import ProposedSimulator
-from repro.runner.chaos import (
-    CHAOS_KILL_ENV,
-    CHAOS_MARKER_ENV,
-    maybe_chaos_kill,
-)
+from repro.runner.dispatch import POISON_HOW, DispatchConfig
 from repro.runner.harness import CampaignHarness, HarnessConfig
 from repro.runner.journal import SupervisionLog
-from repro.runner.parallel import ParallelCampaignRunner, ParallelConfig
 from repro.runner.retry import RetryPolicy
-from repro.runner.supervisor import (
-    POISON_HOW,
-    SupervisedCampaignRunner,
-    SupervisorConfig,
-    run_supervised_campaign,
-)
+from repro.runner.supervisor import SupervisedCampaignRunner
+from repro.runner.transport import LocalTransport, Transport
 
 from tests.helpers import s27_faults, s27_patterns, s27_simulator
 
-#: Retry policy for tests: immediate relaunches, no sleeping.
-FAST_RETRY = RetryPolicy(max_retries=3, backoff_base=0.0, jitter=0.0)
+WORKERS = ["worker0", "worker1"]
 
 
 class TransientKillerSimulator(ProposedSimulator):
@@ -97,18 +87,30 @@ def _serial_reference():
     ).run(s27_faults())
 
 
-def _no_leftovers(directory):
-    """Only the campaign journal and the .events sidecar may remain."""
-    leftovers = [
-        name
-        for name in os.listdir(str(directory))
-        if ".shard" in name or ".probe" in name or ".progress" in name
-    ]
-    assert leftovers == []
+def _supervised(simulator, **config):
+    allow_degraded = config.pop("allow_degraded", True)
+    return SupervisedCampaignRunner(
+        simulator, WORKERS, LocalTransport(), DispatchConfig(**config),
+        allow_degraded=allow_degraded,
+    )
+
+
+def _events(journal):
+    return [e["event"] for e in SupervisionLog(journal + ".events").load()]
+
+
+def _kill_every_launch(monkeypatch):
+    """Every worker dies before its handshake: no lease is ever granted,
+    so no fault is implicated."""
+    monkeypatch.setenv(SCENARIO_ENV, ChaosScenario(
+        name="no-workers", seed=0,
+        faults=[InjectionSpec(site="worker.ready", action="kill_before",
+                              times=None)],
+    ).to_json())
 
 
 # ----------------------------------------------------------------------
-# Transient worker death: retry heals the campaign completely
+# Transient worker death: the dispatcher heals the campaign completely
 # ----------------------------------------------------------------------
 def test_transient_kill_recovers_identical_to_serial(tmp_path):
     faults = s27_faults()
@@ -118,65 +120,38 @@ def test_transient_kill_recovers_identical_to_serial(tmp_path):
     simulator.kill_line = faults[20].line
     simulator.marker = str(tmp_path / "marker")
     journal = str(tmp_path / "run.jsonl")
-    runner = SupervisedCampaignRunner(
-        simulator,
-        ParallelConfig(workers=2, checkpoint_path=journal, checkpoint_every=1),
-        SupervisorConfig(retry=FAST_RETRY),
-    )
+    runner = _supervised(simulator, checkpoint_path=journal,
+                         checkpoint_every=1)
     campaign = runner.run(faults)
 
     assert campaign.verdicts == _serial_reference().verdicts
-    assert runner.stats.attempts == 2
-    assert runner.stats.retries == 1
-    assert runner.stats.probes == 1  # the suspect was probed and survived
-    assert runner.stats.poisoned == []
+    assert os.path.exists(simulator.marker)  # the kill really fired
+    dispatch = runner.stats.dispatch
+    assert dispatch.relaunches == 1
+    assert sum(dispatch.host_failures.values()) == 1
+    assert dispatch.poisoned == []
     assert not runner.stats.degraded
-    _no_leftovers(tmp_path)
-
-    events = [e["event"] for e in SupervisionLog(journal + ".events").load()]
-    assert events == [
-        "attempt_started",
-        "worker_failure",
-        "probe_started",
-        "probe_survived",
-        "retry_scheduled",
-        "attempt_started",
-        "campaign_completed",
-    ]
-    failure = SupervisionLog(journal + ".events").load()[1]
-    assert failure["crashes"][0]["exitcode"] == 137
-    assert failure["crashes"][0]["suspect_index"] is not None
+    assert _events(journal) == ["dispatch_started", "campaign_completed"]
 
 
 def test_supervised_clean_run_has_no_interventions(tmp_path):
     journal = str(tmp_path / "run.jsonl")
-    runner = SupervisedCampaignRunner(
-        s27_simulator(),
-        ParallelConfig(workers=2, checkpoint_path=journal),
-        SupervisorConfig(retry=FAST_RETRY),
-    )
+    runner = _supervised(s27_simulator(), checkpoint_path=journal)
     campaign = runner.run(s27_faults())
     assert campaign.verdicts == _serial_reference().verdicts
-    assert runner.stats.attempts == 1
-    assert runner.stats.retries == 0
-    assert runner.stats.probes == 0
-    events = [e["event"] for e in SupervisionLog(journal + ".events").load()]
-    assert events == ["attempt_started", "campaign_completed"]
+    assert runner.stats.dispatch.relaunches == 0
+    assert runner.stats.dispatch.host_failures == {}
+    assert _events(journal) == ["dispatch_started", "campaign_completed"]
 
 
 def test_supervised_run_without_checkpoint_uses_private_journal():
-    faults = s27_faults()
-    campaign = run_supervised_campaign(
-        s27_simulator(),
-        faults,
-        ParallelConfig(workers=2),
-        SupervisorConfig(retry=FAST_RETRY),
-    )
+    runner = _supervised(s27_simulator())
+    campaign = runner.run(s27_faults())
     assert campaign.verdicts == _serial_reference().verdicts
 
 
 # ----------------------------------------------------------------------
-# Poison faults: confirmed killers are isolated, not retried forever
+# Poison faults: a fault that kills its solo re-run too is isolated
 # ----------------------------------------------------------------------
 def test_deterministic_killer_becomes_poison_verdict(tmp_path):
     faults = s27_faults()
@@ -185,11 +160,8 @@ def test_deterministic_killer_becomes_poison_verdict(tmp_path):
     )
     simulator.kill_line = faults[20].line
     journal = str(tmp_path / "run.jsonl")
-    runner = SupervisedCampaignRunner(
-        simulator,
-        ParallelConfig(workers=2, checkpoint_path=journal, checkpoint_every=1),
-        SupervisorConfig(retry=FAST_RETRY),
-    )
+    runner = _supervised(simulator, checkpoint_path=journal,
+                         checkpoint_every=1)
     campaign = runner.run(faults)
 
     assert len(campaign.verdicts) == len(faults)
@@ -197,18 +169,43 @@ def test_deterministic_killer_becomes_poison_verdict(tmp_path):
     assert len(poison) == 1
     assert poison[0].status == "errored"
     assert "kills its worker" in poison[0].detail
-    assert runner.stats.poisoned == [20]
+    assert runner.stats.dispatch.poisoned == [20]
     assert campaign.verdicts[20].how == POISON_HOW
+    # Two workers died, but the solo death is the fault's, not the
+    # host's: nobody is blacklisted and nothing degrades.
+    assert sum(runner.stats.dispatch.host_failures.values()) == 1
+    assert runner.stats.dispatch.blacklisted == []
+    assert not runner.stats.degraded
 
     # Every non-poison verdict is byte-identical to the serial run.
     reference = _serial_reference()
     for index, verdict in enumerate(campaign.verdicts):
         if index != 20:
             assert verdict == reference.verdicts[index]
-    _no_leftovers(tmp_path)
 
-    events = [e["event"] for e in SupervisionLog(journal + ".events").load()]
-    assert "poison_confirmed" in events
+    events = SupervisionLog(journal + ".events").load()
+    assert {"event": "poison_confirmed", "index": 20} in [
+        {k: e[k] for k in ("event", "index") if k in e} for e in events
+    ]
+
+
+def test_deterministic_killer_on_named_hosts_blacklists_nobody(tmp_path):
+    """The same rule holds for ``--hosts`` runs, which the old
+    supervisor could only settle by blacklisting both hosts."""
+    faults = s27_faults()
+    simulator = DeterministicKillerSimulator(
+        s27_simulator().circuit, s27_patterns()
+    )
+    simulator.kill_line = faults[20].line
+    runner = SupervisedCampaignRunner(
+        simulator, ["alpha", "beta"],
+        config=DispatchConfig(checkpoint_path=str(tmp_path / "run.jsonl")),
+    )
+    campaign = runner.run(faults)
+    assert runner.stats.dispatch.poisoned == [20]
+    assert campaign.verdicts[20].how == POISON_HOW
+    assert runner.stats.dispatch.blacklisted == []
+    assert not runner.stats.degraded
 
 
 def test_poison_summary_and_report(tmp_path):
@@ -222,14 +219,9 @@ def test_poison_summary_and_report(tmp_path):
     circuit = s27_simulator().circuit
     simulator = DeterministicKillerSimulator(circuit, s27_patterns())
     simulator.kill_line = faults[20].line
-    runner = SupervisedCampaignRunner(
-        simulator,
-        ParallelConfig(
-            workers=2,
-            checkpoint_path=str(tmp_path / "run.jsonl"),
-            checkpoint_every=1,
-        ),
-        SupervisorConfig(retry=FAST_RETRY),
+    runner = _supervised(
+        simulator, checkpoint_path=str(tmp_path / "run.jsonl"),
+        checkpoint_every=1,
     )
     campaign = runner.run(faults)
 
@@ -243,159 +235,197 @@ def test_poison_summary_and_report(tmp_path):
     assert "index 20" in supervision
 
 
-def test_poison_aborts_when_isolation_disabled(tmp_path):
-    faults = s27_faults()
-    simulator = DeterministicKillerSimulator(
-        s27_simulator().circuit, s27_patterns()
-    )
-    simulator.kill_line = faults[20].line
-    runner = SupervisedCampaignRunner(
-        simulator,
-        ParallelConfig(
-            workers=2,
-            checkpoint_path=str(tmp_path / "run.jsonl"),
-            checkpoint_every=1,
-        ),
-        SupervisorConfig(retry=FAST_RETRY, isolate_poison=False),
-    )
-    with pytest.raises(PoisonFault) as excinfo:
-        runner.run(faults)
-    assert excinfo.value.index == 20
-
-
 # ----------------------------------------------------------------------
-# Retry exhaustion: degradation or a precise RetryExhausted
+# Every worker lost: degradation, or a resumable DistributedFailed
 # ----------------------------------------------------------------------
-def test_retries_exhausted_degrades_to_serial(tmp_path):
-    faults = s27_faults()
-    simulator = TransientKillerSimulator(
-        s27_simulator().circuit, s27_patterns()
-    )
-    simulator.kill_line = faults[20].line
-    simulator.marker = str(tmp_path / "marker")
+def test_retries_exhausted_degrades_to_serial(tmp_path, monkeypatch):
+    _kill_every_launch(monkeypatch)
     journal = str(tmp_path / "run.jsonl")
-    runner = SupervisedCampaignRunner(
-        simulator,
-        ParallelConfig(workers=2, checkpoint_path=journal, checkpoint_every=1),
-        SupervisorConfig(retry=RetryPolicy(max_retries=0)),
-    )
-    campaign = runner.run(faults)
+    runner = _supervised(s27_simulator(), checkpoint_path=journal)
+    campaign = runner.run(s27_faults())
     assert runner.stats.degraded
+    assert sorted(runner.stats.dispatch.blacklisted) == WORKERS
+    assert runner.stats.quarantined == []
     assert campaign.verdicts == _serial_reference().verdicts
-    events = [e["event"] for e in SupervisionLog(journal + ".events").load()]
-    assert "degraded_to_serial" in events
+    assert "degraded_to_serial" in _events(journal)
 
 
-def test_retries_exhausted_raises_when_degradation_disabled(tmp_path):
+def test_retries_exhausted_raises_when_degradation_disabled(
+    tmp_path, monkeypatch
+):
+    _kill_every_launch(monkeypatch)
     faults = s27_faults()
-    simulator = TransientKillerSimulator(
-        s27_simulator().circuit, s27_patterns()
-    )
-    simulator.kill_line = faults[20].line
-    simulator.marker = str(tmp_path / "marker")
     journal = str(tmp_path / "run.jsonl")
-    runner = SupervisedCampaignRunner(
-        simulator,
-        ParallelConfig(workers=2, checkpoint_path=journal, checkpoint_every=1),
-        SupervisorConfig(
-            retry=RetryPolicy(max_retries=0), allow_degraded=False
-        ),
+    runner = _supervised(
+        s27_simulator(), checkpoint_path=journal, allow_degraded=False
     )
-    with pytest.raises(RetryExhausted) as excinfo:
+    with pytest.raises(DistributedFailed) as excinfo:
         runner.run(faults)
     error = excinfo.value
-    assert error.attempts == 1
     assert error.journal_path == journal
-    assert error.remaining > 0
     assert error.completed + error.remaining == len(faults)
-    assert isinstance(error.last_error, WorkerCrashed)
+    assert sorted(error.blacklisted) == WORKERS
+    assert "dispatch_failed" in _events(journal)
 
-    # The journal holds everything completed so far: a later resume
-    # (here: the plain parallel runner) finishes without supervision.
-    resumed = ParallelCampaignRunner(
-        TransientKillerSimulator(s27_simulator().circuit, s27_patterns()),
-        ParallelConfig(workers=2, checkpoint_path=journal, resume=True),
+    # The journal is resumable: healthy workers finish the campaign.
+    monkeypatch.delenv(SCENARIO_ENV)
+    resumed = _supervised(
+        s27_simulator(), checkpoint_path=journal, resume=True
     ).run(faults)
     assert resumed.verdicts == _serial_reference().verdicts
 
 
-# ----------------------------------------------------------------------
-# Interruption: Ctrl-C is never retried
-# ----------------------------------------------------------------------
-def test_interrupt_during_backoff_propagates(tmp_path):
-    faults = s27_faults()
-    simulator = TransientKillerSimulator(
-        s27_simulator().circuit, s27_patterns()
+def test_uncleared_suspect_is_never_simulated_serially(
+    tmp_path, monkeypatch
+):
+    """Faults 3 and 20 kill every worker that runs them, and one worker
+    failure is allowed per worker: fault 20 kills the last worker before
+    any solo re-run, so the serial fallback quarantines it instead of
+    running it in-process."""
+    from repro.runner.supervisor import SUSPECT_HOW
+
+    reference = _serial_reference()  # before the scenario is armed
+    monkeypatch.setenv(SCENARIO_ENV, ChaosScenario(
+        name="two-kills", seed=0,
+        faults=[
+            InjectionSpec(site="worker.fault", action="kill", index=index)
+            for index in (3, 20)
+        ],
+    ).to_json())
+    runner = _supervised(
+        s27_simulator(), checkpoint_path=str(tmp_path / "run.jsonl"),
+        host_blacklist_after=1,
     )
-    simulator.kill_line = faults[20].line
-    simulator.marker = str(tmp_path / "marker")
+    # Serial fallback would hit the kill at index 3 or 20 in *this*
+    # process if it ever simulated a suspect.
+    campaign = runner.run(s27_faults())
+    assert runner.stats.degraded
+    assert 20 in runner.stats.quarantined
+    # Fault 3 is either poison already (worker 1 died on its solo run
+    # before reaching 20) or still uncleared, so quarantined too.
+    assert 3 in runner.stats.quarantined + runner.stats.dispatch.poisoned
+    for index, verdict in enumerate(campaign.verdicts):
+        if index in runner.stats.quarantined:
+            assert (verdict.status, verdict.how) == ("errored", SUSPECT_HOW)
+        elif index in runner.stats.dispatch.poisoned:
+            assert (verdict.status, verdict.how) == ("errored", POISON_HOW)
+        else:
+            assert verdict == reference.verdicts[index]
+
+
+# ----------------------------------------------------------------------
+# Interruption: never retried, journal flushed
+# ----------------------------------------------------------------------
+class _CancelOnRetryTransport(Transport):
+    """Workers that never answer the handshake; the dispatcher's retry
+    closes the first one -- and that is when the cancel arrives."""
+
+    kind = "silent"
+    handshake_timeout = 0.05
+
+    def __init__(self, cancel):
+        self.cancel = cancel
+
+    def launch(self, host, simulator):
+        cancel = self.cancel
+
+        class Handle:
+            process = None
+
+            def send(self, message):
+                pass
+
+            def recv(self, timeout=0.0):
+                return None
+
+            def close(self, timeout=5.0):
+                cancel.set()
+                return 0
+
+        return Handle()
+
+
+def test_interrupt_during_backoff_propagates(tmp_path):
+    cancel = threading.Event()
     journal = str(tmp_path / "run.jsonl")
-
-    def interrupting_sleep(_delay):
-        raise KeyboardInterrupt
-
     runner = SupervisedCampaignRunner(
-        simulator,
-        ParallelConfig(workers=2, checkpoint_path=journal, checkpoint_every=1),
-        SupervisorConfig(
-            retry=RetryPolicy(max_retries=3, backoff_base=0.01, jitter=0.0)
-        ),
-        sleep=interrupting_sleep,
+        s27_simulator(), ["alpha"], _CancelOnRetryTransport(cancel),
+        DispatchConfig(checkpoint_path=journal, cancel_event=cancel),
     )
     with pytest.raises(CampaignInterrupted) as excinfo:
-        runner.run(faults)
+        runner.run(s27_faults())
     assert excinfo.value.journal_path == journal
-    assert excinfo.value.completed > 0
-    events = [e["event"] for e in SupervisionLog(journal + ".events").load()]
-    assert events[-1] == "interrupted"
+    assert excinfo.value.completed == 0
+    assert _events(journal)[-1] == "interrupted"
+    assert runner.stats.dispatch.relaunches == 1  # the pending retry
 
 
 # ----------------------------------------------------------------------
-# Stall detection: hangs inside one fault are recycled
+# Stall detection: a worker hung inside one fault is killed
 # ----------------------------------------------------------------------
-def test_hung_worker_raises_worker_stalled(tmp_path):
-    faults = s27_faults()
-    simulator = HangSimulator(s27_simulator().circuit, s27_patterns())
-    simulator.hang_line = faults[20].line
-    runner = ParallelCampaignRunner(
-        simulator,
-        ParallelConfig(
-            workers=2,
-            checkpoint_path=str(tmp_path / "run.jsonl"),
-            checkpoint_every=1,
-            heartbeat_interval=0.05,
-            stall_timeout=0.75,
-        ),
-    )
-    with pytest.raises(WorkerStalled) as excinfo:
-        runner.run(faults)
-    assert any(info.stalled for info in excinfo.value.crashes)
-    assert any(
-        info.suspect_index is not None for info in excinfo.value.crashes
-    )
-    assert "stalled (no heartbeat)" in str(excinfo.value)
-    assert runner.stats.stalled_shards
-
-
 def test_supervised_recovers_from_transient_stall(tmp_path):
     faults = s27_faults()
     simulator = HangSimulator(s27_simulator().circuit, s27_patterns())
     simulator.hang_line = faults[20].line
     simulator.marker = str(tmp_path / "marker")
-    runner = SupervisedCampaignRunner(
+    runner = _supervised(
         simulator,
-        ParallelConfig(
-            workers=2,
-            checkpoint_path=str(tmp_path / "run.jsonl"),
-            checkpoint_every=1,
-            heartbeat_interval=0.05,
-            stall_timeout=0.75,
-        ),
-        SupervisorConfig(retry=FAST_RETRY, probe_timeout=10.0),
+        checkpoint_path=str(tmp_path / "run.jsonl"),
+        checkpoint_every=1,
+        stall_timeout=0.75,
+        min_latency_samples=10**6,  # no stealing: the stall must heal it
     )
     campaign = runner.run(faults)
     assert campaign.verdicts == _serial_reference().verdicts
-    assert runner.stats.stalls >= 1
+    assert runner.stats.dispatch.stalls == 1
+    assert runner.stats.dispatch.poisoned == []
+
+
+def test_permanent_hang_becomes_poison_verdict(tmp_path):
+    faults = s27_faults()
+    simulator = HangSimulator(s27_simulator().circuit, s27_patterns())
+    simulator.hang_line = faults[20].line
+    runner = _supervised(
+        simulator,
+        checkpoint_path=str(tmp_path / "run.jsonl"),
+        checkpoint_every=1,
+        stall_timeout=0.75,
+    )
+    campaign = runner.run(faults)
+    assert runner.stats.dispatch.poisoned == [20]
+    assert campaign.verdicts[20].how == POISON_HOW
+    assert "silent for over 0.75 s" in campaign.verdicts[20].detail
+    reference = _serial_reference()
+    for index, verdict in enumerate(campaign.verdicts):
+        if index != 20:
+            assert verdict == reference.verdicts[index]
+
+
+def test_hang_outliving_its_lease_still_becomes_poison(tmp_path):
+    """``stall_timeout`` longer than ``lease_timeout``: the hung
+    worker's lease expires first and its host is quarantined, yet the
+    worker is still killed once it has been silent that long, and its
+    fault is still the one implicated."""
+    faults = s27_faults()
+    simulator = HangSimulator(s27_simulator().circuit, s27_patterns())
+    simulator.hang_line = faults[20].line
+    runner = _supervised(
+        simulator,
+        checkpoint_path=str(tmp_path / "run.jsonl"),
+        checkpoint_every=1,
+        lease_timeout=0.5,
+        stall_timeout=1.0,
+    )
+    campaign = runner.run(faults)
+    assert runner.stats.dispatch.leases_expired >= 1
+    assert runner.stats.dispatch.stalls >= 2
+    assert runner.stats.dispatch.poisoned == [20]
+    assert campaign.verdicts[20].how == POISON_HOW
+    assert not runner.stats.degraded
+    reference = _serial_reference()
+    for index, verdict in enumerate(campaign.verdicts):
+        if index != 20:
+            assert verdict == reference.verdicts[index]
 
 
 # ----------------------------------------------------------------------
@@ -453,23 +483,30 @@ def test_retry_policy_deadline():
 
 
 # ----------------------------------------------------------------------
-# The chaos hook (the kill path itself is covered by the CLI tests)
+# The per-fault chaos hook (the kill path itself is covered above and by
+# the CLI tests)
 # ----------------------------------------------------------------------
+def _kill_at(index, marker=None):
+    return ChaosScenario(name="kill", seed=0, faults=[
+        InjectionSpec(site="worker.fault", action="kill", index=index,
+                      once=marker is not None, marker=marker),
+    ]).to_json()
+
+
 def test_chaos_hook_inert_without_env(monkeypatch):
-    monkeypatch.delenv(CHAOS_KILL_ENV, raising=False)
-    maybe_chaos_kill(0)  # must not exit
+    monkeypatch.delenv(SCENARIO_ENV, raising=False)
+    assert chaos_fault(0) is None  # must not exit
 
 
 def test_chaos_hook_ignores_malformed_and_mismatched(monkeypatch):
-    monkeypatch.setenv(CHAOS_KILL_ENV, "banana")
-    maybe_chaos_kill(0)
-    monkeypatch.setenv(CHAOS_KILL_ENV, "5")
-    maybe_chaos_kill(4)  # armed for a different fault
+    monkeypatch.setenv(SCENARIO_ENV, "{banana")
+    assert chaos_fault(0) is None
+    monkeypatch.setenv(SCENARIO_ENV, _kill_at(5))
+    assert chaos_fault(4) is None  # armed for a different fault
 
 
 def test_chaos_hook_respects_existing_marker(tmp_path, monkeypatch):
     marker = tmp_path / "marker"
     marker.write_text("5")
-    monkeypatch.setenv(CHAOS_KILL_ENV, "5")
-    monkeypatch.setenv(CHAOS_MARKER_ENV, str(marker))
-    maybe_chaos_kill(5)  # already fired once: must not exit
+    monkeypatch.setenv(SCENARIO_ENV, _kill_at(5, str(marker)))
+    assert chaos_fault(5) is None  # already fired once: must not exit

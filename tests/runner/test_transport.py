@@ -6,7 +6,7 @@ The transport layer's correctness argument has two halves: a
 ``worker_main`` must speak protocol v1 faithfully -- including refusing
 malformed traffic with an ``error`` message rather than garbage.
 Everything here runs the real worker loop over in-memory pipes; no
-subprocesses are involved (those are covered by the dispatch tests).
+worker processes are involved (those are covered by the dispatch tests).
 """
 
 import io
@@ -21,7 +21,7 @@ from repro.runner.journal import fault_to_payload, verdict_to_record
 from repro.runner.transport import (
     PROTOCOL_VERSION,
     CommandTransport,
-    SubprocessTransport,
+    LocalTransport,
     WorkloadSpec,
     make_transport,
     worker_main,
@@ -94,7 +94,9 @@ def test_workload_drops_unknown_config_fields():
 # Transport construction
 # ----------------------------------------------------------------------
 def test_make_transport_local():
-    assert isinstance(make_transport("local"), SubprocessTransport)
+    transport = make_transport("local")
+    assert isinstance(transport, LocalTransport)
+    assert not transport.ships_workload  # forked workers inherit it
 
 
 def test_make_transport_command_requires_template():

@@ -127,6 +127,16 @@ def test_bad_spec_rejected_400(client):
         client.submit({})
 
 
+def test_mistyped_spec_rejected_400_and_server_keeps_serving(client):
+    # A string worker count used to raise TypeError inside the handler,
+    # and the connection dropped without a response.
+    with pytest.raises(ServiceError, match="workers must be an integer"):
+        client.submit({"circuit": "s27", "workers": "2"})
+    with pytest.raises(ServiceError, match="hosts must be non-empty"):
+        client.submit({"circuit": "s27", "hosts": 5})
+    assert client.health()["ok"] is True
+
+
 def test_unknown_job_404(client):
     with pytest.raises(ServiceError, match="unknown job"):
         client.job("j999999")

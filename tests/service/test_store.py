@@ -30,15 +30,14 @@ def test_per_job_paths_all_inside_job_dir(store):
 
 def test_same_circuit_two_jobs_never_collide(store):
     """The artifact-collision regression: every derived sidecar name
-    (journal, ``.events``, ``.corrupt``, shard journals, progress
-    beacon) is scoped by the job directory, so two concurrent jobs on
-    the same circuit share no path."""
+    (journal, ``.events``, ``.corrupt``, progress beacon) is scoped by
+    the job directory, so two concurrent jobs on the same circuit share
+    no path."""
     a, b = store.paths("j000001"), store.paths("j000002")
     pairs = [
         (a.journal, b.journal),
         (a.journal + ".corrupt", b.journal + ".corrupt"),
         (a.supervision_log, b.supervision_log),
-        (a.journal + ".shard0", b.journal + ".shard0"),
         (a.progress, b.progress),
         (a.metrics, b.metrics),
         (a.results_csv, b.results_csv),
@@ -94,15 +93,3 @@ def test_atomic_write_leaves_no_temp_files(store):
     for _ in range(3):
         store.write_text(paths.results_csv, "x\n")
     assert os.listdir(paths.root) == ["results.csv"]
-
-
-def test_shard_progress_paths(store):
-    paths = store.create_job_dir("j000001")
-    open(paths.journal + ".shard0.progress", "w").close()
-    open(paths.journal + ".shard1.progress", "w").close()
-    open(paths.journal + ".shard0", "w").close()  # journal, not beacon
-    beacons = paths.shard_progress_paths()
-    assert [os.path.basename(p) for p in beacons] == [
-        "journal.jsonl.shard0.progress",
-        "journal.jsonl.shard1.progress",
-    ]
