@@ -115,25 +115,8 @@ def test_collapse_s35932_like(benchmark):
     benchmark(collapse_faults, circuit)
 
 
-def test_parallel_fault_sim_s208_like(benchmark):
-    """Bit-parallel conventional simulation, object-graph engine."""
-    from repro.fsim.parallel import run_parallel_conventional
-
-    circuit = build_circuit("s208_like")
-    faults = collapse_faults(circuit)
-    patterns = random_patterns(circuit.num_inputs, 24, seed=1)
-    campaign = benchmark.pedantic(
-        lambda: run_parallel_conventional(
-            circuit, faults, patterns, engine="interp"
-        ),
-        rounds=3,
-        iterations=1,
-    )
-    assert campaign.total == len(faults)
-
-
 def test_parallel_fault_sim_ir_s208_like(benchmark):
-    """The same campaign with batches compiled to IR plane masks."""
+    """Conventional campaign with batches compiled to IR plane masks."""
     from repro.fsim.parallel import run_parallel_conventional
     from repro.sim.ir import compile_circuit
 
@@ -142,9 +125,7 @@ def test_parallel_fault_sim_ir_s208_like(benchmark):
     faults = collapse_faults(circuit)
     patterns = random_patterns(circuit.num_inputs, 24, seed=1)
     campaign = benchmark.pedantic(
-        lambda: run_parallel_conventional(
-            circuit, faults, patterns, engine="ir"
-        ),
+        lambda: run_parallel_conventional(circuit, faults, patterns),
         rounds=3,
         iterations=1,
     )
@@ -152,7 +133,7 @@ def test_parallel_fault_sim_ir_s208_like(benchmark):
 
 
 def test_serial_fault_sim_s208_like(benchmark):
-    """Serial reference point for the parallel speedup."""
+    """Serial reference point for the kernel-batch speedup."""
     from repro.fsim.conventional import run_conventional
 
     circuit = build_circuit("s208_like")
@@ -164,20 +145,6 @@ def test_serial_fault_sim_s208_like(benchmark):
         iterations=1,
     )
     assert campaign.total == len(faults)
-
-
-def test_deductive_fault_sim_s208_like(benchmark):
-    """Deductive simulation: all faults in one pass per initial state."""
-    from repro.fsim.deductive import DeductiveFaultSimulator
-
-    circuit = build_circuit("s208_like")
-    patterns = random_patterns(circuit.num_inputs, 24, seed=1)
-    simulator = DeductiveFaultSimulator(circuit)
-    state = [0] * circuit.num_flops
-    detected = benchmark.pedantic(
-        lambda: simulator.run(patterns, state), rounds=3, iterations=1
-    )
-    assert detected
 
 
 def _mot_workload():

@@ -9,9 +9,9 @@ enforces the two halves of its acceptance criterion in order:
    random Moore machines plus the s27 library circuit, driven through
    frame evaluation (interpreter vs width-1 kernel vs packed PPSFP
    slots), sequential simulation (with X initial states and per-frame
-   capture) and conventional fault simulation (serial vs object-graph
-   parallel vs IR plane-mask parallel).  Any mismatch fails before a
-   single timer starts: a fast wrong kernel is worthless.
+   capture) and conventional fault simulation (serial vs the kernel's
+   plane-mask fault batches).  Any mismatch fails before a single timer
+   starts: a fast wrong kernel is worthless.
 
 2. **Throughput**: packed PPSFP frame evaluation on ``s5378_like``
    (the largest stand-in, the circuit named by the acceptance
@@ -85,18 +85,15 @@ def check_identity_on(circuit, patterns, faults) -> None:
             fail(f"PPSFP slot {slot} mismatch on {circuit.name}")
         if eval_frame_values(circuit, pattern, state) != expected:
             fail(f"width-1 kernel mismatch on {circuit.name}")
-    # Fault verdicts: serial vs both parallel engines.
+    # Fault verdicts: serial vs the kernel fault batches.
     serial = run_conventional(circuit, faults, patterns)
-    for engine in ("interp", "ir"):
-        campaign = run_parallel_conventional(
-            circuit, faults, patterns, engine=engine
-        )
-        for expected_v, got in zip(serial.verdicts, campaign.verdicts):
-            if expected_v.detected != got.detected:
-                fail(
-                    f"{engine} parallel verdict mismatch on "
-                    f"{circuit.name}: {expected_v.fault.describe(circuit)}"
-                )
+    campaign = run_parallel_conventional(circuit, faults, patterns)
+    for expected_v, got in zip(serial.verdicts, campaign.verdicts):
+        if expected_v.detected != got.detected:
+            fail(
+                f"kernel verdict mismatch on {circuit.name}: "
+                f"{expected_v.fault.describe(circuit)}"
+            )
 
 
 def check_identity() -> None:
@@ -113,7 +110,9 @@ def check_identity() -> None:
         )
         check_identity_on(circuit, patterns, all_faults(circuit))
     workload = len(RANDOM_SEEDS) + 1
-    print(f"identity: OK ({workload} circuits, 3 engines each)")
+    print(
+        f"identity: OK ({workload} circuits, interpreter/serial vs kernel)"
+    )
 
 
 # ----------------------------------------------------------------------

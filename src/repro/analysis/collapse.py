@@ -28,14 +28,16 @@ three-valued logic alike -- so equivalence classes may legally share a
 campaign verdict (this is what lets :mod:`repro.runner.campaign`
 simulate one representative per class and expand).
 
-Dominance (``A`` dominates ``B`` when every test detecting ``B``
-detects ``A``) is **not** verdict-preserving: a dominated fault may be
-detected by tests that miss its dominator and the two faults carry
-different verdicts.  The dominance graph computed here is therefore
-*advisory* -- rendered by ``repro analyze`` as an upper bound on
-test-generation targets -- and is never used to expand verdicts.  For
-sequential circuits it is doubly advisory (the classic relations only
-hold for combinational propagation; see :mod:`repro.faults.dominance`).
+Dominance (``A`` dominates ``B`` when every test detecting ``A``
+detects ``B``, so ``B`` can be dropped from a test-generation target
+list) is **not** verdict-preserving: a dominated fault may be detected
+by tests that miss its dominator and the two faults carry different
+verdicts.  The dominance graph computed here is therefore *advisory* --
+rendered by ``repro analyze`` as an upper bound on test-generation
+targets -- and is never used to expand verdicts.  For sequential
+circuits it is doubly advisory: the gate-local relations only hold for
+combinational propagation, and two fault effects may race through
+different state paths.
 
 The representative choice and class order reproduce the legacy
 :func:`repro.faults.collapse.collapse_faults` list exactly (stems are
@@ -111,8 +113,7 @@ _EQUIV_RULES: Dict[int, Tuple[int, int]] = {
     OP_NOR: (ONE, ZERO),
 }
 
-#: opcode -> (dominated output stuck value, dominating input value);
-#: mirrors :data:`repro.faults.dominance._RULES`.
+#: opcode -> (dominated output stuck value, dominating input value).
 _DOMINANCE_RULES: Dict[int, Tuple[int, int]] = {
     OP_AND: (ONE, ONE),
     OP_NAND: (ZERO, ONE),
@@ -205,8 +206,8 @@ class FaultClass:
 class DominanceEdge:
     """Class *dominator* dominates class *dominated* (both indices).
 
-    Every test detecting the dominated class's faults also detects the
-    dominator's, so the dominated class could be dropped from a
+    Every test detecting the dominator class's faults also detects the
+    dominated class's, so the dominated class could be dropped from a
     test-generation target list.  Advisory only: verdicts are **not**
     shared along dominance edges.
     """

@@ -258,14 +258,13 @@ def cmd_fsim(args: argparse.Namespace) -> int:
             seed=args.seed,
             uncollapsed=args.uncollapsed,
             kind="fsim",
-            engine=args.engine,
         )
     )
     campaign, circuit = result.campaign, result.circuit
     print(
         f"{circuit.name}: {campaign.detected} of {campaign.total} faults "
         f"detected conventionally ({args.length} random patterns, seed "
-        f"{args.seed}, {args.engine} engine)"
+        f"{args.seed})"
     )
     if args.list_undetected:
         for fault in campaign.undetected_faults():
@@ -289,7 +288,6 @@ def _mot_spec(args: argparse.Namespace) -> CampaignSpec:
         uncollapsed=args.uncollapsed,
         collapse=args.collapse,
         kind=kind,
-        engine=args.engine,
         n_states=args.n_states,
         n_references=args.n_references,
         implication_mode=args.implication_mode,
@@ -740,7 +738,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
         return EXIT_FAILURE
     spec: Dict[str, Any] = {
         "kind": args.kind,
-        "engine": args.engine,
         "length": args.length,
         "seed": args.seed,
         "n_states": args.n_states,
@@ -880,12 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_circuit_args(p_fsim)
     _add_workload_args(p_fsim)
     p_fsim.add_argument(
-        "--engine", choices=("serial", "parallel", "ir"), default="serial",
-        help="fault-simulation engine: serial (one fault at a time), "
-             "parallel (bit-parallel over the object graph), or ir "
-             "(bit-parallel over the compiled levelized IR; fastest)",
-    )
-    p_fsim.add_argument(
         "--list-undetected", action="store_true",
         help="print the undetected faults",
     )
@@ -894,12 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mot = sub.add_parser("mot", help="MOT fault simulation")
     _add_circuit_args(p_mot)
     _add_workload_args(p_mot)
-    p_mot.add_argument(
-        "--engine", choices=("ir", "interp"), default="ir",
-        help="good-machine simulation engine: ir (compiled two-plane "
-             "kernel, default) or interp (per-gate interpreter); "
-             "verdicts are bit-identical either way",
-    )
     p_mot.add_argument(
         "--collapse", choices=("structural", "classes", "none"),
         default="structural",
@@ -1268,10 +1253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument(
         "--kind", choices=("mot", "baseline", "unrestricted", "fsim"),
         default="mot", help="simulator kind (default %(default)s)",
-    )
-    p_submit.add_argument(
-        "--engine", default="ir", help="simulation engine "
-        "(default %(default)s)",
     )
     p_submit.add_argument("--length", type=int, default=48)
     p_submit.add_argument("--seed", type=int, default=0)

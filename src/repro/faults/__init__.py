@@ -1,37 +1,16 @@
 """Single stuck-at fault model: sites, collapsing, and injection."""
 
-from typing import TYPE_CHECKING
-
 from repro.faults.model import Fault
 from repro.faults.sites import all_faults
 from repro.faults.collapse import collapse_faults
 from repro.faults.injection import CONST_LINE_NAME, InjectedFault, inject_fault
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.circuit.netlist import Circuit
-    from repro.analysis.collapse import CollapsePartition
-
 __all__ = [
     "Fault",
     "all_faults",
     "collapse_faults",
-    "fault_classes",
     "InjectedFault",
     "inject_fault",
     "CONST_LINE_NAME",
 ]
 
-
-def fault_classes(circuit: "Circuit") -> "CollapsePartition":
-    """Class-aware fault enumeration: the full equivalence partition.
-
-    Thin forwarding wrapper around
-    :func:`repro.analysis.collapse.fault_classes` (imported lazily --
-    the analysis package imports this one's submodules).  The partition
-    exposes ``universe``, ``classes`` (each with its deterministic
-    representative), ``class_of``, fanout-free regions, and the
-    advisory dominance graph.
-    """
-    from repro.analysis.collapse import fault_classes as _fault_classes
-
-    return _fault_classes(circuit)

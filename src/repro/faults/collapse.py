@@ -30,17 +30,8 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.circuit.netlist import Circuit, Pin
+from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
-
-
-def _input_fault(circuit: Circuit, gate_index: int, pos: int, value: int) -> Fault:
-    """The fault on gate input *pos*: a branch fault on fanout stems,
-    otherwise the stem fault of the feeding line."""
-    line = circuit.gates[gate_index].inputs[pos]
-    if len(circuit.fanout_pins[line]) >= 2:
-        return Fault(line, value, Pin("gate", gate_index, pos))
-    return Fault(line, value, None)
 
 
 def collapse_faults(circuit: Circuit) -> List[Fault]:

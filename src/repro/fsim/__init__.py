@@ -6,20 +6,13 @@ from repro.fsim.conventional import (
     run_conventional,
     simulate_fault,
 )
-from repro.fsim.deductive import DeductiveFaultSimulator
-from repro.fsim.parallel import (
-    DEFAULT_BATCH,
-    ParallelFaultSimulator,
-    run_parallel_conventional,
-)
+from repro.fsim.parallel import DEFAULT_BATCH, run_parallel_conventional
 
 __all__ = [
     "ConventionalCampaign",
     "ConventionalVerdict",
     "run_conventional",
     "simulate_fault",
-    "ParallelFaultSimulator",
     "run_parallel_conventional",
     "DEFAULT_BATCH",
-    "DeductiveFaultSimulator",
 ]

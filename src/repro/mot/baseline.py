@@ -61,9 +61,6 @@ class BaselineConfig:
     #: Optional per-fault work / wall-clock budget (see
     #: :class:`repro.mot.simulator.MotConfig`).
     budget: Optional[FaultBudget] = None
-    #: Good-machine simulation engine (see
-    #: :class:`repro.mot.simulator.MotConfig.sim_engine`).
-    sim_engine: str = "ir"
 
 
 class BaselineSimulator:
@@ -94,7 +91,7 @@ class BaselineSimulator:
             self.reference = self.good_cache.result
         else:
             self.reference = simulate_sequence(
-                circuit, self.patterns, engine=self.config.sim_engine
+                circuit, self.patterns, engine="ir"
             )
         if reference_outputs is not None:
             if len(reference_outputs) != len(self.patterns):

@@ -89,13 +89,6 @@ class MotConfig:
     implication_mode: str = "fixpoint"
     backward_depth: int = 1
     budget: Optional[FaultBudget] = None
-    #: Engine of the good-machine simulation: ``"ir"`` (the compiled
-    #: two-plane kernel, default) or ``"interp"`` (the per-gate plan
-    #: interpreter).  Both are bit-identical (the cross-engine
-    #: differential suite enforces it); the MOT frame engine itself --
-    #: backward implications, expansion, resimulation -- always runs
-    #: interpreted, it merely *sources* fault-free values from here.
-    sim_engine: str = "ir"
     #: Run the static learning pass (:mod:`repro.analysis.learning`) once
     #: at construction and consult the learned indirect implications
     #: during every backward probe.  Learned implications are applied as
@@ -266,7 +259,7 @@ class ProposedSimulator:
                 tracer.emit("goodcache", event="miss")
             with metrics.phase("good_sim"):
                 self.reference = simulate_sequence(
-                    circuit, self.patterns, engine=self.config.sim_engine
+                    circuit, self.patterns, engine="ir"
                 )
         if reference_outputs is not None:
             if len(reference_outputs) != len(self.patterns):

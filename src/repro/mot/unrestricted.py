@@ -66,7 +66,6 @@ def expand_fault_free_references(
     patterns: Sequence[Sequence[int]],
     n_references: int = 8,
     reference: Optional[SequentialResult] = None,
-    engine: str = "ir",
 ) -> List[List[List[int]]]:
     """Expand the fault-free circuit into multiple response sequences.
 
@@ -84,7 +83,7 @@ def expand_fault_free_references(
     good machine is not re-simulated here.
     """
     if reference is None:
-        reference = simulate_sequence(circuit, patterns, engine=engine)
+        reference = simulate_sequence(circuit, patterns, engine="ir")
     base = StateSequence(states=[list(row) for row in reference.states])
     sequences: List[Tuple[StateSequence, List[List[int]]]] = [
         (base, [list(row) for row in reference.outputs])
@@ -195,7 +194,6 @@ class UnrestrictedSimulator:
             reference=(
                 self.good_cache.result if self.good_cache is not None else None
             ),
-            engine=self.config.restricted.sim_engine,
         )
         self._runners = [
             ProposedSimulator(

@@ -47,10 +47,9 @@ METRIC_NAMES = frozenset(
         "journal.write.retries",
         "supervision.log.corrupt_lines",
         "worker.chunks",
-        # Conventional / parallel / deductive fault simulation.
+        # Conventional fault simulation (serial and kernel batches).
         "fsim.conventional.detected",
         "fsim.conventional.faults",
-        "fsim.deductive.frames",
         "fsim.parallel.batches",
         "fsim.parallel.faults",
         # Compiled circuit IR (repro.sim.ir / repro.sim.kernel).

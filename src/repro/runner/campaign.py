@@ -65,10 +65,6 @@ SIMULATOR_KINDS = ("mot", "baseline", "unrestricted", "fsim")
 #: uncollapsed universe.
 COLLAPSE_MODES = ("structural", "classes", "none")
 
-#: ``--engine`` choices per simulator kind (mirrors the CLI).
-_MOT_ENGINES = ("ir", "interp")
-_FSIM_ENGINES = ("serial", "parallel", "ir")
-
 
 class SpecError(ValueError):
     """A :class:`CampaignSpec` failed validation.
@@ -91,17 +87,20 @@ class CampaignSpec:
     ``bench_path`` (``.bench`` file) or ``bench_text`` (inline netlist,
     the upload path of the service) must be set.
 
-    Simulator: ``kind`` picks the engine family; the remaining knobs
-    apply where the CLI applies them (``n_states`` to the restricted
-    MOT core, ``n_references`` to the unrestricted generalization,
+    Simulator: ``kind`` picks the simulator; the remaining knobs apply
+    where the CLI applies them (``n_states`` to the restricted MOT
+    core, ``n_references`` to the unrestricted generalization,
     ``implication_mode``/``backward_depth``/``learning`` to the
-    proposed procedure only).
+    proposed procedure only).  ``engine`` has no CLI flag and accepts
+    only ``"ir"``: every campaign simulates on the compiled kernel, and
+    the field stays so that payloads naming it keep validating.
 
     Execution: the executor knobs of the ``mot`` subcommand.
     ``workers`` and ``hosts`` are mutually exclusive ways to ask for
-    worker processes.  ``fail_fast`` applies to serial runs; under
-    workers a raising fault ends as a quarantined ``errored`` verdict.
-    ``progress_path`` arms the serial harness's progress beacon.
+    worker processes, and neither applies to ``fsim`` campaigns.
+    ``fail_fast`` applies to serial runs; under workers a raising fault
+    ends as a quarantined ``errored`` verdict.  ``progress_path`` arms
+    the serial harness's progress beacon.
     """
 
     # -- workload ------------------------------------------------------
@@ -158,11 +157,10 @@ class CampaignSpec:
                 f"unknown simulator kind {self.kind!r} "
                 f"(expected one of {SIMULATOR_KINDS})"
             )
-        engines = _FSIM_ENGINES if self.kind == "fsim" else _MOT_ENGINES
-        if self.engine not in engines:
+        if self.engine != "ir":
             raise SpecError(
-                f"unknown engine {self.engine!r} for kind {self.kind!r} "
-                f"(expected one of {engines})"
+                f"engine {self.engine!r} is not available: the engine "
+                "selector was removed and only 'ir' is accepted"
             )
         if self.length < 1:
             raise SpecError(f"length must be >= 1, got {self.length}")
@@ -200,6 +198,11 @@ class CampaignSpec:
                 raise SpecError(f"{name} must be positive, got {value}")
         if self.kind == "fsim" and self.hosts:
             raise SpecError("fsim campaigns do not support distributed hosts")
+        if self.kind == "fsim" and self.workers > 1:
+            raise SpecError(
+                "fsim campaigns run in one process; workers applies to "
+                "MOT-family campaigns only"
+            )
         if self.collapse not in COLLAPSE_MODES:
             raise SpecError(
                 f"unknown collapse mode {self.collapse!r} "
@@ -369,9 +372,7 @@ def _build_simulator(
             patterns,
             UnrestrictedConfig(
                 n_references=spec.n_references,
-                restricted=MotConfig(
-                    n_states=spec.n_states, sim_engine=spec.engine
-                ),
+                restricted=MotConfig(n_states=spec.n_states),
             ),
             good_cache=good_cache,
         )
@@ -379,7 +380,7 @@ def _build_simulator(
     elif spec.kind == "baseline":
         simulator = BaselineSimulator(
             circuit, patterns,
-            BaselineConfig(n_states=spec.n_states, sim_engine=spec.engine),
+            BaselineConfig(n_states=spec.n_states),
             good_cache=good_cache,
         )
         label = "[4] baseline"
@@ -392,7 +393,6 @@ def _build_simulator(
                 implication_mode=spec.implication_mode,
                 backward_depth=spec.backward_depth,
                 learning=spec.learning,
-                sim_engine=spec.engine,
             ),
             good_cache=good_cache,
         )
@@ -404,21 +404,12 @@ def _run_fsim(
     spec: CampaignSpec, circuit: Circuit, faults: List[Fault],
     patterns: List[List[int]],
 ) -> CampaignResult:
-    from repro.fsim.conventional import run_conventional
+    from repro.fsim.parallel import run_parallel_conventional
 
-    if spec.engine in ("parallel", "ir"):
-        from repro.fsim.parallel import run_parallel_conventional
-
-        campaign = run_parallel_conventional(
-            circuit, faults, patterns,
-            engine="ir" if spec.engine == "ir" else "interp",
-        )
-    else:
-        campaign = run_conventional(circuit, faults, patterns)
     return CampaignResult(
-        campaign=campaign,
+        campaign=run_parallel_conventional(circuit, faults, patterns),
         kind="fsim",
-        label=f"conventional ({spec.engine} engine)",
+        label="conventional (kernel fault batches)",
         circuit=circuit,
         faults=faults,
     )
@@ -534,9 +525,7 @@ def run_campaign(
 
     # One good-machine simulation for the whole campaign -- shared by
     # the simulator, its forward fallback, and every worker process.
-    good_cache = GoodMachineCache.compute(
-        circuit, patterns, engine=spec.engine
-    )
+    good_cache = GoodMachineCache.compute(circuit, patterns)
     simulator, label = _build_simulator(spec, circuit, patterns, good_cache)
     budget = spec.budget()
     supervised = False

@@ -1,11 +1,14 @@
 """Three-valued frame and sequential simulation.
 
-Two engines share one semantics: the per-gate plan interpreter
-(:mod:`repro.sim.frame` / :mod:`repro.sim.sequential`) and the compiled
-two-plane bit-parallel kernel (:mod:`repro.sim.ir` /
-:mod:`repro.sim.kernel`).  They are bit-identical -- enforced by the
-cross-engine differential suite -- and selected via ``engine="interp"``
-/ ``engine="ir"`` arguments (or ``--engine`` on the CLI).
+Two implementations share one semantics.  The compiled two-plane
+bit-parallel kernel (:mod:`repro.sim.ir` / :mod:`repro.sim.kernel`) runs
+every campaign's good machine and every ``fsim`` fault batch.  The
+per-gate plan interpreter (:mod:`repro.sim.frame` /
+:mod:`repro.sim.sequential`) runs the MOT per-fault path, where width-1
+evaluation is faster than the kernel, and is the oracle the differential
+suite checks the kernel against.  :func:`simulate_sequence` takes
+``engine="interp"`` (default) or ``engine="ir"`` to pick a side at the
+call site.
 """
 
 from repro.sim.frame import eval_frame, evaluate_plan, frame_plan

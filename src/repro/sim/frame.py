@@ -61,9 +61,13 @@ def eval_frame(
     circuit: Circuit,
     pi_values: Sequence[int],
     ps_values: Sequence[int],
-    engine: str = "interp",
 ) -> List[int]:
     """Evaluate one time frame and return the values of every line.
+
+    This is the per-gate interpreter.  Its value-identical counterpart on
+    the compiled kernel is :func:`repro.sim.kernel.eval_frame_values`
+    (one slot) or :func:`repro.sim.kernel.eval_frame_planes` (a batch
+    of patterns, where the kernel's bit-parallelism pays).
 
     Parameters
     ----------
@@ -74,12 +78,6 @@ def eval_frame(
         order.
     ps_values:
         One three-valued value per flip-flop, in ``circuit.flops`` order.
-    engine:
-        ``"interp"`` (the per-gate plan interpreter below) or ``"ir"``
-        (the compiled two-plane kernel, :mod:`repro.sim.kernel`).  Both
-        are value-identical; for *batches* of patterns use
-        :func:`repro.sim.kernel.eval_frame_planes`, which is where the
-        kernel's bit-parallelism actually pays.
 
     Returns
     -------
@@ -87,12 +85,6 @@ def eval_frame(
         ``values[line]`` for every line id, including primary outputs and
         next-state lines.
     """
-    if engine == "ir":
-        from repro.sim.kernel import eval_frame_values
-
-        return eval_frame_values(circuit, pi_values, ps_values)
-    if engine != "interp":
-        raise ValueError(f"unknown frame engine {engine!r}")
     if len(pi_values) != circuit.num_inputs:
         raise ValueError(
             f"expected {circuit.num_inputs} input values, got {len(pi_values)}"

@@ -26,11 +26,11 @@ read-only:
   computing ``N``.
 
 The cache is a frozen value object and nothing mutates it after
-construction (workers only read).  Since PR 7 the per-frame line values
-are stored as **packed two-plane masks** straight out of the compiled
-kernel (:mod:`repro.sim.kernel`): ``line_one[line]`` has bit ``u`` set
-when *line* is 1 at time unit *u* (``line_zero`` likewise; neither bit
-set means X).  Two arbitrary-precision integers per line replace ``L``
+construction (workers only read).  The good machine is always simulated
+on the compiled kernel (:mod:`repro.sim.kernel`), and the per-frame line
+values are stored as **packed two-plane masks**: ``line_one[line]`` has
+bit ``u`` set when *line* is 1 at time unit *u* (``line_zero``
+likewise; neither bit set means X).  Two arbitrary-precision integers per line replace ``L``
 lists of ``num_lines`` values each, which shrinks the cache by roughly
 the sequence length; the familiar ``frames`` list shape is decoded
 lazily on first access.  :meth:`GoodMachineCache.matches`
@@ -55,11 +55,6 @@ from repro.circuit.netlist import Circuit
 from repro.logic.values import ONE, UNKNOWN, ZERO
 from repro.obs.metrics import get_metrics
 from repro.sim.sequential import SequentialResult, simulate_sequence
-
-#: Engine used by :meth:`GoodMachineCache.compute` unless overridden.
-#: The compiled kernel and the interpreter are bit-identical (enforced
-#: by ``tests/sim/test_ir_differential.py``); "ir" is simply faster.
-DEFAULT_ENGINE = "ir"
 
 __all__ = [
     "GoodMachineCache",
@@ -153,19 +148,14 @@ class GoodMachineCache:
         cls,
         circuit: Circuit,
         patterns: Sequence[Sequence[int]],
-        engine: str = DEFAULT_ENGINE,
     ) -> "GoodMachineCache":
-        """Simulate the good machine once and freeze the trajectory.
-
-        *engine* selects the simulation backend (``"ir"`` -- the
-        compiled two-plane kernel, the default -- or ``"interp"``);
-        both produce bit-identical trajectories.
-        """
+        """Simulate the good machine once, on the compiled kernel, and
+        freeze the trajectory."""
         metrics = get_metrics()
         metrics.counter("goodcache.compute")
         with metrics.phase("good_sim"):
             result = simulate_sequence(
-                circuit, patterns, keep_frames=True, engine=engine
+                circuit, patterns, keep_frames=True, engine="ir"
             )
         frames = result.frames if result.frames is not None else []
         line_one, line_zero = _pack_frames(frames, circuit.num_lines)

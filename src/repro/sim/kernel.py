@@ -12,10 +12,8 @@ pattern single fault), a candidate initial state, or a faulty machine
 evaluation is pure bitwise logic over the planes (AND: ones intersect,
 zeros union; XOR by plane recurrence), so one levelized pass over the
 :class:`~repro.sim.ir.CircuitIR` schedule simulates every slot at once.
-Python integers are arbitrary precision, so the *int backend* packs 64+
-slots per "word" with no windowing; the optional *numpy backend* spreads
-slots over ``uint64`` lanes instead, which wins for very wide batches
-where whole-array bitwise ops amortize the per-gate interpreter cost.
+Python integers are arbitrary precision, so one plane pair packs 64+
+slots per "word" with no windowing.
 
 Fault injection is compiled, not simulated: a stuck pin becomes a pair
 of force masks attached to its CSR fanin index (or primary-output tap /
@@ -24,10 +22,12 @@ models stems (every consumer pin forced) and branches (a single pin)
 exactly like the netlist-transformation injector, and only gates with at
 least one forced pin leave the fast evaluation path.
 
-Everything here is verdict- and value-identical to the interpreted
-engines (:func:`repro.sim.frame.eval_frame`,
+This kernel is the only bit-parallel simulator: every ``fsim``
+campaign runs its fault batches and MOT campaigns compute their good
+machine on it.  Everything here is verdict- and value-identical to the
+interpreted oracles (:func:`repro.sim.frame.eval_frame`,
 :func:`repro.sim.sequential.simulate_sequence`,
-:mod:`repro.fsim.conventional`); the cross-engine differential suite in
+:mod:`repro.fsim.conventional`); the differential suite in
 ``tests/sim/test_ir_differential.py`` and the CI gate
 ``benchmarks/check_kernel_gate.py`` enforce exactly that.
 """
@@ -62,13 +62,7 @@ from repro.sim.ir import (
 if TYPE_CHECKING:  # circular at runtime: sequential imports this module
     from repro.sim.sequential import SequentialResult
 
-try:  # pragma: no cover - exercised only where numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None  # type: ignore[assignment]
-
 __all__ = [
-    "numpy_available",
     "pack_columns",
     "unpack_column",
     "broadcast_planes",
@@ -85,20 +79,11 @@ __all__ = [
     "simulate_fault_batch",
 ]
 
-#: Conventional word width used when sizing batches; the int backend is
-#: not limited to it (Python integers are arbitrary precision).
-WORD_BITS = 64
-
 PinOverrides = Dict[int, Tuple[int, int]]
 
 
-def numpy_available() -> bool:
-    """True when the optional numpy lane backend can be used."""
-    return _np is not None
-
-
 # ----------------------------------------------------------------------
-# Packing helpers (int backend)
+# Packing helpers
 # ----------------------------------------------------------------------
 def pack_columns(
     rows: Sequence[Sequence[int]],
@@ -160,7 +145,7 @@ def broadcast_planes(
 
 
 # ----------------------------------------------------------------------
-# The levelized evaluation pass (int backend)
+# The levelized evaluation pass
 # ----------------------------------------------------------------------
 def eval_pass(
     ir: CircuitIR,
@@ -426,31 +411,16 @@ def eval_frame_patterns(
     circuit: Circuit,
     patterns: Sequence[Sequence[int]],
     states: Optional[Sequence[Sequence[int]]] = None,
-    backend: str = "int",
 ) -> List[List[int]]:
     """PPSFP frame evaluation, fully decoded per slot.
 
     Like :func:`eval_frame_planes` but decoding every slot back into a
     full line-value list (the shape the differential suite compares
-    against the interpreter).  *backend* selects the plane
-    representation: ``"int"`` (wide Python integers) or ``"numpy"``
-    (uint64 lanes; requires numpy).
+    against the interpreter).
     """
     width = len(patterns)
     if width == 0:
         return []
-    if backend == "numpy":
-        ir = compile_circuit(circuit)
-        if states is not None and len(states) != width:
-            raise ValueError("states must have one row per pattern")
-        for row in patterns:
-            if len(row) != len(ir.inputs):
-                raise ValueError(
-                    f"expected {len(ir.inputs)} input values, got {len(row)}"
-                )
-        return _eval_frame_patterns_np(ir, patterns, states)
-    if backend != "int":
-        raise ValueError(f"unknown kernel backend {backend!r}")
     planes = eval_frame_planes(circuit, patterns, states)
     return [planes.line_values(slot) for slot in range(width)]
 
@@ -734,102 +704,3 @@ def simulate_fault_batch(
             state_one[flop_index] = v1
             state_zero[flop_index] = v0
     return detected >> 1  # drop the fault-free slot
-
-
-# ----------------------------------------------------------------------
-# numpy lane backend (optional)
-# ----------------------------------------------------------------------
-def _eval_frame_patterns_np(
-    ir: CircuitIR,
-    patterns: Sequence[Sequence[int]],
-    states: Optional[Sequence[Sequence[int]]],
-) -> List[List[int]]:
-    """PPSFP frame evaluation over uint64 lanes (numpy backend).
-
-    Slot *k* lives in lane ``k // 64``, bit ``k % 64``.  Per-gate work
-    is one vectorized bitwise op per fanin over all lanes, so very wide
-    batches pay the Python interpreter once per gate regardless of
-    width.  Fault overrides are not supported on this backend (fault
-    batches use the int planes).
-    """
-    if _np is None:
-        raise RuntimeError(
-            "numpy backend requested but numpy is not installed"
-        )
-    width = len(patterns)
-    lanes = (width + 63) // 64
-    ones = _np.zeros((ir.num_lines, lanes), dtype=_np.uint64)
-    zeros = _np.zeros((ir.num_lines, lanes), dtype=_np.uint64)
-    mask = _np.zeros(lanes, dtype=_np.uint64)
-    for slot in range(width):
-        mask[slot // 64] |= _np.uint64(1 << (slot % 64))
-
-    def pack_np(rows: Sequence[Sequence[int]], lines: Tuple[int, ...]) -> None:
-        for slot, row in enumerate(rows):
-            lane, bit = slot // 64, _np.uint64(1 << (slot % 64))
-            for line, value in zip(lines, row):
-                if value == ONE:
-                    ones[line, lane] |= bit
-                elif value == ZERO:
-                    zeros[line, lane] |= bit
-
-    pack_np(patterns, ir.inputs)
-    if states is not None:
-        pack_np(states, ir.ps_lines)
-    off = ir.fanin_offsets
-    fl = ir.fanin_lines
-    outs = ir.outs
-    for op, start, end in ir.groups:
-        for s in range(start, end):
-            lo, hi = off[s], off[s + 1]
-            if op <= OP_NOR:
-                conjunctive = op <= OP_NAND
-                if conjunctive:
-                    acc1, acc0 = mask.copy(), _np.zeros_like(mask)
-                    for i in range(lo, hi):
-                        line = fl[i]
-                        acc1 &= ones[line]
-                        acc0 |= zeros[line]
-                else:
-                    acc1, acc0 = _np.zeros_like(mask), mask.copy()
-                    for i in range(lo, hi):
-                        line = fl[i]
-                        acc1 |= ones[line]
-                        acc0 &= zeros[line]
-                if op == OP_NAND or op == OP_NOR:
-                    acc1, acc0 = acc0, acc1
-            elif op <= OP_XNOR:
-                line = fl[lo]
-                acc1, acc0 = ones[line].copy(), zeros[line].copy()
-                for i in range(lo + 1, hi):
-                    line = fl[i]
-                    v1, v0 = ones[line], zeros[line]
-                    acc1, acc0 = (
-                        (acc1 & v0) | (acc0 & v1),
-                        (acc1 & v1) | (acc0 & v0),
-                    )
-                if op == OP_XNOR:
-                    acc1, acc0 = acc0, acc1
-            elif op == OP_NOT:
-                line = fl[lo]
-                acc1, acc0 = zeros[line].copy(), ones[line].copy()
-            elif op == OP_BUF:
-                line = fl[lo]
-                acc1, acc0 = ones[line].copy(), zeros[line].copy()
-            elif op == OP_CONST0:
-                acc1, acc0 = _np.zeros_like(mask), mask.copy()
-            else:
-                acc1, acc0 = mask.copy(), _np.zeros_like(mask)
-            ones[outs[s]] = acc1
-            zeros[outs[s]] = acc0
-    result: List[List[int]] = [[] for _ in range(width)]
-    for line in range(ir.num_lines):
-        for slot in range(width):
-            lane, bit = slot // 64, _np.uint64(1 << (slot % 64))
-            if ones[line, lane] & bit:
-                result[slot].append(ONE)
-            elif zeros[line, lane] & bit:
-                result[slot].append(ZERO)
-            else:
-                result[slot].append(UNKNOWN)
-    return result

@@ -74,9 +74,10 @@ def simulate_sequence(
     keep_frames:
         Keep all per-frame line values (needed by backward implications).
     engine:
-        ``"interp"`` (per-gate plan interpreter) or ``"ir"`` (compiled
-        two-plane kernel); the trajectories are bit-identical, asserted
-        by the cross-engine differential suite.
+        ``"interp"`` (per-gate plan interpreter, the default and the
+        oracle) or ``"ir"`` (compiled two-plane kernel, used for the
+        good machine of every campaign); the trajectories are
+        bit-identical, asserted by the differential suite.
     """
     if engine == "ir":
         from repro.sim.kernel import simulate_sequence_ir
@@ -126,7 +127,6 @@ def simulate_injected(
     patterns: Patterns,
     initial_state: Optional[Sequence[int]] = None,
     keep_frames: bool = False,
-    engine: str = "interp",
 ) -> SequentialResult:
     """Simulate the faulty circuit of *injected* (convenience wrapper)."""
     return simulate_sequence(
@@ -135,7 +135,6 @@ def simulate_injected(
         initial_state=initial_state,
         forced_ps=injected.forced_ps,
         keep_frames=keep_frames,
-        engine=engine,
     )
 
 

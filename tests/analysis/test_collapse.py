@@ -1,5 +1,7 @@
 """Structural fault collapsing (repro.analysis.collapse)."""
 
+import itertools
+
 import pytest
 
 from repro.analysis.collapse import (
@@ -10,9 +12,15 @@ from repro.analysis.collapse import (
 )
 from repro.circuit.bench import parse_bench
 from repro.circuits.library import s27
+from repro.faults.injection import inject_fault
 from repro.faults.model import Fault
 from repro.faults.sites import all_faults
 from repro.logic.values import ONE, ZERO
+from repro.sim.sequential import (
+    outputs_conflict,
+    simulate_injected,
+    simulate_sequence,
+)
 
 #: Fanout-free AND/NOT chain with hand-computable classes.
 CHAIN_BENCH = """
@@ -176,6 +184,56 @@ def test_dominance_is_advisory_and_well_formed():
     pairs = {(e.dominator, e.dominated) for e in partition.dominance}
     assert (a_sa1.index, w_sa1.index) in pairs
     assert w_sa1.index in partition.dominated_classes()
+
+
+def test_dominance_semantics_exhaustive():
+    """Brute force on a combinational circuit: on every edge, each test
+    that detects a fault of the dominator class also detects every fault
+    of the dominated class -- which is what lets the dominated class be
+    dropped from a test-generation target list."""
+    circuit = parse_bench(
+        """
+        INPUT(a)
+        INPUT(b)
+        INPUT(c)
+        OUTPUT(y)
+        n1 = AND(a, b)
+        y = OR(n1, c)
+        """,
+        "c",
+    )
+    partition = fault_classes(circuit)
+
+    def detecting_tests(fault):
+        tests = set()
+        for bits in itertools.product((0, 1), repeat=3):
+            reference = simulate_sequence(circuit, [list(bits)])
+            response = simulate_injected(
+                inject_fault(circuit, fault), [list(bits)]
+            )
+            if outputs_conflict(reference.outputs, response.outputs):
+                tests.add(bits)
+        return tests
+
+    def describe(edge):
+        return tuple(
+            partition.classes[index].representative.describe(circuit)
+            for index in (edge.dominator, edge.dominated)
+        )
+
+    assert {describe(edge) for edge in partition.dominance} == {
+        ("a/1", "y/1"), ("b/1", "y/1"), ("n1/0", "y/0"), ("c/0", "y/0"),
+    }
+    for edge in partition.dominance:
+        dominated_tests = [
+            detecting_tests(fault)
+            for fault in partition.classes[edge.dominated].members
+        ]
+        for fault in partition.classes[edge.dominator].members:
+            tests = detecting_tests(fault)
+            assert tests, fault.describe(circuit)
+            for dominated in dominated_tests:
+                assert tests <= dominated, describe(edge)
 
 
 def test_reduction_percent_matches_counts():

@@ -206,13 +206,6 @@ def test_scan_subcommand(capsys):
     assert "full scan" in out and "gap recovered" in out
 
 
-def test_fsim_parallel_engine(capsys):
-    assert main(
-        ["fsim", "--circuit", "s27", "--length", "16", "--engine", "parallel"]
-    ) == 0
-    assert "parallel engine" in capsys.readouterr().out
-
-
 # ----------------------------------------------------------------------
 # Argparse-time validation of the campaign-scale flags
 # ----------------------------------------------------------------------
@@ -236,6 +229,15 @@ def test_mot_rejects_invalid_supervision_flags(capsys):
     for flag in ("--shard-strategy", "--max-retries",
                  "--heartbeat-interval", "--no-supervise"):
         _argparse_exit(["mot", "--circuit", "s27", flag, "1"])
+
+
+def test_engine_flag_is_gone():
+    """Every campaign runs on the compiled kernel; no subcommand takes
+    an engine selector any more."""
+    _argparse_exit(["fsim", "--circuit", "s27", "--engine", "serial"])
+    _argparse_exit(["fsim", "--circuit", "s27", "--engine", "ir"])
+    _argparse_exit(["mot", "--circuit", "s27", "--engine", "interp"])
+    _argparse_exit(["submit", "s27", "--engine", "ir"])
 
 
 def test_mot_rejects_workers_with_hosts(capsys):

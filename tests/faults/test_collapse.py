@@ -81,8 +81,17 @@ def test_collapsed_classes_have_equal_detection():
     # check: every merged (universe - collapsed) fault agrees with some
     # collapsed fault on this sequence is weak; so instead verify the
     # canonical equivalences directly on AND/OR gates.
-    from repro.faults.collapse import _input_fault
+    from repro.circuit.netlist import Pin
+    from repro.faults.model import Fault
     from repro.logic.gates import GateType
+
+    def input_fault(gate_index, pos, value):
+        """The fault on a gate input pin: a branch fault when the line
+        fans out, otherwise the stem fault of the feeding line."""
+        line = circuit.gates[gate_index].inputs[pos]
+        if len(circuit.fanout_pins[line]) >= 2:
+            return Fault(line, value, Pin("gate", gate_index, pos))
+        return Fault(line, value, None)
 
     for gate_index, gate in enumerate(circuit.gates):
         if gate.gate_type is GateType.AND:
@@ -94,7 +103,7 @@ def test_collapsed_classes_have_equal_detection():
                 )
             )
             for pos in range(len(gate.inputs)):
-                assert detected(_input_fault(circuit, gate_index, pos, 0)) == out0
+                assert detected(input_fault(gate_index, pos, 0)) == out0
         if gate.gate_type is GateType.NOR:
             out0 = detected(
                 next(
@@ -104,4 +113,4 @@ def test_collapsed_classes_have_equal_detection():
                 )
             )
             for pos in range(len(gate.inputs)):
-                assert detected(_input_fault(circuit, gate_index, pos, 1)) == out0
+                assert detected(input_fault(gate_index, pos, 1)) == out0

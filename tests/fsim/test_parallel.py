@@ -1,4 +1,4 @@
-"""Bit-parallel fault simulation must match the serial simulator."""
+"""Kernel fault batches must match the serial simulator."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -9,7 +9,7 @@ from repro.circuits.registry import build_circuit
 from repro.faults.collapse import collapse_faults
 from repro.faults.sites import all_faults
 from repro.fsim.conventional import run_conventional
-from repro.fsim.parallel import ParallelFaultSimulator, run_parallel_conventional
+from repro.fsim.parallel import run_parallel_conventional
 from repro.patterns.random_gen import random_patterns
 
 
@@ -61,7 +61,7 @@ def test_matches_serial_opaque_cluster_circuit():
 
 def test_rejects_bad_batch():
     with pytest.raises(ValueError):
-        ParallelFaultSimulator(s27(), batch=0)
+        run_parallel_conventional(s27(), [], random_patterns(4, 4), batch=0)
 
 
 def test_empty_fault_list():

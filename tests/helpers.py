@@ -14,9 +14,15 @@ from repro.circuit.bench import parse_bench
 from repro.circuit.netlist import Circuit
 from repro.circuits.library import s27
 from repro.faults.collapse import collapse_faults
+from repro.faults.injection import inject_fault
 from repro.logic.values import UNKNOWN
 from repro.mot.simulator import MotConfig, ProposedSimulator
 from repro.patterns.random_gen import random_patterns
+from repro.sim.sequential import (
+    outputs_conflict,
+    simulate_injected,
+    simulate_sequence,
+)
 
 #: Fault-free output is constant 0; with Z stuck-at-1 the output follows
 #: the free-running toggle flop Q, whose phase depends on the unknown
@@ -121,6 +127,26 @@ def s27_simulator(
     if config is None:
         return ProposedSimulator(circuit, s27_patterns(length, seed))
     return ProposedSimulator(circuit, s27_patterns(length, seed), config)
+
+
+def serial_detected(circuit, faults, patterns, initial_state):
+    """Faults detected from one known *initial_state*, fault by fault.
+
+    With every flop specified the simulation is two-valued, so this is
+    the exact per-state detection set: the faulty response conflicts
+    with the fault-free one at some output and time unit.
+    """
+    reference = simulate_sequence(circuit, patterns, initial_state=initial_state)
+    detected = set()
+    for fault in faults:
+        injected = inject_fault(circuit, fault)
+        state = list(initial_state)
+        for flop_index, value in injected.forced_ps.items():
+            state[flop_index] = value
+        response = simulate_injected(injected, patterns, initial_state=state)
+        if outputs_conflict(reference.outputs, response.outputs) is not None:
+            detected.add(fault)
+    return detected
 
 
 def crash_on(simulator, crash_index, exc=None):

@@ -1,17 +1,18 @@
 """Cross-simulator coherence theorems.
 
-The three conventional engines and the MOT layer must agree wherever
+The conventional simulators and the MOT layer must agree wherever
 their semantics overlap:
 
-* serial == parallel, fault by fault (also covered in tests/fsim);
+* serial == kernel fault batches, fault by fault (also covered in
+  tests/fsim);
 * three-valued conventional detection implies *every-initial-state*
-  two-valued detection (the abstraction theorem), checked with the
-  deductive engine: a conventionally detected fault must appear in the
-  deductive detection set of **every** initial state;
+  two-valued detection (the abstraction theorem): a conventionally
+  detected fault must appear in the two-valued serial detection set of
+  **every** initial state;
 * MOT detection implies, for every initial state, a two-valued conflict
   against the three-valued reference (the oracle's definition) -- the
   oracle tests cover this; here we add the converse sanity: a fault in
-  *no* deductive set anywhere is undetectable by everything.
+  *no* per-state detection set anywhere is undetectable by everything.
 """
 
 import itertools
@@ -22,16 +23,17 @@ from repro.circuits.generators import random_moore
 from repro.circuits.library import s27
 from repro.faults.sites import all_faults
 from repro.fsim.conventional import run_conventional
-from repro.fsim.deductive import DeductiveFaultSimulator
 from repro.fsim.parallel import run_parallel_conventional
 from repro.mot.simulator import ProposedSimulator
 from repro.patterns.random_gen import random_patterns
 
+from tests.helpers import serial_detected
 
-def _deductive_sets(circuit, patterns):
-    simulator = DeductiveFaultSimulator(circuit)
+
+def _per_state_sets(circuit, faults, patterns):
+    """Two-valued detection set of *faults* for every initial state."""
     return [
-        simulator.run(patterns, list(bits))
+        serial_detected(circuit, faults, patterns, list(bits))
         for bits in itertools.product((0, 1), repeat=circuit.num_flops)
     ]
 
@@ -39,8 +41,9 @@ def _deductive_sets(circuit, patterns):
 def test_conventional_detection_holds_for_every_state_s27():
     circuit = s27()
     patterns = random_patterns(4, 16, seed=2)
-    conventional = run_conventional(circuit, all_faults(circuit), patterns)
-    per_state = _deductive_sets(circuit, patterns)
+    faults = all_faults(circuit)
+    conventional = run_conventional(circuit, faults, patterns)
+    per_state = _per_state_sets(circuit, faults, patterns)
     for verdict in conventional.verdicts:
         if verdict.detected:
             for state_index, detected in enumerate(per_state):
@@ -51,12 +54,12 @@ def test_conventional_detection_holds_for_every_state_s27():
 
 
 def test_nowhere_detected_faults_are_globally_undetected_s27():
-    """A fault absent from every per-state deductive set cannot be
+    """A fault absent from every per-state detection set cannot be
     detected by conventional, parallel, or MOT simulation."""
     circuit = s27()
     patterns = random_patterns(4, 16, seed=2)
     faults = all_faults(circuit)
-    per_state = _deductive_sets(circuit, patterns)
+    per_state = _per_state_sets(circuit, faults, patterns)
     anywhere = set().union(*per_state)
     conventional = run_conventional(circuit, faults, patterns)
     parallel = run_parallel_conventional(circuit, faults, patterns)
@@ -78,7 +81,7 @@ def test_nowhere_detected_faults_are_globally_undetected_s27():
 @given(seed=st.integers(0, 50_000), pattern_seed=st.integers(0, 500))
 def test_abstraction_theorem_random_circuits(seed, pattern_seed):
     """Property form: 3v conventional detection implies membership in
-    every per-state deductive set."""
+    every per-state two-valued detection set."""
     circuit = random_moore(seed, num_inputs=2, num_flops=3, num_gates=14)
     patterns = random_patterns(2, 6, seed=pattern_seed)
     faults = all_faults(circuit)[:24]
@@ -88,7 +91,7 @@ def test_abstraction_theorem_random_circuits(seed, pattern_seed):
     ]
     if not detected_conventionally:
         return
-    per_state = _deductive_sets(circuit, patterns)
+    per_state = _per_state_sets(circuit, detected_conventionally, patterns)
     for fault in detected_conventionally:
         for detected in per_state:
             assert fault in detected

@@ -34,6 +34,7 @@ def test_spec_requires_exactly_one_source():
     [
         ("kind", "bogus"),
         ("engine", "bogus"),
+        ("engine", "interp"),
         ("transport", "bogus"),
         ("length", 0),
         ("n_states", 0),
@@ -58,10 +59,11 @@ def test_spec_resume_requires_checkpoint():
 
 
 def test_spec_fsim_rejects_hosts():
-    with pytest.raises(SpecError):
-        CampaignSpec(
-            circuit="s27", kind="fsim", engine="serial", hosts=("a",)
-        ).validate()
+    """fsim runs in one process on the kernel: hosts or a worker count
+    would be silently ignored, and the serial engine value is gone."""
+    for bad in ({"hosts": ("a",)}, {"workers": 4}, {"engine": "serial"}):
+        with pytest.raises(SpecError):
+            CampaignSpec(circuit="s27", kind="fsim", **bad).validate()
 
 
 def test_unknown_circuit_is_spec_error():
@@ -161,8 +163,7 @@ def test_run_campaign_matches_direct_harness():
 
 def test_run_campaign_fsim():
     result = run_campaign(
-        CampaignSpec(circuit="s27", kind="fsim", engine="serial", length=16,
-                     seed=1)
+        CampaignSpec(circuit="s27", kind="fsim", length=16, seed=1)
     )
     assert result.kind == "fsim"
     assert result.campaign.total == 32

@@ -53,7 +53,7 @@ def test_spec_rejects_classes_with_uncollapsed():
 def test_spec_rejects_classes_with_fsim():
     with pytest.raises(SpecError):
         CampaignSpec(
-            circuit="s27", kind="fsim", engine="serial", collapse="classes"
+            circuit="s27", kind="fsim", collapse="classes"
         ).validate()
 
 

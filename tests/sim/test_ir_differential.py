@@ -8,12 +8,12 @@ must agree line-for-line and verdict-for-verdict.  This suite drives
 seeded random Moore machines and random 3-valued patterns through
 
 * :func:`repro.sim.frame.eval_frame` vs the width-1 kernel and every
-  slot of a packed PPSFP evaluation (int and numpy backends),
+  slot of a packed PPSFP evaluation,
 * :func:`repro.sim.sequential.simulate_sequence` vs the IR sequential
   path, including X initial states, ``forced_ps`` pinning, per-frame
   value capture and flop state carry-over across frames,
-* :mod:`repro.fsim.conventional` vs :mod:`repro.fsim.parallel` on both
-  of its engines (object-graph and IR plane masks),
+* the serial :mod:`repro.fsim.conventional` vs the kernel fault batches
+  of :mod:`repro.fsim.parallel`,
 
 and asserts exact equality everywhere.  X-propagation is exercised by
 construction: patterns and states draw from {0, 1, X} uniformly.
@@ -29,7 +29,7 @@ from repro.circuits.library import s27
 from repro.circuits.registry import build_circuit
 from repro.faults.sites import all_faults
 from repro.fsim.conventional import run_conventional
-from repro.fsim.parallel import ParallelFaultSimulator, run_parallel_conventional
+from repro.fsim.parallel import run_parallel_conventional
 from repro.logic.values import ONE, UNKNOWN, ZERO
 from repro.patterns.random_gen import random_patterns
 from repro.sim.frame import eval_frame
@@ -39,7 +39,6 @@ from repro.sim.kernel import (
     eval_frame_patterns,
     eval_frame_planes,
     eval_frame_values,
-    numpy_available,
     simulate_fault_batch,
     simulate_sequence_ir,
     simulate_sequences_packed,
@@ -100,7 +99,6 @@ def test_frame_values_match_on_seeded_random_circuits():
             ps = _xpat(circuit.num_flops, rng)
             interp = eval_frame(circuit, pi, ps)
             assert eval_frame_values(circuit, pi, ps) == interp
-            assert eval_frame(circuit, pi, ps, engine="ir") == interp
 
 
 def test_ppsfp_slots_decode_to_exact_interpreter_frames():
@@ -134,27 +132,6 @@ def test_ppsfp_default_states_are_all_x():
         circuit, patterns, [[UNKNOWN] * circuit.num_flops] * len(patterns)
     )
     assert eval_frame_patterns(circuit, patterns) == explicit
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-def test_numpy_lane_backend_matches_int_backend_across_lane_boundary():
-    rng = random.Random(11)
-    circuit = build_circuit("s27")
-    # 130 slots span three uint64 lanes, covering the lane-edge bits.
-    patterns = [_xpat(circuit.num_inputs, rng) for _ in range(130)]
-    states = [_xpat(circuit.num_flops, rng) for _ in range(130)]
-    assert eval_frame_patterns(
-        circuit, patterns, states, backend="numpy"
-    ) == eval_frame_patterns(circuit, patterns, states)
-
-
-def test_unknown_backend_is_rejected():
-    circuit = build_circuit("s27")
-    patterns = random_patterns(circuit.num_inputs, 2, seed=0)
-    with pytest.raises(ValueError):
-        eval_frame_patterns(circuit, patterns, backend="simd")
-    with pytest.raises(ValueError):
-        eval_frame(circuit, patterns[0], [UNKNOWN] * 3, engine="jit")
 
 
 def test_x_propagation_is_identical_not_just_pessimistic():
@@ -211,14 +188,12 @@ def test_flop_carry_over_feeds_next_frame_exactly():
     states reproduces the trajectory on both engines."""
     circuit = build_circuit("s27")
     patterns = random_patterns(circuit.num_inputs, 8, seed=5)
-    for engine in ("interp", "ir"):
+    for engine, frame in (("interp", eval_frame), ("ir", eval_frame_values)):
         result = simulate_sequence(
             circuit, patterns, keep_frames=True, engine=engine
         )
         for u, pattern in enumerate(patterns):
-            standalone = eval_frame(
-                circuit, pattern, result.states[u], engine=engine
-            )
+            standalone = frame(circuit, pattern, result.states[u])
             assert standalone == result.frames[u]
             assert result.states[u + 1] == [
                 standalone[f.ns] for f in circuit.flops
@@ -256,21 +231,17 @@ def test_sequential_rejects_unknown_engine_and_bad_shapes():
 
 
 # ----------------------------------------------------------------------
-# Fault simulation: serial == parallel(interp) == parallel(ir)
+# Fault simulation: serial == kernel fault batches
 # ----------------------------------------------------------------------
 def _assert_verdicts_agree(circuit, faults, patterns, batch=62):
     serial = run_conventional(circuit, faults, patterns)
-    campaigns = [
-        run_parallel_conventional(circuit, faults, patterns, batch, engine)
-        for engine in ("interp", "ir")
-    ]
-    for campaign in campaigns:
-        assert len(campaign.verdicts) == len(serial.verdicts)
-        for expected, got in zip(serial.verdicts, campaign.verdicts):
-            assert expected.fault == got.fault
-            assert expected.detected == got.detected, expected.fault.describe(
-                circuit
-            )
+    campaign = run_parallel_conventional(circuit, faults, patterns, batch)
+    assert len(campaign.verdicts) == len(serial.verdicts)
+    for expected, got in zip(serial.verdicts, campaign.verdicts):
+        assert expected.fault == got.fault
+        assert expected.detected == got.detected, expected.fault.describe(
+            circuit
+        )
 
 
 def test_fault_verdicts_agree_on_s27_full_universe():
@@ -300,8 +271,13 @@ def test_fault_batch_masks_match_serial_detection_bits():
 
 
 def test_parallel_rejects_unknown_engine():
-    with pytest.raises(ValueError):
-        ParallelFaultSimulator(s27(), engine="cuda")
+    circuit = s27()
+    patterns = random_patterns(circuit.num_inputs, 2, seed=0)
+    for engine in ("interp", "cuda"):
+        with pytest.raises(ValueError, match="selector was removed"):
+            run_parallel_conventional(
+                circuit, all_faults(circuit), patterns, engine=engine
+            )
 
 
 @settings(
@@ -316,8 +292,8 @@ def test_parallel_rejects_unknown_engine():
 )
 def test_property_all_engines_agree(seed, pattern_seed, batch):
     """Hypothesis sweep: random machine, random workload, random batch
-    width -- serial, object-graph parallel and IR parallel must agree,
-    and the frame/sequential engines must match on the same machine."""
+    width -- serial and the kernel fault batches must agree, and the
+    frame/sequential engines must match on the same machine."""
     circuit = random_moore(seed, num_inputs=2, num_flops=3, num_gates=14)
     patterns = random_patterns(circuit.num_inputs, 8, seed=pattern_seed)
     faults = all_faults(circuit)[:20]
