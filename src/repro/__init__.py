@@ -21,12 +21,7 @@ results come back as values, enforced by ``tools/repro_lint.py``):
     True
 """
 
-from repro.analysis import (
-    ImplicationDB,
-    learn_circuit,
-    lint_circuit,
-    lint_path,
-)
+from repro.analysis import lint_circuit, lint_path
 from repro.circuit import (
     Circuit,
     CircuitBuilder,
@@ -125,8 +120,6 @@ __all__ = [
     "DetectionWitness",
     "build_witness",
     "check_witness",
-    "ImplicationDB",
-    "learn_circuit",
     "lint_circuit",
     "lint_path",
     "__version__",

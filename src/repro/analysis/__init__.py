@@ -1,6 +1,6 @@
 """Static analysis for netlists and circuits.
 
-Four tools live here:
+Three tools live here:
 
 * the **netlist linter** (:mod:`repro.analysis.netlist_lint`) -- rule-based
   structural checks (combinational loops, floating/undriven nets, fanout
@@ -8,16 +8,12 @@ Four tools live here:
   lenient raw-netlist form that survives malformed input, surfaced as
   ``repro lint`` and as optional validation on the ``.bench``/``.isc``
   load paths;
-* the **static learning pass** (:mod:`repro.analysis.learning`) --
-  SOCRATES-style precomputation of indirect implications into an
-  :class:`~repro.analysis.learning.ImplicationDB` that the backward
-  implication engine consults to detect conflicts earlier;
 * **fault collapsing** (:mod:`repro.analysis.collapse`) -- structural
   equivalence classes, fanout-free regions and an advisory dominance
   graph over the compiled IR, feeding class-collapsed campaigns;
 * **testability scoring** (:mod:`repro.analysis.testability`) --
-  SCOAP-based detection-hardness estimates (optionally refined by the
-  learned implications) that order dispatch hardest-first.
+  SCOAP-based detection-hardness estimates that order dispatch
+  hardest-first.
 """
 
 from repro.analysis.collapse import (
@@ -37,11 +33,6 @@ from repro.analysis.findings import (
     Finding,
     FindingList,
     sort_findings,
-)
-from repro.analysis.learning import (
-    ImplicationDB,
-    LearnedImplication,
-    learn_circuit,
 )
 from repro.analysis.netlist_lint import (
     ALL_RULES,
@@ -95,7 +86,4 @@ __all__ = [
     "raw_from_bench",
     "raw_from_circuit",
     "raw_from_isc",
-    "ImplicationDB",
-    "LearnedImplication",
-    "learn_circuit",
 ]

@@ -27,9 +27,9 @@ rule                      severity  meaning
 
 Error-severity rules mirror what :class:`~repro.circuit.netlist.Circuit`
 would reject at build time; warning-severity rules describe netlists
-that simulate fine but usually indicate authoring mistakes (and, for
-``constant-net``, feed the static-learning pass: a tied net can never
-carry the opposite value).
+that simulate fine but usually indicate authoring mistakes (for
+``constant-net``: a tied net can never carry the opposite value, so a
+stuck-at fault at its tied value is untestable).
 """
 
 from __future__ import annotations

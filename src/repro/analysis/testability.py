@@ -6,28 +6,20 @@ dispatch: hard faults go out in the first leases so stragglers surface
 early and the lease book's work stealing has cheap tail work left to
 rebalance, instead of one slow chunk arriving last.
 
-The estimate combines two static sources:
-
-* **SCOAP** (:func:`repro.circuit.scoap.compute_scoap`): a stuck-at-v
-  fault must be *activated* by driving its site to ``not v``
-  (controllability ``cc(1-v)``) and its effect *propagated* to an
-  output (observability ``co``).  Branch faults use the pin-accurate
-  observability -- the cost through their specific gate input (output
-  observability + non-controlling side inputs + 1), through the
-  flip-flop they feed (present-state observability + 1 latch level),
-  or 0 for a primary-output tap -- rather than the stem's best branch.
-* **Static learning** (:class:`repro.analysis.learning.ImplicationDB`,
-  optional): every learned implication whose consequence drives the
-  fault site to its activation value is one more globally-known way to
-  excite the fault, so ``support`` many implications *discount* the
-  SCOAP cost (``hardness = (activation + observation) / (1 +
-  support)``).  Without a database the score is pure SCOAP.
+The estimate is pure SCOAP (:func:`repro.circuit.scoap.compute_scoap`):
+a stuck-at-v fault must be *activated* by driving its site to ``not v``
+(controllability ``cc(1-v)``) and its effect *propagated* to an output
+(observability ``co``), so ``hardness = activation + observation``.
+Branch faults use the pin-accurate observability -- the cost through
+their specific gate input (output observability + non-controlling side
+inputs + 1), through the flip-flop they feed (present-state
+observability + 1 latch level), or 0 for a primary-output tap --
+rather than the stem's best branch.
 
 Scores are heuristics for *ordering only*: campaign verdicts never
 depend on them, so a bad estimate costs wall-clock balance, not
-correctness.  Everything here is a pure function of circuit structure
-(plus the deterministic learned database), keeping dispatch order
-reproducible across runs and hosts.
+correctness.  Everything here is a pure function of circuit structure,
+keeping dispatch order reproducible across runs and hosts.
 """
 
 from __future__ import annotations
@@ -35,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.analysis.learning import ImplicationDB
 from repro.circuit.netlist import Circuit
 from repro.circuit.scoap import INFINITY, ScoapMeasures, compute_scoap
 from repro.faults.model import Fault
@@ -57,22 +48,18 @@ class FaultScore:
 
     ``activation`` and ``observation`` are SCOAP costs (may be
     :data:`~repro.circuit.scoap.INFINITY` for structurally untestable
-    faults -- those sort hardest).  ``support`` counts learned
-    implications that force the site to its activation value.
+    faults -- those sort hardest).
     """
 
     fault: Fault
     activation: float
     observation: float
-    support: int
 
     @property
     def hardness(self) -> float:
-        """Combined cost; higher = harder to detect."""
-        base = self.activation + self.observation
-        if base == INFINITY:
-            return INFINITY
-        return base / (1.0 + self.support)
+        """Combined cost; higher = harder to detect, ``INFINITY`` when
+        either part is."""
+        return self.activation + self.observation
 
 
 def pin_observability(
@@ -123,48 +110,24 @@ def pin_observability(
     return out_co + side + 1.0
 
 
-def _support_counts(
-    db: ImplicationDB, faults: Sequence[Fault]
-) -> List[int]:
-    """Learned implications forcing each fault site to activation."""
-    wanted = {}
-    for index, fault in enumerate(faults):
-        activation = ONE if fault.stuck_at == ZERO else ZERO
-        wanted.setdefault((fault.line, activation), []).append(index)
-    counts = [0] * len(faults)
-    for implication in db.implications():
-        key = (implication.cons_line, implication.cons_value)
-        for index in wanted.get(key, ()):
-            counts[index] += 1
-    return counts
-
-
 def score_faults(
     circuit: Circuit,
     faults: Sequence[Fault],
-    db: Optional[ImplicationDB] = None,
     scoap: Optional[ScoapMeasures] = None,
 ) -> List[FaultScore]:
     """Score *faults* (any iterable of sites in *circuit*), in order."""
     if scoap is None:
         scoap = compute_scoap(circuit, observe_state=True)
-    supports = (
-        _support_counts(db, faults) if db is not None else [0] * len(faults)
-    )
-    scores: List[FaultScore] = []
-    for fault, support in zip(faults, supports):
-        activation = scoap.controllability(
-            fault.line, ONE if fault.stuck_at == ZERO else ZERO
+    return [
+        FaultScore(
+            fault=fault,
+            activation=scoap.controllability(
+                fault.line, ONE if fault.stuck_at == ZERO else ZERO
+            ),
+            observation=pin_observability(circuit, scoap, fault),
         )
-        scores.append(
-            FaultScore(
-                fault=fault,
-                activation=activation,
-                observation=pin_observability(circuit, scoap, fault),
-                support=support,
-            )
-        )
-    return scores
+        for fault in faults
+    ]
 
 
 def order_by_hardness(scores: Sequence[FaultScore]) -> List[int]:
@@ -172,7 +135,7 @@ def order_by_hardness(scores: Sequence[FaultScore]) -> List[int]:
 
     Ties (including untestable-vs-untestable, both ``INFINITY``) break
     on the original index, so the order is a pure function of circuit
-    structure and the optional learned database.
+    structure.
     """
     return sorted(
         range(len(scores)),
@@ -183,10 +146,7 @@ def order_by_hardness(scores: Sequence[FaultScore]) -> List[int]:
 def hardest_first(
     circuit: Circuit,
     faults: Sequence[Fault],
-    db: Optional[ImplicationDB] = None,
     scoap: Optional[ScoapMeasures] = None,
 ) -> List[int]:
     """Indices of *faults* ordered hardest-first (deterministic)."""
-    return order_by_hardness(
-        score_faults(circuit, faults, db=db, scoap=scoap)
-    )
+    return order_by_hardness(score_faults(circuit, faults, scoap=scoap))

@@ -40,61 +40,64 @@ class BenchmarkEntry:
 _ENTRIES: List[BenchmarkEntry] = [
     BenchmarkEntry(
         "s27", library.s27, 32, 7, None,
-        "exact ISCAS-89 netlist (paper Figure 1)",
+        "exact ISCAS-89 netlist (paper Figure 1), 3 FFs",
     ),
     BenchmarkEntry(
         "s208_like", standins.s208_like, 48, 1, None,
-        "structural stand-in: 8-FF loadable counter + compare",
+        "structural stand-in: loadable counter + compare, 11 FFs",
     ),
     BenchmarkEntry(
         "s298_like", standins.s298_like, 48, 2, None,
-        "structural stand-in: traffic-style FSM, 14 FFs",
+        "structural stand-in: traffic-style FSM, 18 FFs",
     ),
     BenchmarkEntry(
         "s344_like", standins.s344_like, 48, 3, None,
-        "structural stand-in: shift-add multiplier control, 15 FFs",
+        "structural stand-in: shift-add multiplier control, 18 FFs",
     ),
     BenchmarkEntry(
         "s420_like", standins.s420_like, 48, 4, None,
-        "structural stand-in: two chained counter stages, 16 FFs",
+        "structural stand-in: two chained counter stages, 21 FFs",
     ),
     BenchmarkEntry(
         "s641_like", standins.s641_like, 40, 5, None,
-        "structural stand-in: registered 4-function ALU, 19 FFs",
+        "structural stand-in: registered 4-function ALU, 23 FFs",
     ),
     BenchmarkEntry(
         "s713_like", standins.s713_like, 40, 6, None,
-        "structural stand-in: s641_like + redundant consensus logic",
+        "structural stand-in: s641_like + redundant consensus logic, "
+        "24 FFs",
     ),
     BenchmarkEntry(
         "s1423_like", standins.s1423_like, 48, 8, 400,
-        "scaled stand-in (38 FFs vs 74): four-register mixing datapath",
+        "scaled stand-in (39 FFs vs 74): four-register mixing datapath",
     ),
     BenchmarkEntry(
         "s5378_like", standins.s5378_like, 48, 9, 400,
-        "scaled stand-in (46 FFs vs 179): LFSR/shift/counter control mix",
+        "scaled stand-in (50 FFs vs 179): LFSR/shift/counter control mix",
     ),
     BenchmarkEntry(
         "s15850_like", standins.s15850_like, 48, 10, 300,
-        "scaled stand-in (56 FFs vs 597): weakly observable control",
+        "scaled stand-in (63 FFs vs 597): weakly observable control",
         run_baseline=False,
     ),
     BenchmarkEntry(
         "s35932_like", standins.s35932_like, 32, 11, 300,
-        "scaled stand-in (64 FFs vs 1728): replicated shallow slices",
+        "scaled stand-in (71 FFs vs 1728): replicated shallow slices",
         run_baseline=False,
     ),
     BenchmarkEntry(
         "am2910_like", standins.am2910_like, 48, 12, 400,
-        "structural stand-in: 4-bit Am2910-style microprogram sequencer",
+        "structural stand-in: 4-bit Am2910-style microprogram sequencer, "
+        "38 FFs",
     ),
     BenchmarkEntry(
         "mp1_16_like", standins.mp1_16_like, 40, 13, 400,
-        "structural stand-in: minimal accumulator processor",
+        "structural stand-in: minimal accumulator processor, 25 FFs",
     ),
     BenchmarkEntry(
         "mp2_like", standins.mp2_like, 40, 14, 400,
-        "structural stand-in: two-register processor, weak observability",
+        "structural stand-in: two-register processor, weak observability, "
+        "37 FFs",
     ),
 ]
 

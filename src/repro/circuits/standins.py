@@ -221,7 +221,7 @@ def s1423_like() -> Circuit:
 
     Four 8-bit registers written round-robin from an adder/xor mixing
     network, a phase counter, and comparator observability -- deep
-    sequential behaviour like the real s1423 (74 FFs), scaled to 38 FFs
+    sequential behaviour like the real s1423 (74 FFs), scaled to 39 FFs
     for pure-Python simulation.
     """
     kit = ModuleKit("s1423_like")
@@ -267,7 +267,7 @@ def s5378_like() -> Circuit:
     """Stand-in for s5378 (scaled): a controller + FIFO-ish datapath.
 
     The real s5378 (179 FFs, ~2800 gates) mixes counters, shifters and
-    control; this scaled version (46 FFs) keeps that mix: two LFSR
+    control; this scaled version (50 FFs) keeps that mix: two LFSR
     scramblers, a shift pipeline, a counter and decode-heavy control.
     """
     kit = ModuleKit("s5378_like")
@@ -319,7 +319,7 @@ def s15850_like() -> Circuit:
     """Stand-in for s15850 (heavily scaled): wide control over datapath.
 
     The real s15850 (597 FFs) is dominated by weakly observable control
-    state; this stand-in (56 FFs) couples three counter/shift chains so
+    state; this stand-in (63 FFs) couples three counter/shift chains so
     most state stays unspecified under random patterns -- the regime in
     which the paper's Table 2 shows only a couple of extra detections.
     """
@@ -350,10 +350,10 @@ def s35932_like() -> Circuit:
     """Stand-in for s35932 (heavily scaled): wide, shallow, replicated.
 
     The real s35932 (1728 FFs) is a sea of identical shallow slices with
-    high observability; this stand-in replicates eight 8-FF slices (64
-    FFs) of XOR-mix pipelines, each directly observed -- matching the
-    regime where most faults are conventionally detected and expansions
-    close quickly.
+    high observability; this stand-in (71 FFs) replicates eight 8-FF
+    slices of XOR-mix pipelines, each directly observed, plus a 7-cell
+    opaque cluster -- matching the regime where most faults are
+    conventionally detected and expansions close quickly.
     """
     kit = ModuleKit("s35932_like")
     enable = kit.input("en")

@@ -75,13 +75,6 @@ Diagnostics go through the ``repro`` stdlib logger (stderr): progress
 at INFO, ``--verbose`` adds DEBUG detail, ``--quiet`` keeps warnings
 and errors only.  Campaign results and reports stay on stdout.
 
-Static learning (``mot`` subcommand): ``--learning`` precomputes the
-circuit's indirect implications (:mod:`repro.analysis.learning`) and
-installs them as conflict checks on the backward-implication engine.
-Verdicts are bit-identical with and without it; infeasible probe
-branches just conflict earlier (``learning.hits`` /
-``learning.conflicts_early`` in the metrics snapshot).
-
 Exit codes: 0 success; 1 usage or input error (taxonomy:
 :class:`repro.errors.ReproError`), including every worker lost under
 ``--no-degrade`` (journaled verdicts are flushed first, so ``--resume``
@@ -120,7 +113,12 @@ from repro.obs import (
 )
 from repro.patterns.random_gen import random_patterns
 from repro.reporting.tables import Table
-from repro.runner.campaign import CampaignSpec, SpecError, run_campaign
+from repro.runner.campaign import (
+    IMPLICATION_MODES,
+    CampaignSpec,
+    SpecError,
+    run_campaign,
+)
 
 #: Exit codes (see module docstring).
 EXIT_OK = 0
@@ -292,7 +290,6 @@ def _mot_spec(args: argparse.Namespace) -> CampaignSpec:
         n_references=args.n_references,
         implication_mode=args.implication_mode,
         backward_depth=args.depth,
-        learning=args.learning,
         workers=args.workers,
         hosts=tuple(
             h for h in (args.hosts or "").split(",") if h.strip()
@@ -654,12 +651,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_FAILURE
 
     partition = fault_classes(circuit)
-    db = None
-    if args.learning:
-        from repro.analysis.learning import learn_circuit
-
-        db = learn_circuit(circuit)
-    scores = score_faults(circuit, partition.representatives(), db=db)
+    scores = score_faults(circuit, partition.representatives())
     order = order_by_hardness(scores)
     if args.format == "json":
         print(
@@ -910,18 +902,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_mot.add_argument("--n-states", type=int, default=64)
     p_mot.add_argument(
-        "--implication-mode", choices=("fixpoint", "two_pass"),
+        "--implication-mode", choices=IMPLICATION_MODES,
         default="fixpoint",
     )
     p_mot.add_argument(
         "--depth", type=int, default=1,
         help="backward-implication depth in time units",
-    )
-    p_mot.add_argument(
-        "--learning", action="store_true",
-        help="precompute static indirect implications and install them "
-             "as conflict checks on the backward engine (verdicts are "
-             "identical; infeasible branches conflict earlier)",
     )
     p_mot.add_argument(
         "--list-mot", action="store_true",
@@ -1188,11 +1174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument(
         "--top", type=_positive_int, default=10, metavar="N",
         help="hardest representatives to list (default %(default)s)",
-    )
-    p_analyze.add_argument(
-        "--learning", action="store_true",
-        help="refine hardness with the static learning pass (counts "
-             "learned implications that excite each fault site; slower)",
     )
     p_analyze.add_argument(
         "--list-classes", action="store_true",

@@ -35,7 +35,7 @@ from repro.faults.injection import InjectedFault
 from repro.logic.implication import Conflict
 from repro.logic.values import UNKNOWN
 from repro.mot.conditions import MotProfile
-from repro.mot.implication import FrameEngine, LearnedChecks
+from repro.mot.implication import FrameEngine
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 from repro.sim.sequential import SequentialResult
@@ -102,14 +102,7 @@ class BackwardCollector:
         profile: MotProfile,
         mode: str = "fixpoint",
         depth: int = 1,
-        learned: Optional[LearnedChecks] = None,
     ) -> None:
-        """*learned* installs statically learned implication checks
-        (:meth:`repro.analysis.learning.ImplicationDB.for_fault`) on the
-        frame engine: probes then detect conflicts the direct
-        propagation cannot, turning infeasible branches into ``conf``
-        outcomes earlier.  The map must already be masked for this
-        fault's injection."""
         if faulty.frames is None:
             raise ValueError("faulty result must be simulated with keep_frames")
         if depth < 1:
@@ -121,7 +114,7 @@ class BackwardCollector:
         self.profile = profile
         self.mode = mode
         self.depth = depth
-        self.engine = FrameEngine(self.circuit, learned=learned)
+        self.engine = FrameEngine(self.circuit)
         flops = self.circuit.flops
         self._ns_line_of: List[int] = [f.ns for f in flops]
         self._flops_of_ns: Dict[int, List[int]] = {}

@@ -36,7 +36,7 @@ duplicate fanins included.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.logic.gates import GateType
@@ -45,11 +45,6 @@ from repro.logic.values import ONE, UNKNOWN, ZERO
 from repro.obs.metrics import get_metrics
 
 Assignment = Tuple[int, int]
-
-#: Learned-implication trigger map (see :mod:`repro.analysis.learning`):
-#: a ``(line, value)`` just specified maps to the ``(line, value)`` pairs
-#: whose *presence* in the frame contradicts a learned implication.
-LearnedChecks = Mapping[Assignment, Tuple[Assignment, ...]]
 
 # Step kinds of the compiled gate table.
 _AND_OR = 0
@@ -84,21 +79,10 @@ class FrameEngine:
     The engine precomputes, for every line, the driving gate and the
     consuming gates, so each :meth:`imply` call touches only the affected
     cone.
-
-    When *learned* checks are installed (:meth:`set_learned`), every
-    newly specified value is additionally tested against the statically
-    learned indirect implications: a contradiction raises
-    :class:`~repro.logic.Conflict` immediately, before (or instead of)
-    the direct propagation discovering it.  Learned values are checked,
-    never assigned, so the recorded implication sets are identical with
-    and without learning.
     """
 
-    def __init__(
-        self, circuit: Circuit, learned: Optional[LearnedChecks] = None
-    ) -> None:
+    def __init__(self, circuit: Circuit) -> None:
         self.circuit = circuit
-        self.learned = learned if learned else None
         self._ops: List[_Op] = []
         for gate in circuit.gates:
             kind, ctrl, cout = _STEP[gate.gate_type]
@@ -116,39 +100,6 @@ class FrameEngine:
         self._reverse_topo = list(reversed(circuit.topo_gates))
 
     # ------------------------------------------------------------------
-    def set_learned(self, learned: Optional[LearnedChecks]) -> None:
-        """Install (or clear, with ``None``/empty) learned checks."""
-        self.learned = learned if learned else None
-
-    def _check_learned(
-        self, line: int, value: int, values: List[int]
-    ) -> None:
-        """Test the learned implications triggered by ``line = value``.
-
-        Only called when ``self.learned`` is installed.  Raises
-        :class:`Conflict` when the current frame values contradict a
-        learned implication -- which is sound because every installed
-        implication holds in the circuit being implied (fault masking is
-        the caller's responsibility, see
-        :meth:`repro.analysis.learning.ImplicationDB.for_fault`).
-        """
-        assert self.learned is not None
-        checks = self.learned.get((line, value))
-        if not checks:
-            return
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("learning.hits")
-        for other_line, other_value in checks:
-            if values[other_line] == other_value:
-                if metrics.enabled:
-                    metrics.counter("learning.conflicts_early")
-                names = self.circuit.line_names
-                raise Conflict(
-                    f"learned implication violated: {names[line]}={value} "
-                    f"with {names[other_line]}={other_value}"
-                )
-
     def _propagate(
         self,
         values: List[int],
@@ -163,12 +114,11 @@ class FrameEngine:
         Each visit computes the gate's local fixpoint from one scan of
         its current values; a contradiction raises :class:`Conflict`
         before anything of that gate is written.  Every newly specified
-        position is written, recorded, queued (when *queue* is given)
-        and checked against the learned implications, in order.
+        position is written, recorded and queued (when *queue* is
+        given), in order.
         """
         ops = self._ops
         touched = self._touched_gates
-        learned = self.learned
         forced: Sequence[Assignment]
         head = 0
         while True:
@@ -262,8 +212,6 @@ class FrameEngine:
                         record.append((line, value))
                     if queue is not None:
                         queue.append(line)
-                    if learned is not None:
-                        self._check_learned(line, value, values)
             if queue is None or head == len(queue):
                 return
             gates = touched[queue[head]]
@@ -288,8 +236,6 @@ class FrameEngine:
                 seeded.append(line)
                 if record is not None:
                     record.append((line, value))
-                if self.learned is not None:
-                    self._check_learned(line, value, values)
             elif current != value:
                 raise Conflict(
                     f"assignment {self.circuit.line_names[line]}={value} "

@@ -89,13 +89,6 @@ class MotConfig:
     implication_mode: str = "fixpoint"
     backward_depth: int = 1
     budget: Optional[FaultBudget] = None
-    #: Run the static learning pass (:mod:`repro.analysis.learning`) once
-    #: at construction and consult the learned indirect implications
-    #: during every backward probe.  Learned implications are applied as
-    #: conflict checks only, so campaign verdicts are unchanged; probes
-    #: on infeasible branches conflict earlier (``learning.hits`` /
-    #: ``learning.conflicts_early`` metrics) and expansion shrinks.
-    learning: bool = False
     #: When the backward-driven expansion fails to resolve every sequence,
     #: retry once with the forward trial-gain selection of [4] (the
     #: proposed tool subsumes the [4] expansion, so its detections are a
@@ -268,22 +261,6 @@ class ProposedSimulator:
         else:
             self.reference_outputs = self.reference.outputs
         self._fallback = None  # lazily built [4]-style expander
-        self.implication_db = None
-        if self.config.learning:
-            # Imported here: repro.analysis imports repro.mot.implication.
-            from repro.analysis.learning import learn_circuit
-
-            # Learning always uses the complete fixpoint propagation,
-            # regardless of the runtime schedule: the pass is offline, so
-            # thoroughness is free, and under the paper's bounded two-pass
-            # schedule the fixpoint-learned implications recover exactly
-            # the conflicts the two sweeps miss.
-            with metrics.phase("learning"):
-                self.implication_db = learn_circuit(circuit)
-            if metrics.enabled:
-                metrics.counter(
-                    "learning.implications", len(self.implication_db)
-                )
 
     # ------------------------------------------------------------------
     def simulate_fault(
@@ -357,11 +334,6 @@ class ProposedSimulator:
             profile,
             mode=self.config.implication_mode,
             depth=self.config.backward_depth,
-            learned=(
-                self.implication_db.for_fault(injected)
-                if self.implication_db is not None
-                else None
-            ),
         )
         with metrics.phase("backward"):
             info = collector.collect()

@@ -27,7 +27,6 @@ METRIC_NAMES = frozenset(
         "fallback",
         "fsim",
         "good_sim",
-        "learning",
         "resim",
         # Campaign harness.
         "campaign.fault_ms",
@@ -67,10 +66,6 @@ METRIC_NAMES = frozenset(
         "service.jobs.resumed",
         "service.jobs.submitted",
         "service.queue.wait_s",
-        # Static learning (repro.analysis.learning).
-        "learning.conflicts_early",
-        "learning.hits",
-        "learning.implications",
         # Backward implications.
         "mot.backward.conflict",
         "mot.backward.detection",

@@ -64,7 +64,6 @@ def analysis_payload(
                 "class_size": partition.classes[index].size,
                 "activation": _cost(scores[index].activation),
                 "observation": _cost(scores[index].observation),
-                "support": scores[index].support,
                 "hardness": _cost(scores[index].hardness),
             }
             for index in list(order)[:top]
@@ -121,7 +120,6 @@ def render_analysis_report(
                 f"    {entry['fault']:26s} hardness "
                 f"{entry['hardness']:>6} (activation {entry['activation']}"
                 f", observation {entry['observation']}"
-                f", support {entry['support']}"
                 f", class size {entry['class_size']})"
             )
     if list_classes:

@@ -46,6 +46,7 @@ from repro.sim.goodcache import GoodMachineCache
 __all__ = [
     "SIMULATOR_KINDS",
     "COLLAPSE_MODES",
+    "IMPLICATION_MODES",
     "CampaignSpec",
     "CampaignResult",
     "SpecError",
@@ -64,6 +65,11 @@ SIMULATOR_KINDS = ("mot", "baseline", "unrestricted", "fsim")
 #: (provenance in ``expanded_from``), ``"none"`` simulates the full
 #: uncollapsed universe.
 COLLAPSE_MODES = ("structural", "classes", "none")
+
+#: Backward-implication schedules accepted by
+#: :attr:`CampaignSpec.implication_mode` (see
+#: :class:`repro.mot.implication.FrameEngine`).
+IMPLICATION_MODES = ("fixpoint", "two_pass")
 
 
 class SpecError(ValueError):
@@ -90,8 +96,8 @@ class CampaignSpec:
     Simulator: ``kind`` picks the simulator; the remaining knobs apply
     where the CLI applies them (``n_states`` to the restricted MOT
     core, ``n_references`` to the unrestricted generalization,
-    ``implication_mode``/``backward_depth``/``learning`` to the
-    proposed procedure only).  ``engine`` has no CLI flag and accepts
+    ``implication_mode``/``backward_depth`` to the proposed procedure
+    only).  ``engine`` has no CLI flag and accepts
     only ``"ir"``: every campaign simulates on the compiled kernel, and
     the field stays so that payloads naming it keep validating.
 
@@ -119,7 +125,6 @@ class CampaignSpec:
     n_references: int = 8
     implication_mode: str = "fixpoint"
     backward_depth: int = 1
-    learning: bool = False
 
     # -- execution -----------------------------------------------------
     workers: int = 1
@@ -169,6 +174,15 @@ class CampaignSpec:
         if self.n_references < 1:
             raise SpecError(
                 f"n_references must be >= 1, got {self.n_references}"
+            )
+        if self.implication_mode not in IMPLICATION_MODES:
+            raise SpecError(
+                f"unknown implication mode {self.implication_mode!r} "
+                f"(expected one of {IMPLICATION_MODES})"
+            )
+        if self.backward_depth < 1:
+            raise SpecError(
+                f"backward_depth must be >= 1, got {self.backward_depth}"
             )
         if self.workers < 1:
             raise SpecError(f"workers must be >= 1, got {self.workers}")
@@ -392,7 +406,6 @@ def _build_simulator(
                 n_states=spec.n_states,
                 implication_mode=spec.implication_mode,
                 backward_depth=spec.backward_depth,
-                learning=spec.learning,
             ),
             good_cache=good_cache,
         )

@@ -55,9 +55,7 @@ def test_analyze_bench_file_with_options(tmp_path, capsys):
 
     path = tmp_path / "c.bench"
     path.write_text(S27_BENCH)
-    assert main(
-        ["analyze", str(path), "--top", "3", "--learning", "--list-classes"]
-    ) == 0
+    assert main(["analyze", str(path), "--top", "3", "--list-classes"]) == 0
     out = capsys.readouterr().out
     assert "class" in out
 

@@ -94,17 +94,17 @@ def test_unrelated_comparisons_ignored(tmp_path):
 # RL003: metric names come from the declared registry
 # ----------------------------------------------------------------------
 def test_undeclared_metric_name_is_flagged(tmp_path):
-    source = "metrics.counter('learning.bogus')\n"
+    source = "metrics.counter('mot.bogus')\n"
     problems = problems_for(tmp_path, source)
     assert rules_of(problems) == ["RL003"]
-    assert "learning.bogus" in problems[0].message
+    assert "mot.bogus" in problems[0].message
 
 
 def test_declared_metric_names_pass(tmp_path):
     source = (
-        "metrics.counter('learning.hits')\n"
-        "get_metrics().counter('learning.conflicts_early')\n"
-        "with metrics.phase('learning'):\n"
+        "metrics.counter('mot.implication.runs')\n"
+        "get_metrics().counter('mot.backward.conflict')\n"
+        "with metrics.phase('backward'):\n"
         "    pass\n"
     )
     assert problems_for(tmp_path, source) == []

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.collapse import fault_classes
-from repro.analysis.learning import learn_circuit
 from repro.analysis.testability import (
     FaultScore,
     hardest_first,
@@ -35,18 +34,17 @@ def _comb():
 # ----------------------------------------------------------------------
 # FaultScore arithmetic
 # ----------------------------------------------------------------------
-def test_hardness_discounts_by_support():
+def test_hardness_is_activation_plus_observation():
     fault = Fault(line=0, stuck_at=ZERO)
-    base = FaultScore(fault, activation=3.0, observation=2.0, support=0)
-    helped = FaultScore(fault, activation=3.0, observation=2.0, support=4)
-    assert base.hardness == pytest.approx(5.0)
-    assert helped.hardness == pytest.approx(1.0)
-    assert helped.hardness < base.hardness
+    score = FaultScore(fault, activation=3.0, observation=2.0)
+    assert score.hardness == pytest.approx(5.0)
+    unobservable = FaultScore(fault, activation=3.0, observation=INFINITY)
+    assert unobservable.hardness == INFINITY
 
 
 def test_untestable_faults_score_infinite():
     fault = Fault(line=0, stuck_at=ZERO)
-    score = FaultScore(fault, activation=INFINITY, observation=1.0, support=3)
+    score = FaultScore(fault, activation=INFINITY, observation=1.0)
     assert score.hardness == INFINITY
 
 
@@ -118,12 +116,3 @@ def test_hardest_first_is_deterministic():
     faults = fault_classes(circuit).representatives()
     assert hardest_first(circuit, faults) == hardest_first(s27(), faults)
 
-
-def test_learned_support_reduces_hardness():
-    circuit = s27()
-    faults = fault_classes(circuit).representatives()
-    plain = score_faults(circuit, faults)
-    learned = score_faults(circuit, faults, db=learn_circuit(circuit))
-    assert sum(s.support for s in learned) > 0
-    for before, after in zip(plain, learned):
-        assert after.hardness <= before.hardness

@@ -27,6 +27,12 @@ def test_expected_flop_counts(name):
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
+def test_scale_note_names_the_real_flop_count(name):
+    note = registry.get_entry(name).scale_note
+    assert f"{EXPECTED_FLOPS[name]} FFs" in note
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
 def test_deterministic_construction(name):
     a = registry.build_circuit(name)
     b = registry.build_circuit(name)

@@ -8,9 +8,8 @@ the readable reference for one gate.  These tests pin the two together:
   fanins, under every value combination: same values, same record, same
   conflicts;
 * whole frames of random Moore machines, against a reference engine
-  that applies ``propagate_gate`` gate by gate, under both schedules and
-  with and without learned checks: same values (also after a conflict),
-  same record, same conflicts and the same learned-check calls.
+  that applies ``propagate_gate`` gate by gate, under both schedules:
+  same values (also after a conflict), same record, same conflicts.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.learning import learn_circuit
 from repro.circuit.netlist import CircuitBuilder
 from repro.circuits.generators import random_moore
 from repro.logic.gates import GateType
@@ -127,8 +125,8 @@ class ReferenceEngine(FrameEngine):
     """The interpreted engine: ``propagate_gate`` per visit, revisiting
     a gate once per fanin position that reads the changed line."""
 
-    def __init__(self, circuit, learned=None):
-        super().__init__(circuit, learned)
+    def __init__(self, circuit):
+        super().__init__(circuit)
         touched = [[] for _ in range(circuit.num_lines)]
         for gate_index, gate in enumerate(circuit.gates):
             touched[gate.output].append(gate_index)
@@ -156,8 +154,6 @@ class ReferenceEngine(FrameEngine):
                 record.append((line, value))
             if queue is not None:
                 queue.append(line)
-            if self.learned is not None:
-                self._check_learned(line, value, values)
 
     def imply(self, values, assignments, record=None):
         queue = deque(self._seed(values, assignments, record))
@@ -174,15 +170,7 @@ class ReferenceEngine(FrameEngine):
 
 
 def _observe(engine, method, base, assignments):
-    """(conflict?, values, record, learned-check calls) of one run."""
-    checks = []
-    original = engine._check_learned
-
-    def logged(line, value, values):
-        checks.append((line, value))
-        original(line, value, values)
-
-    engine._check_learned = logged
+    """(conflict?, values, record) of one run."""
     values = list(base)
     record = []
     try:
@@ -190,23 +178,19 @@ def _observe(engine, method, base, assignments):
         conflict = False
     except Conflict:
         conflict = True
-    finally:
-        del engine._check_learned
-    return conflict, values, record, checks
+    return conflict, values, record
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
     mode=st.sampled_from(["imply", "imply_two_pass"]),
-    learning=st.booleans(),
     data=st.data(),
 )
-def test_engine_matches_reference_on_random_frames(seed, mode, learning, data):
+def test_engine_matches_reference_on_random_frames(seed, mode, data):
     circuit = random_moore(seed, num_inputs=3, num_flops=4, num_gates=20)
-    learned = learn_circuit(circuit).checks() if learning else None
-    compiled = FrameEngine(circuit, learned=learned)
-    reference = ReferenceEngine(circuit, learned=learned)
+    compiled = FrameEngine(circuit)
+    reference = ReferenceEngine(circuit)
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     for _ in range(8):
         pis = [rng.choice((0, 1, UNKNOWN)) for _ in circuit.inputs]

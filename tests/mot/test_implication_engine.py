@@ -1,8 +1,11 @@
 """Tests for the frame implication engine."""
 
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.circuit.bench import load_bench
 from repro.circuits.generators import random_moore
 from repro.circuits.library import fig4, s27
 from repro.logic.implication import Conflict
@@ -11,6 +14,11 @@ from repro.mot.implication import FrameEngine
 from repro.sim.frame import eval_frame
 
 from tests.helpers import comb_circuit, completions
+
+DEMO_BENCH = os.path.join(
+    os.path.dirname(__file__), "..", "..", "examples", "circuits",
+    "learned_demo.bench",
+)
 
 
 def test_forward_propagation():
@@ -91,6 +99,27 @@ def test_two_pass_subset_of_fixpoint():
     for line in range(circuit.num_lines):
         if two[line] != UNKNOWN:
             assert two[line] == full[line]
+
+
+def test_two_pass_misses_a_conflict_the_fixpoint_finds():
+    """On learned_demo, M = 0 makes Z = 1 infeasible.
+
+    The paper's two-pass schedule sweeps each gate a bounded number of
+    times and never revisits the cone that rules Z = 1 out; the fixpoint
+    schedule finds the conflict by iterating.
+    """
+    circuit = load_bench(DEMO_BENCH)
+    engine = FrameEngine(circuit)
+    m, z = circuit.line_id("M"), circuit.line_id("Z")
+
+    def frame():
+        values = [UNKNOWN] * circuit.num_lines
+        values[m] = 0
+        return values
+
+    engine.imply_two_pass(frame(), [(z, 1)], [])
+    with pytest.raises(Conflict):
+        engine.imply(frame(), [(z, 1)], [])
 
 
 def _frame_models(circuit, base, assignments):

@@ -2,11 +2,11 @@
 
 Each ``tests/mot/golden/<name>.verdicts.json`` fixture pins the full
 ``campaign_csv`` output of one circuit under the proposed procedure
-(fixpoint, two-pass, learning) and the [4] baseline (one-shot,
-iterative).  Any change to a verdict, a ``how`` tag, the Table 3
-counters or the sequence/expansion counts fails here -- including a
-changed implication record order, which moves ``N_extra`` and with it
-the phase-2 pair selection.  Regenerate with
+(fixpoint, two-pass) and the [4] baseline (one-shot, iterative).  Any
+change to a verdict, a ``how`` tag, the Table 3 counters or the
+sequence/expansion counts fails here -- including a changed
+implication record order, which moves ``N_extra`` and with it the
+phase-2 pair selection.  Regenerate with
 ``python tools/make_verdict_fixtures.py`` when a change is intentional.
 
 The same frozen text is also the identity target of the multi-process
@@ -70,7 +70,7 @@ def test_campaign_csv_matches_fixture(name, run):
 #: (workload, run) pairs replayed on local workers.
 EXECUTOR_CASES = [
     (name, "proposed_fixpoint") for name in sorted(tool.WORKLOADS)
-] + [("learned_demo", "proposed_learning"), ("s27", "baseline_oneshot")]
+] + [("learned_demo", "proposed_two_pass"), ("s27", "baseline_oneshot")]
 
 
 @pytest.mark.parametrize("name,run", EXECUTOR_CASES)

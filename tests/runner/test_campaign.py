@@ -40,6 +40,8 @@ def test_spec_requires_exactly_one_source():
         ("n_states", 0),
         ("workers", 0),
         ("lease_timeout", 0.0),
+        ("implication_mode", "twopass"),
+        ("backward_depth", 0),
     ],
 )
 def test_spec_rejects_bad_values(field, value):
@@ -103,6 +105,17 @@ def test_from_payload_accepts_retired_executor_keys():
     assert spec.workers == 2
 
 
+def test_from_payload_accepts_stored_learning_key():
+    """Job payloads queued before the static learning pass was removed
+    carry ``"learning": false``; they still rebuild to the same spec."""
+    spec = CampaignSpec(
+        circuit="s27", length=16, seed=1, implication_mode="two_pass",
+        backward_depth=2,
+    )
+    stored = {**spec.to_payload(), "learning": False}
+    assert CampaignSpec.from_payload(stored) == spec
+
+
 def test_from_payload_validates():
     with pytest.raises(SpecError):
         CampaignSpec.from_payload({"circuit": "s27", "kind": "bogus"})
@@ -116,7 +129,7 @@ MISTYPED = [
     {"workers": True},
     {"length": "16"},
     {"seed": None},
-    {"learning": "yes"},
+    {"resume": "yes"},
     {"budget_ms": "fast"},
     {"lease_timeout": False},
     {"engine": 7},

@@ -5,8 +5,8 @@ Each ``<name>.verdicts.json`` fixture freezes the full per-fault
 ``campaign_csv`` output (status, how, ``N_det``/``N_conf``/``N_extra``,
 sequences, expansions) of one circuit under every simulator setting in
 :data:`RUNS`: the proposed procedure with the fixpoint and two-pass
-implication schedules and with static learning, and the [4] baseline
-with its one-shot and iterative schedules.  The replay test
+implication schedules, and the [4] baseline with its one-shot and
+iterative schedules.  The replay test
 (``tests/mot/test_verdict_fixtures.py``) reruns every setting and
 compares the CSV text byte for byte, so an optimization of the MOT core
 that changes any verdict -- or merely the order in which implications
@@ -58,9 +58,6 @@ RUNS = {
     "proposed_fixpoint": lambda c, p: ProposedSimulator(c, p),
     "proposed_two_pass": lambda c, p: ProposedSimulator(
         c, p, MotConfig(implication_mode="two_pass")
-    ),
-    "proposed_learning": lambda c, p: ProposedSimulator(
-        c, p, MotConfig(learning=True)
     ),
     "baseline_oneshot": lambda c, p: BaselineSimulator(c, p),
     "baseline_iterative": lambda c, p: BaselineSimulator(
