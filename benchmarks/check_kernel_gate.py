@@ -9,8 +9,10 @@ enforces the two halves of its acceptance criterion in order:
    random Moore machines plus the s27 library circuit, driven through
    frame evaluation (interpreter vs width-1 kernel vs packed PPSFP
    slots), sequential simulation (with X initial states and per-frame
-   capture) and conventional fault simulation (serial vs the kernel's
-   plane-mask fault batches).  Any mismatch fails before a single timer
+   capture), conventional fault simulation (serial vs the kernel's
+   plane-mask fault batches) and the batches' condition (C) mask (vs
+   ``mot_profile(...).condition_c()`` of each injected circuit's
+   interpreted simulation).  Any mismatch fails before a single timer
    starts: a fast wrong kernel is worthless.
 
 2. **Throughput**: packed PPSFP frame evaluation on ``s5378_like``
@@ -36,19 +38,23 @@ sys.path.insert(
 from repro.circuits.generators import random_moore
 from repro.circuits.library import s27
 from repro.circuits.registry import build_circuit
+from repro.faults.injection import inject_fault
 from repro.faults.sites import all_faults
 from repro.fsim.conventional import run_conventional
-from repro.fsim.parallel import run_parallel_conventional
+from repro.fsim.parallel import DEFAULT_BATCH, run_parallel_conventional
 from repro.logic.values import UNKNOWN
+from repro.mot.conditions import mot_profile
 from repro.patterns.random_gen import random_patterns
 from repro.sim.frame import eval_frame
 from repro.sim.ir import compile_circuit
 from repro.sim.kernel import (
+    compile_fault_batch,
     eval_frame_planes,
     eval_frame_values,
+    simulate_fault_batch,
     simulate_sequence_ir,
 )
-from repro.sim.sequential import simulate_sequence
+from repro.sim.sequential import simulate_injected, simulate_sequence
 
 #: Random differential workload: (circuit seed, pattern seed) pairs.
 RANDOM_SEEDS = tuple((seed, seed * 7 + 1) for seed in range(10))
@@ -94,6 +100,21 @@ def check_identity_on(circuit, patterns, faults) -> None:
                 f"kernel verdict mismatch on {circuit.name}: "
                 f"{expected_v.fault.describe(circuit)}"
             )
+    # Condition (C): the batches' mask vs the interpreted profile.
+    reference = interp_seq.outputs
+    for start in range(0, len(faults), DEFAULT_BATCH):
+        chunk = faults[start:start + DEFAULT_BATCH]
+        masks = simulate_fault_batch(
+            circuit, compile_fault_batch(circuit, chunk), patterns, reference
+        )
+        for j, fault in enumerate(chunk):
+            faulty = simulate_injected(inject_fault(circuit, fault), patterns)
+            profile = mot_profile(faulty.states, reference, faulty.outputs)
+            if bool(masks.condition_c >> j & 1) != profile.condition_c():
+                fail(
+                    f"kernel condition (C) mismatch on {circuit.name}: "
+                    f"{fault.describe(circuit)}"
+                )
 
 
 def check_identity() -> None:

@@ -11,7 +11,11 @@ standard s27 MOT campaign workload (the same workload as
    best-of-K; enabling metrics must cost at most ``--threshold``
    (default 5%).  Because the disabled path is a strict subset of the
    enabled path's work, this also bounds what the no-op default can
-   cost over an uninstrumented build.
+   cost over an uninstrumented build.  One sample is the mean over
+   back-to-back campaigns lasting at least ``MIN_SAMPLE_S`` (a single
+   campaign takes milliseconds, where scheduler noise alone exceeds
+   the bound), and the side that runs first alternates between rounds
+   so drift in the host's load hits both sides alike.
 2. **No-op primitive cost** -- ``NullMetrics.counter`` /
    ``NullMetrics.phase`` must stay within ``--null-factor`` of a plain
    empty method call.  This catches the regression the ratio above
@@ -26,6 +30,7 @@ Exit status 0 when all three hold, 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -39,6 +44,10 @@ from repro.obs.metrics import (
 )
 from repro.patterns.random_gen import random_patterns
 from repro.runner.harness import CampaignHarness, HarnessConfig
+
+
+#: Minimum wall time of one timing sample, in seconds.
+MIN_SAMPLE_S = 0.3
 
 
 def _workload():
@@ -63,28 +72,42 @@ def _verdict_key(campaign):
     return [(v.fault, v.status, v.how) for v in campaign.verdicts]
 
 
-def measure_campaigns(rounds):
-    """Interleaved best-of-*rounds* timings: (disabled, enabled, equal)."""
-    circuit, faults, patterns = _workload()
-    disabled_times, enabled_times = [], []
-    reference = None
-    identical = True
-    for _ in range(rounds):
-        disable_metrics()
-        seconds, campaign = _run_campaign(circuit, faults, patterns)
-        disabled_times.append(seconds)
-        if reference is None:
-            reference = _verdict_key(campaign)
-        identical &= _verdict_key(campaign) == reference
-
+def _sample(circuit, faults, patterns, repeats, enabled):
+    """Mean seconds per campaign over *repeats* back-to-back campaigns,
+    and the last campaign."""
+    if enabled:
         enable_metrics()
-        try:
-            seconds, campaign = _run_campaign(circuit, faults, patterns)
-        finally:
-            disable_metrics()
-        enabled_times.append(seconds)
-        identical &= _verdict_key(campaign) == reference
-    return min(disabled_times), min(enabled_times), identical
+    try:
+        started = time.perf_counter()
+        for _ in range(repeats):
+            _seconds, campaign = _run_campaign(circuit, faults, patterns)
+        elapsed = time.perf_counter() - started
+    finally:
+        disable_metrics()
+    return elapsed / repeats, campaign
+
+
+def measure_campaigns(rounds):
+    """Interleaved best-of-*rounds* timings: (disabled, enabled, equal).
+
+    Each round takes one sample per side, disabled first in even rounds
+    and enabled first in odd ones.
+    """
+    circuit, faults, patterns = _workload()
+    disable_metrics()
+    one, reference_campaign = _run_campaign(circuit, faults, patterns)
+    repeats = max(1, math.ceil(MIN_SAMPLE_S / one))
+    reference = _verdict_key(reference_campaign)
+    times = {False: [], True: []}
+    identical = True
+    for index in range(rounds):
+        for enabled in ((False, True) if index % 2 == 0 else (True, False)):
+            seconds, campaign = _sample(
+                circuit, faults, patterns, repeats, enabled
+            )
+            times[enabled].append(seconds)
+            identical &= _verdict_key(campaign) == reference
+    return min(times[False]), min(times[True]), identical
 
 
 def measure_null_primitive_factor(iterations=200_000):

@@ -6,8 +6,8 @@ technique instead: faults are split into batches of at most
 :data:`DEFAULT_BATCH`, each batch is compiled into per-pin plane masks
 (:func:`repro.sim.kernel.compile_fault_batch`; slot 0 is the fault-free
 machine, slot ``j + 1`` holds fault ``j``) and one levelized two-plane
-pass per time frame simulates the whole batch
-(:func:`repro.sim.kernel.simulate_fault_batch`).
+pass per time frame simulates the whole batch against the good
+machine's response (:func:`repro.sim.kernel.simulate_fault_batch`).
 
 Verdicts are bit-identical to the serial simulator (asserted in
 ``tests/fsim/test_parallel.py`` and ``tests/sim/test_ir_differential.py``,
@@ -61,8 +61,9 @@ def run_parallel_conventional(
         for start in range(0, len(faults), batch):
             chunk = list(faults[start:start + batch])
             detected_mask = simulate_fault_batch(
-                circuit, compile_fault_batch(circuit, chunk), patterns
-            )
+                circuit, compile_fault_batch(circuit, chunk), patterns,
+                reference.outputs,
+            ).detected
             if metrics.enabled:
                 metrics.counter("fsim.parallel.batches")
             for position, fault in enumerate(chunk):

@@ -30,26 +30,19 @@ Two scheduling modes are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.circuit.netlist import Circuit
-from repro.errors import BudgetExceeded
 from repro.faults.injection import InjectedFault, inject_fault
 from repro.faults.model import Fault
 from repro.logic.values import ONE, UNKNOWN, ZERO
 from repro.mot.conditions import MotProfile, mot_profile
 from repro.mot.expansion import DEFAULT_N_STATES, StateSequence
 from repro.mot.resimulate import SequenceStatus, resimulate_sequence
-from repro.mot.simulator import Campaign, FaultVerdict
+from repro.mot.simulator import FaultVerdict, ProcedureFront
 from repro.runner.budget import BudgetMeter, FaultBudget
-from repro.sim.goodcache import GoodMachineCache
 from repro.sim.ir import compile_circuit
 from repro.sim.kernel import eval_pass
-from repro.sim.sequential import (
-    outputs_conflict,
-    simulate_injected,
-    simulate_sequence,
-)
+from repro.sim.sequential import simulate_injected
 
 
 @dataclass(frozen=True)
@@ -62,43 +55,20 @@ class BaselineConfig:
     #: :class:`repro.mot.simulator.MotConfig`).
     budget: Optional[FaultBudget] = None
 
+    def __post_init__(self) -> None:
+        if self.schedule not in ("oneshot", "iterative"):
+            raise ValueError(f"unknown schedule {self.schedule!r}")
 
-class BaselineSimulator:
-    """State-expansion fault simulator without backward implications."""
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        patterns: Sequence[Sequence[int]],
-        config: Optional[BaselineConfig] = None,
-        reference_outputs: Optional[Sequence[Sequence[int]]] = None,
-        good_cache: Optional[GoodMachineCache] = None,
-    ) -> None:
-        """*reference_outputs* overrides the fault-free response and
-        *good_cache* supplies a precomputed fault-free trajectory (see
-        :class:`repro.mot.simulator.ProposedSimulator` for both)."""
-        self.circuit = circuit
-        self.patterns = [list(p) for p in patterns]
-        self.config = config or BaselineConfig()
-        if self.config.schedule not in ("oneshot", "iterative"):
-            raise ValueError(f"unknown schedule {self.config.schedule!r}")
-        self.good_cache = (
-            good_cache.require_match(circuit, self.patterns)
-            if good_cache is not None
-            else None
-        )
-        if self.good_cache is not None:
-            self.reference = self.good_cache.result
-        else:
-            self.reference = simulate_sequence(
-                circuit, self.patterns, engine="ir"
-            )
-        if reference_outputs is not None:
-            if len(reference_outputs) != len(self.patterns):
-                raise ValueError("reference response length mismatch")
-            self.reference_outputs = [list(r) for r in reference_outputs]
-        else:
-            self.reference_outputs = self.reference.outputs
+class BaselineSimulator(ProcedureFront):
+    """State-expansion fault simulator without backward implications.
+
+    It opens every fault with the same batched front as the proposed
+    procedure (:class:`~repro.mot.simulator.ProcedureFront`):
+    conventional detection and condition (C).
+    """
+
+    config_class = BaselineConfig
 
     # ------------------------------------------------------------------
     def _trial_gains(
@@ -240,42 +210,14 @@ class BaselineSimulator:
         return unresolved
 
     # ------------------------------------------------------------------
-    def simulate_fault(
-        self, fault: Fault, meter: Optional[BudgetMeter] = None
-    ) -> FaultVerdict:
-        """Run the baseline procedure for one fault.
-
-        Budget semantics match
-        :meth:`repro.mot.simulator.ProposedSimulator.simulate_fault`:
-        an exhausted own-config budget becomes an ``"aborted"``
-        verdict; an externally supplied *meter* propagates
-        :class:`BudgetExceeded` to its owner.
-        """
-        owned = meter is None
-        if owned and self.config.budget is not None and self.config.budget.bounded:
-            meter = BudgetMeter(self.config.budget)
-        if not owned:
-            return self._procedure(fault, meter)
-        try:
-            return self._procedure(fault, meter)
-        except BudgetExceeded as exc:
-            return FaultVerdict(fault, "aborted", how="budget",
-                                detail=str(exc))
-
     def _procedure(
         self, fault: Fault, meter: Optional[BudgetMeter]
     ) -> FaultVerdict:
         injected = inject_fault(self.circuit, fault)
         faulty = simulate_injected(injected, self.patterns)
-        if meter is not None:
-            meter.charge()
-        if outputs_conflict(self.reference_outputs, faulty.outputs) is not None:
-            return FaultVerdict(fault, "conv")
         profile = mot_profile(
             faulty.states, self.reference_outputs, faulty.outputs
         )
-        if not profile.condition_c():
-            return FaultVerdict(fault, "dropped")
         return self.expand_and_resolve(
             fault, injected, faulty.states, profile, meter
         )
@@ -296,7 +238,8 @@ class BaselineSimulator:
         ``N_sv``/``N_out`` profile); the proposed procedure's forward
         fallback passes its own, so the fault is not injected and
         simulated twice.  *meter* is charged like in
-        :meth:`simulate_fault` with a caller-supplied meter.
+        :meth:`~repro.mot.simulator.ProcedureFront.simulate_fault` with
+        a caller-supplied meter.
         """
         sequences = [StateSequence(states=[list(r) for r in faulty_states])]
         if self.config.schedule == "oneshot":
@@ -373,7 +316,3 @@ class BaselineSimulator:
             num_expansions=expansions,
         )
 
-    def run(self, faults: Iterable[Fault]) -> Campaign:
-        """Simulate every fault and aggregate the verdicts."""
-        verdicts = [self.simulate_fault(fault) for fault in faults]
-        return Campaign(circuit_name=self.circuit.name, verdicts=verdicts)

@@ -24,6 +24,11 @@ satisfied by any conventional trajectory), every initial state of the
 faulty circuit leads to a detected response.  This shortcut is exercised
 against the exhaustive oracle in the test suite.
 
+Steps 1 and 2 run as one batched front (:class:`ProcedureFront`, shared
+with the [4] baseline): kernel fault batches decide both for a whole
+fault list, and only the faults that pass both are injected and
+simulated one at a time for steps 3-5.
+
 The per-fault counters of Table 3 are also maintained here:
 ``N_det(f)`` / ``N_conf(f)`` count closed branches over the phase-1 pairs
 (plus the Section 3.2 witness), and ``N_extra(f)`` accumulates the sizes
@@ -36,10 +41,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
+import repro.sim.kernel as kernel
 from repro.circuit.netlist import Circuit
 from repro.errors import BudgetExceeded, VERDICT_STATUSES
 from repro.faults.injection import InjectedFault, inject_fault
 from repro.faults.model import Fault
+from repro.fsim.parallel import DEFAULT_BATCH
 from repro.mot.backward import BackwardCollector, detection_from_info
 from repro.mot.conditions import MotProfile, mot_profile
 from repro.mot.expansion import DEFAULT_N_STATES, expand
@@ -48,11 +55,7 @@ from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 from repro.runner.budget import BudgetMeter, FaultBudget
 from repro.sim.goodcache import GoodMachineCache
-from repro.sim.sequential import (
-    outputs_conflict,
-    simulate_injected,
-    simulate_sequence,
-)
+from repro.sim.sequential import simulate_injected, simulate_sequence
 
 
 def fault_label(circuit: Circuit, fault: Fault) -> str:
@@ -208,32 +211,51 @@ class Campaign:
         }
 
 
-class ProposedSimulator:
-    """Fault simulator implementing the paper's proposed procedure."""
+class ProcedureFront:
+    """The opening of Procedure 1, shared by the proposed procedure and
+    the [4] baseline.
+
+    Both simulators start every fault the same way: conventional
+    simulation against the reference response, then the necessary
+    condition (C).  :meth:`prefilter` decides both for a whole fault
+    list in kernel fault batches of :data:`DEFAULT_BATCH` faults
+    (:func:`repro.sim.kernel.simulate_fault_batch`) and keeps the
+    answer per fault on the instance.  :meth:`simulate_fault` answers
+    ``"conv"`` and ``"dropped"`` from that table; only the faults that
+    pass both checks are injected and simulated one at a time, by the
+    subclass's :meth:`_procedure`.  The front also owns the reference
+    set-up, the per-fault budget wrapper and :meth:`run`.
+    """
+
+    #: The configuration dataclass used when none is passed.
+    config_class: type
 
     def __init__(
         self,
         circuit: Circuit,
         patterns: Sequence[Sequence[int]],
-        config: Optional[MotConfig] = None,
+        config=None,
         reference_outputs: Optional[Sequence[Sequence[int]]] = None,
         good_cache: Optional[GoodMachineCache] = None,
     ) -> None:
-        """*reference_outputs* overrides the fault-free response the
+        """*config* defaults to :attr:`config_class` with its defaults.
+
+        *reference_outputs* overrides the fault-free response the
         faulty circuit is compared against.  The default is conventional
         simulation from the all-unspecified state (the restricted MOT
         setting); the unrestricted simulator passes each expanded
-        fault-free response here instead.
+        fault-free response here instead, and the proposed procedure
+        passes its own to its forward fallback.
 
         *good_cache* supplies a precomputed fault-free trajectory
         (:class:`~repro.sim.goodcache.GoodMachineCache`) so construction
         skips the good-machine simulation entirely.  The cache is
-        validated against (circuit, patterns) and must match; it is
-        shared read-only with the forward fallback and, in worker
-        campaigns, with every forked worker process."""
+        validated against (circuit, patterns) and must match; in worker
+        campaigns it is shared read-only with every forked worker
+        process."""
         self.circuit = circuit
         self.patterns = [list(p) for p in patterns]
-        self.config = config or MotConfig()
+        self.config = config or self.config_class()
         self.good_cache = (
             good_cache.require_match(circuit, self.patterns)
             if good_cache is not None
@@ -241,32 +263,66 @@ class ProposedSimulator:
         )
         metrics = get_metrics()
         tracer = get_tracer()
+        good_outputs = None
         if self.good_cache is not None:
             metrics.counter("goodcache.hit")
             if tracer.enabled:
                 tracer.emit("goodcache", event="hit")
-            self.reference = self.good_cache.result
-        else:
+            good_outputs = self.good_cache.outputs
+        elif reference_outputs is None:
             metrics.counter("goodcache.miss")
             if tracer.enabled:
                 tracer.emit("goodcache", event="miss")
             with metrics.phase("good_sim"):
-                self.reference = simulate_sequence(
+                good_outputs = simulate_sequence(
                     circuit, self.patterns, engine="ir"
-                )
-        if reference_outputs is not None:
-            if len(reference_outputs) != len(self.patterns):
-                raise ValueError("reference response length mismatch")
-            self.reference_outputs = [list(r) for r in reference_outputs]
+                ).outputs
+        if reference_outputs is None:
+            self.reference_outputs = good_outputs
+        elif len(reference_outputs) != len(self.patterns):
+            raise ValueError("reference response length mismatch")
         else:
-            self.reference_outputs = self.reference.outputs
-        self._fallback = None  # lazily built [4]-style expander
+            self.reference_outputs = [list(r) for r in reference_outputs]
+        #: fault -> "conv", "dropped", or "" when it passes both checks.
+        self._front: Dict[Fault, str] = {}
 
     # ------------------------------------------------------------------
+    def prefilter(self, faults: Iterable[Fault]) -> None:
+        """Decide conventional detection and condition (C) for *faults*.
+
+        One kernel pass per :data:`DEFAULT_BATCH` faults not yet in the
+        table; recorded under the ``conv_sim`` phase.
+        """
+        pending = [f for f in dict.fromkeys(faults) if f not in self._front]
+        if not pending:
+            return
+        with get_metrics().phase("conv_sim"):
+            for start in range(0, len(pending), DEFAULT_BATCH):
+                chunk = pending[start:start + DEFAULT_BATCH]
+                # Looked up on the module at call time, so a wrapper
+                # installed on the kernel's attributes sees every batch.
+                masks = kernel.simulate_fault_batch(
+                    self.circuit,
+                    kernel.compile_fault_batch(self.circuit, chunk),
+                    self.patterns,
+                    self.reference_outputs,
+                )
+                for j, fault in enumerate(chunk):
+                    if masks.detected >> j & 1:
+                        self._front[fault] = "conv"
+                    elif masks.condition_c >> j & 1:
+                        self._front[fault] = ""
+                    else:
+                        self._front[fault] = "dropped"
+
     def simulate_fault(
         self, fault: Fault, meter: Optional[BudgetMeter] = None
     ) -> FaultVerdict:
-        """Run Procedure 1 for one fault.
+        """Run the procedure for one fault.
+
+        A fault missing from the prefilter table is prefiltered alone
+        first (a batch of one), so a direct call gets the same verdict
+        as a campaign.
 
         With a budget configured (or an external *meter* supplied), work
         is charged at every phase; when the budget runs out the fault is
@@ -276,14 +332,62 @@ class ProposedSimulator:
         across simulators -- in that case :class:`BudgetExceeded`
         propagates so the owner converts it exactly once.
         """
+        owned = meter is None
+        budget = self.config.budget
+        if owned and budget is not None and budget.bounded:
+            meter = BudgetMeter(budget)
+        try:
+            outcome = self._front.get(fault)
+            if outcome is None:
+                self.prefilter([fault])
+                outcome = self._front[fault]
+            if meter is not None:
+                meter.charge()  # the conventional step
+            if outcome:
+                return FaultVerdict(fault, outcome)
+            return self._procedure(fault, meter)
+        except BudgetExceeded as exc:
+            if not owned:
+                raise
+            return FaultVerdict(fault, "aborted", how="budget",
+                                detail=str(exc))
+
+    def _procedure(
+        self, fault: Fault, meter: Optional[BudgetMeter]
+    ) -> FaultVerdict:
+        """The per-fault steps after the front, for a fault that is
+        neither conventionally detected nor dropped by (C); raises
+        :class:`BudgetExceeded` on an exhausted *meter*."""
+        raise NotImplementedError
+
+    def run(self, faults: Iterable[Fault]) -> Campaign:
+        """Simulate every fault and aggregate the verdicts."""
+        fault_list = list(faults)
+        self.prefilter(fault_list)
+        verdicts = [self.simulate_fault(fault) for fault in fault_list]
+        return Campaign(circuit_name=self.circuit.name, verdicts=verdicts)
+
+
+class ProposedSimulator(ProcedureFront):
+    """Fault simulator implementing the paper's proposed procedure."""
+
+    config_class = MotConfig
+    _fallback = None  # lazily built [4]-style expander
+
+    # ------------------------------------------------------------------
+    def simulate_fault(
+        self, fault: Fault, meter: Optional[BudgetMeter] = None
+    ) -> FaultVerdict:
+        """Run Procedure 1 for one fault, in its own trace scope (budget
+        semantics: :meth:`ProcedureFront.simulate_fault`)."""
         tracer = get_tracer()
         if not tracer.enabled:
-            return self._simulate_budgeted(fault, meter)
+            return super().simulate_fault(fault, meter)
         tracer.begin_fault(fault_label(self.circuit, fault))
         started = time.perf_counter()
         status, how = "raised", ""
         try:
-            verdict = self._simulate_budgeted(fault, meter)
+            verdict = super().simulate_fault(fault, meter)
             status, how = verdict.status, verdict.how
             return verdict
         finally:
@@ -291,41 +395,20 @@ class ProposedSimulator:
                 status, how, (time.perf_counter() - started) * 1000.0
             )
 
-    def _simulate_budgeted(
-        self, fault: Fault, meter: Optional[BudgetMeter]
-    ) -> FaultVerdict:
-        """Budget-owning wrapper around :meth:`_procedure`."""
-        owned = meter is None
-        if owned and self.config.budget is not None and self.config.budget.bounded:
-            meter = BudgetMeter(self.config.budget)
-        if not owned:
-            return self._procedure(fault, meter)
-        try:
-            return self._procedure(fault, meter)
-        except BudgetExceeded as exc:
-            return FaultVerdict(fault, "aborted", how="budget",
-                                detail=str(exc))
-
     def _procedure(
         self, fault: Fault, meter: Optional[BudgetMeter]
     ) -> FaultVerdict:
-        """Procedure 1 proper; raises :class:`BudgetExceeded` on an
-        exhausted *meter*."""
+        """Procedure 1 past the front: backward implication, expansion,
+        resimulation and the forward fallback."""
         metrics = get_metrics()
         injected = inject_fault(self.circuit, fault)
         with metrics.phase("conv_sim"):
             faulty = simulate_injected(
                 injected, self.patterns, keep_frames=True
             )
-        if meter is not None:
-            meter.charge()
-        if outputs_conflict(self.reference_outputs, faulty.outputs) is not None:
-            return FaultVerdict(fault, "conv")
         profile = mot_profile(
             faulty.states, self.reference_outputs, faulty.outputs
         )
-        if not profile.condition_c():
-            return FaultVerdict(fault, "dropped")
 
         collector = BackwardCollector(
             injected,
@@ -434,7 +517,6 @@ class ProposedSimulator:
                 self.patterns,
                 BaselineConfig(n_states=self.config.n_states),
                 reference_outputs=self.reference_outputs,
-                good_cache=self.good_cache,
             )
         if metrics.enabled:
             metrics.counter("mot.fallback.runs")
@@ -458,8 +540,3 @@ class ProposedSimulator:
                     counters.n_conf += 1
                     counters.n_extra += pair.n_extra(1 - alpha)
         return counters
-
-    def run(self, faults: Iterable[Fault]) -> Campaign:
-        """Simulate every fault and aggregate the verdicts."""
-        verdicts = [self.simulate_fault(fault) for fault in faults]
-        return Campaign(circuit_name=self.circuit.name, verdicts=verdicts)

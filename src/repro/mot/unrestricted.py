@@ -46,6 +46,7 @@ from repro.mot.simulator import (
     MotConfig,
     ProposedSimulator,
 )
+from repro.runner.budget import BudgetMeter
 from repro.sim.frame import eval_frame
 from repro.sim.goodcache import GoodMachineCache
 from repro.sim.sequential import SequentialResult, simulate_sequence
@@ -210,12 +211,26 @@ class UnrestrictedSimulator:
     def n_references(self) -> int:
         return len(self.references)
 
-    def simulate_fault(self, fault: Fault) -> FaultVerdict:
+    def prefilter(self, faults: Iterable[Fault]) -> None:
+        """Run every per-reference runner's batched front over *faults*
+        (:meth:`~repro.mot.simulator.ProcedureFront.prefilter`)."""
+        fault_list = list(faults)
+        for runner in self._runners:
+            runner.prefilter(fault_list)
+
+    def simulate_fault(
+        self, fault: Fault, meter: Optional[BudgetMeter] = None
+    ) -> FaultVerdict:
         """Detected iff the fault is detected against every expanded
-        fault-free reference."""
+        fault-free reference.
+
+        A caller-supplied *meter* is shared by the per-reference runs,
+        so the fault's budget bounds their combined effort, and its
+        :class:`~repro.errors.BudgetExceeded` propagates to the caller.
+        """
         verdicts = []
         for runner in self._runners:
-            verdict = runner.simulate_fault(fault)
+            verdict = runner.simulate_fault(fault, meter)
             if not verdict.detected:
                 return FaultVerdict(
                     fault,
@@ -233,5 +248,7 @@ class UnrestrictedSimulator:
         return merged
 
     def run(self, faults: Iterable[Fault]) -> Campaign:
-        verdicts = [self.simulate_fault(fault) for fault in faults]
+        fault_list = list(faults)
+        self.prefilter(fault_list)
+        verdicts = [self.simulate_fault(fault) for fault in fault_list]
         return Campaign(circuit_name=self.circuit.name, verdicts=verdicts)

@@ -82,7 +82,7 @@ from repro.faults.model import Fault
 from repro.mot.simulator import Campaign, FaultVerdict
 from repro.obs.metrics import MetricsSnapshot, get_metrics
 from repro.runner.budget import FaultBudget
-from repro.runner.harness import simulator_manifest
+from repro.runner.harness import prefilter_pending, simulator_manifest
 from repro.runner.retry import RetryPolicy
 from repro.runner.journal import (
     CampaignJournal,
@@ -631,6 +631,9 @@ class DistributedCampaignRunner:
         self._faults = fault_list
 
         try:
+            # Before any worker is launched, so forked workers inherit
+            # the prefiltered table.
+            prefilter_pending(self.simulator, [fault_list[i] for i in pending])
             self._event_loop(book)
         except (KeyboardInterrupt, _CancelRequested):
             self._flush()

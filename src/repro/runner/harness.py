@@ -25,9 +25,12 @@ needs:
 
 The harness is deliberately simulator-agnostic: budgets are passed via
 the optional ``meter`` argument of ``simulate_fault`` when the
-simulator supports it.  The multi-process executor
-(:mod:`repro.runner.dispatch`) shares its per-fault semantics
-(:func:`simulate_fault_once`) and its journal format.
+simulator supports it, and a simulator with a batched ``prefilter``
+(:class:`~repro.mot.simulator.ProcedureFront`) has it run over the
+pending faults before the first one is simulated.  The multi-process
+executor (:mod:`repro.runner.dispatch`) shares its per-fault semantics
+(:func:`simulate_fault_once`, :func:`prefilter_pending`) and its
+journal format.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ __all__ = [
     "HarnessConfig",
     "HarnessStats",
     "CampaignHarness",
+    "prefilter_pending",
     "probe_meter_support",
     "run_campaign",
     "simulate_fault_once",
@@ -74,6 +78,22 @@ def probe_meter_support(simulator: Any) -> bool:
     except (TypeError, ValueError):  # builtins / exotic callables
         return False
     return "meter" in parameters
+
+
+def prefilter_pending(simulator: Any, faults: List[Fault]) -> None:
+    """Run *simulator*'s batched front over *faults*, if it has one.
+
+    A batch that raises is left out of the simulator's table: its
+    faults then take the batch-of-one path inside ``simulate_fault``,
+    where the fault that raises is quarantined like any other failure.
+    """
+    prefilter = getattr(simulator, "prefilter", None)
+    if prefilter is None:
+        return
+    try:
+        prefilter(faults)
+    except Exception:
+        pass
 
 
 def simulate_fault_once(
@@ -300,6 +320,10 @@ class CampaignHarness:
 
         previous_handler = self._install_sigint()
         try:
+            prefilter_pending(
+                self.simulator,
+                [f for f, v in zip(fault_list, verdicts) if v is None],
+            )
             for index, fault in enumerate(fault_list):
                 if verdicts[index] is not None:
                     continue

@@ -84,7 +84,11 @@ from repro.chaos.runtime import (
     chaos_worker_ready,
     forget_plan,
 )
-from repro.runner.harness import probe_meter_support, simulate_fault_once
+from repro.runner.harness import (
+    prefilter_pending,
+    probe_meter_support,
+    simulate_fault_once,
+)
 from repro.runner.journal import fault_from_payload, verdict_to_record
 
 __all__ = [
@@ -721,9 +725,12 @@ def worker_main(
                     f"{len(fault_payloads)} faults"
                 )
             started = time.perf_counter()
-            for index, payload in zip(indices, fault_payloads):
+            faults = [fault_from_payload(payload) for payload in fault_payloads]
+            # A table lookup in a forked worker; one small batch in a
+            # worker that rebuilt the simulator.
+            prefilter_pending(simulator, faults)
+            for index, fault in zip(indices, faults):
                 index = int(index)
-                fault = fault_from_payload(payload)
                 fault_flag = chaos_fault(index, host)
                 verdict = simulate_fault_once(
                     simulator,

@@ -21,6 +21,7 @@ from repro.sim.goodcache import (
 from repro.sim.ir import CircuitIR, compile_circuit
 from repro.sim.kernel import (
     CompiledFaultBatch,
+    FaultBatchMasks,
     FramePlanes,
     PackedSequences,
     compile_fault_batch,
@@ -43,6 +44,7 @@ __all__ = [
     "CircuitIR",
     "compile_circuit",
     "CompiledFaultBatch",
+    "FaultBatchMasks",
     "FramePlanes",
     "PackedSequences",
     "compile_fault_batch",

@@ -9,9 +9,7 @@ the ``n_references`` runners of the unrestricted simulator) re-simulated
 the good machine once per instance.
 
 :class:`GoodMachineCache` computes the fault-free trajectory **once**
-per (circuit, pattern sequence) -- with per-frame line values kept, so
-backward implications could start from them too -- and is then shared
-read-only:
+per (circuit, pattern sequence) and is then shared read-only:
 
 * :class:`~repro.mot.simulator.ProposedSimulator`,
   :class:`~repro.mot.baseline.BaselineSimulator` and
@@ -27,13 +25,11 @@ read-only:
 
 The cache is a frozen value object and nothing mutates it after
 construction (workers only read).  The good machine is always simulated
-on the compiled kernel (:mod:`repro.sim.kernel`), and the per-frame line
-values are stored as **packed two-plane masks**: ``line_one[line]`` has
-bit ``u`` set when *line* is 1 at time unit *u* (``line_zero``
-likewise; neither bit set means X).  Two arbitrary-precision integers per line replace ``L``
-lists of ``num_lines`` values each, which shrinks the cache by roughly
-the sequence length; the familiar ``frames`` list shape is decoded
-lazily on first access.  :meth:`GoodMachineCache.matches`
+on the compiled kernel (:mod:`repro.sim.kernel`), and the cache keeps
+only what its readers use: the state trajectory and the output
+response.  Per-frame line values are not kept -- the faulty machine's
+frames, which backward implication starts from, come from each
+surviving fault's own simulation.  :meth:`GoodMachineCache.matches`
 guards against accidentally applying a cache to a different circuit or
 pattern sequence -- a mismatched cache raises instead of silently
 producing wrong verdicts.
@@ -49,10 +45,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit
-from repro.logic.values import ONE, UNKNOWN, ZERO
 from repro.obs.metrics import get_metrics
 from repro.sim.sequential import SequentialResult, simulate_sequence
 
@@ -91,27 +86,6 @@ def _pattern_key(patterns: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ..
     return tuple(tuple(int(v) for v in row) for row in patterns)
 
 
-def _pack_frames(
-    frames: Sequence[Sequence[int]], num_lines: int
-) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Pack per-frame line values into per-line (one, zero) masks.
-
-    Bit *u* of ``one[line]`` is set when *line* is 1 at time unit *u*
-    (``zero`` likewise; neither bit set encodes X) -- the transpose of
-    the kernel's per-frame planes, packed across the whole sequence.
-    """
-    ones = [0] * num_lines
-    zeros = [0] * num_lines
-    for u, row in enumerate(frames):
-        bit = 1 << u
-        for line, value in enumerate(row):
-            if value == ONE:
-                ones[line] |= bit
-            elif value == ZERO:
-                zeros[line] |= bit
-    return tuple(ones), tuple(zeros)
-
-
 @dataclass(frozen=True)
 class GoodMachineCache:
     """Precomputed fault-free trajectory of one (circuit, patterns) pair.
@@ -126,13 +100,6 @@ class GoodMachineCache:
         The fault-free state trajectory (``L + 1`` rows) and output
         response (``L`` rows), as plain value lists.  Treat as
         read-only.
-    line_one / line_zero:
-        Packed two-plane encoding of every per-frame line value: bit
-        *u* of ``line_one[line]`` set means *line* is 1 at time unit
-        *u* (``line_zero`` for 0; neither bit means X).  This is the
-        shape the :mod:`repro.sim.kernel` evaluator produces and what
-        ships across process boundaries; :attr:`frames` decodes it back
-        into the interpreter's list-of-rows shape on first access.
     """
 
     circuit_name: str
@@ -140,8 +107,6 @@ class GoodMachineCache:
     pattern_key: Tuple[Tuple[int, ...], ...]
     states: List[List[int]] = field(repr=False)
     outputs: List[List[int]] = field(repr=False)
-    line_one: Tuple[int, ...] = field(repr=False)
-    line_zero: Tuple[int, ...] = field(repr=False)
 
     @classmethod
     def compute(
@@ -154,91 +119,24 @@ class GoodMachineCache:
         metrics = get_metrics()
         metrics.counter("goodcache.compute")
         with metrics.phase("good_sim"):
-            result = simulate_sequence(
-                circuit, patterns, keep_frames=True, engine="ir"
-            )
-        frames = result.frames if result.frames is not None else []
-        line_one, line_zero = _pack_frames(frames, circuit.num_lines)
+            result = simulate_sequence(circuit, patterns, engine="ir")
         return cls(
             circuit_name=circuit.name,
             fingerprint=circuit_fingerprint(circuit),
             pattern_key=_pattern_key(patterns),
             states=result.states,
             outputs=result.outputs,
-            line_one=line_one,
-            line_zero=line_zero,
         )
 
     # ------------------------------------------------------------------
     @property
-    def frames(self) -> Optional[List[List[int]]]:
-        """Per-frame line values, decoded lazily from the packed planes.
-
-        The decoded list is memoized on the instance (and dropped when
-        pickling -- workers re-decode on demand), so repeated access
-        costs one decode per process, not one per call.
-        """
-        memo: Optional[List[List[int]]] = self.__dict__.get("_frames_memo")
-        if memo is None:
-            num_lines = len(self.line_one)
-            memo = []
-            for u in range(self.length):
-                bit = 1 << u
-                memo.append(
-                    [
-                        ONE if self.line_one[line] & bit
-                        else (ZERO if self.line_zero[line] & bit else UNKNOWN)
-                        for line in range(num_lines)
-                    ]
-                )
-            object.__setattr__(self, "_frames_memo", memo)
-        return memo
-
-    @property
     def result(self) -> SequentialResult:
-        """The trajectory as a :class:`SequentialResult` (lazily built)."""
-        memo: Optional[SequentialResult] = self.__dict__.get("_result_memo")
-        if memo is None:
-            memo = SequentialResult(
-                states=self.states, outputs=self.outputs, frames=self.frames
-            )
-            object.__setattr__(self, "_result_memo", memo)
-        return memo
-
-    def frame_planes(self, u: int) -> Tuple[List[int], List[int]]:
-        """Width-1 (one, zero) planes of time unit *u*, per line.
-
-        The shape :func:`repro.sim.kernel.eval_pass` consumes directly:
-        plane-aware callers seed the kernel from the good machine
-        without decoding values first.
-        """
-        if not 0 <= u < self.length:
-            raise IndexError(f"time unit {u} outside 0..{self.length - 1}")
-        bit = 1 << u
-        ones = [1 if mask & bit else 0 for mask in self.line_one]
-        zeros = [1 if mask & bit else 0 for mask in self.line_zero]
-        return ones, zeros
+        """The trajectory as a :class:`SequentialResult` (no frames)."""
+        return SequentialResult(states=self.states, outputs=self.outputs)
 
     @property
     def length(self) -> int:
         return len(self.pattern_key)
-
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, Any]:
-        """Pickle only the packed fields, never the decoded memos."""
-        return {
-            "circuit_name": self.circuit_name,
-            "fingerprint": self.fingerprint,
-            "pattern_key": self.pattern_key,
-            "states": self.states,
-            "outputs": self.outputs,
-            "line_one": self.line_one,
-            "line_zero": self.line_zero,
-        }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        for key, value in state.items():
-            object.__setattr__(self, key, value)
 
     # ------------------------------------------------------------------
     def matches(

@@ -40,6 +40,7 @@ from typing import (
     Dict,
     FrozenSet,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -75,6 +76,7 @@ __all__ = [
     "simulate_sequences_packed",
     "PackedSequences",
     "CompiledFaultBatch",
+    "FaultBatchMasks",
     "compile_fault_batch",
     "simulate_fault_batch",
 ]
@@ -655,19 +657,39 @@ def compile_fault_batch(
     )
 
 
+class FaultBatchMasks(NamedTuple):
+    """Per-fault answers of :func:`simulate_fault_batch`; bit *j* of
+    each mask belongs to fault *j* of the batch."""
+
+    detected: int
+    condition_c: int
+
+
 def simulate_fault_batch(
     circuit: Circuit,
     batch: CompiledFaultBatch,
     patterns: Sequence[Sequence[int]],
-) -> int:
-    """Sequentially simulate one compiled batch; return the detection mask.
+    reference_outputs: Sequence[Sequence[int]],
+) -> FaultBatchMasks:
+    """Sequentially simulate one compiled batch against a reference.
 
-    Bit *j* of the result is set when fault *j* (slot ``j + 1``) is
-    conventionally detected: its response and the fault-free slot-0
-    response hold opposite specified values at some (time, output)
-    position.  Detection semantics match
-    :func:`repro.fsim.conventional.run_conventional` exactly.
+    *reference_outputs* holds one row of fault-free output values per
+    pattern (the good machine's, or an expanded fault-free response).
+    Both masks come out of the one frame loop:
+
+    * ``detected`` -- the fault's response and the reference hold
+      opposite specified values at some (time, output) position.
+      Against the good machine this is exactly
+      :func:`repro.fsim.conventional.run_conventional`'s verdict.
+    * ``condition_c`` -- at some time unit ``u < L`` the faulty
+      present state (after forced stems) has an X bit, and at ``u`` or
+      later some output is X in the faulty response but specified in
+      the reference: ``N_sv(u) > 0 and N_out(u) > 0``.  Read off the
+      planes frame by frame: an X output the reference specifies
+      counts for the slots that have had an X state bit so far.
     """
+    if len(reference_outputs) != len(patterns):
+        raise ValueError("reference response length mismatch")
     ir = compile_circuit(circuit)
     mask = batch.mask
     ones = [0] * ir.num_lines
@@ -678,21 +700,30 @@ def simulate_fault_batch(
     for flop_index, (f1, f0) in batch.forced_state.items():
         state_one[flop_index] = f1
         state_zero[flop_index] = f0
-    detected = 0
-    for pattern in patterns:
+    detected = condition_c = 0
+    x_state = 0  # slots with an X present-state bit up to this frame
+    for pattern, reference in zip(patterns, reference_outputs):
+        specified = mask
+        for v1, v0 in zip(state_one, state_zero):
+            specified &= v1 | v0
+        x_state |= mask ^ specified
         pi_ones, pi_zeros = broadcast_planes(pattern, mask)
         _set_sources(ir, ones, zeros, pi_ones, pi_zeros, state_one, state_zero)
         eval_pass(
             ir, ones, zeros, mask, batch.pin_overrides, batch.dirty_slots
         )
+        resolved = mask
         for out_index, line in enumerate(ir.outputs):
+            expected = reference[out_index]
+            if expected == UNKNOWN:
+                continue
             v1, v0 = _read_override(
                 ones[line], zeros[line],
                 batch.output_overrides.get(out_index),
             )
-            good_one = mask if (v1 & 1) else 0
-            good_zero = mask if (v0 & 1) else 0
-            detected |= (good_one & v0) | (good_zero & v1)
+            detected |= v0 if expected == ONE else v1
+            resolved &= v1 | v0
+        condition_c |= x_state & (mask ^ resolved)
         for flop_index, line in enumerate(ir.ns_lines):
             v1, v0 = _read_override(
                 ones[line], zeros[line],
@@ -703,4 +734,5 @@ def simulate_fault_batch(
             )
             state_one[flop_index] = v1
             state_zero[flop_index] = v0
-    return detected >> 1  # drop the fault-free slot
+    # Drop the fault-free slot 0.
+    return FaultBatchMasks(detected >> 1, condition_c >> 1)

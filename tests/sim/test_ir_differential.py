@@ -265,7 +265,9 @@ def test_fault_batch_masks_match_serial_detection_bits():
     patterns = random_patterns(4, 16, seed=4)
     serial = run_conventional(circuit, faults, patterns)
     batch = compile_fault_batch(circuit, faults)
-    detected = simulate_fault_batch(circuit, batch, patterns)
+    detected = simulate_fault_batch(
+        circuit, batch, patterns, serial.reference.outputs
+    ).detected
     for j, verdict in enumerate(serial.verdicts):
         assert bool((detected >> j) & 1) == verdict.detected
 
