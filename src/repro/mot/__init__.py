@@ -12,11 +12,17 @@ from repro.mot.conditions import MotProfile, mot_profile
 from repro.mot.expansion import (
     DEFAULT_N_STATES,
     ExpansionOutcome,
+    SequenceSet,
     StateSequence,
     expand,
 )
 from repro.mot.implication import FrameEngine
-from repro.mot.resimulate import SequenceStatus, resimulate_sequence
+from repro.mot.resimulate import (
+    Resolution,
+    SequenceStatus,
+    resimulate_sequence,
+    resolve_sequences,
+)
 from repro.mot.analysis import CampaignDiff, diff_campaigns, render_diff
 from repro.mot.witness import (
     DetectionWitness,
@@ -44,11 +50,14 @@ __all__ = [
     "BackwardCollector",
     "PairInfo",
     "detection_from_info",
+    "SequenceSet",
     "StateSequence",
     "ExpansionOutcome",
     "expand",
     "DEFAULT_N_STATES",
     "SequenceStatus",
+    "Resolution",
+    "resolve_sequences",
     "resimulate_sequence",
     "MotConfig",
     "FaultCounters",

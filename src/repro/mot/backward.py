@@ -115,6 +115,8 @@ class BackwardCollector:
         self.mode = mode
         self.depth = depth
         self.engine = FrameEngine(self.circuit)
+        #: implication runs so far (one per frame a probe implies in)
+        self.runs = 0
         flops = self.circuit.flops
         self._ns_line_of: List[int] = [f.ns for f in flops]
         self._flops_of_ns: Dict[int, List[int]] = {}
@@ -127,6 +129,7 @@ class BackwardCollector:
 
     # ------------------------------------------------------------------
     def _imply(self, values, assignments, record):
+        self.runs += 1
         if self.mode == "two_pass":
             self.engine.imply_two_pass(values, assignments, record)
         else:
@@ -200,7 +203,11 @@ class BackwardCollector:
         return "extra", extra, None
 
     def collect(self) -> Dict[PairKey, PairInfo]:
-        """Run the full Section 3.1 collection (plus ``u = 0`` entries)."""
+        """Run the full Section 3.1 collection (plus ``u = 0`` entries).
+
+        The ``mot.backward.<outcome>`` and ``mot.implication.runs``
+        counters are emitted once, with the collection's totals.
+        """
         info: Dict[PairKey, PairInfo] = {}
         states = self.faulty.states
         length = self.faulty.length
@@ -215,8 +222,9 @@ class BackwardCollector:
             pair.extra[1] = [(flop_index, 1)]
             info[(0, flop_index)] = pair
         # 0 < u <= L: backward implications into frame u-1.
-        metrics = get_metrics()
         tracer = get_tracer()
+        outcomes = {"conf": 0, "detect": 0, "extra": 0}
+        runs_before = self.runs
         for u in range(1, length + 1):
             if self.profile.n_out[u - 1] <= 0:
                 continue
@@ -234,10 +242,7 @@ class BackwardCollector:
                         pair.detect_site[alpha] = site
                     else:
                         pair.extra[alpha] = extra
-                    if metrics.enabled:
-                        metrics.counter(
-                            f"mot.backward.{_OUTCOME_NAMES[outcome]}"
-                        )
+                    outcomes[outcome] += 1
                     if tracer.active:
                         tracer.emit(
                             "implication",
@@ -248,6 +253,17 @@ class BackwardCollector:
                             extra=len(extra),
                         )
                 info[(u, flop_index)] = pair
+        metrics = get_metrics()
+        if metrics.enabled:
+            for outcome, total in outcomes.items():
+                if total:
+                    metrics.counter(
+                        f"mot.backward.{_OUTCOME_NAMES[outcome]}", total
+                    )
+            if self.runs > runs_before:
+                metrics.counter(
+                    "mot.implication.runs", self.runs - runs_before
+                )
         return info
 
 

@@ -34,15 +34,28 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.injection import InjectedFault, inject_fault
 from repro.faults.model import Fault
-from repro.logic.values import ONE, UNKNOWN, ZERO
+from repro.logic.values import ONE, ZERO
 from repro.mot.conditions import MotProfile, mot_profile
-from repro.mot.expansion import DEFAULT_N_STATES, StateSequence
-from repro.mot.resimulate import SequenceStatus, resimulate_sequence
+from repro.mot.expansion import DEFAULT_N_STATES, SequenceSet
+from repro.mot.resimulate import (
+    Resolution,
+    SequenceStatus,
+    resimulate_sequence,
+    resolve_sequences,
+)
 from repro.mot.simulator import FaultVerdict, ProcedureFront
 from repro.runner.budget import BudgetMeter, FaultBudget
 from repro.sim.ir import compile_circuit
 from repro.sim.kernel import eval_pass
-from repro.sim.sequential import simulate_injected
+from repro.sim.sequential import SequentialResult, simulate_injected
+
+__all__ = [
+    "BaselineConfig",
+    "BaselineSimulator",
+    # Re-exported, not called: the benchmark's tracer (perfbench/spans.py)
+    # wraps this name on this module.
+    "resimulate_sequence",
+]
 
 
 @dataclass(frozen=True)
@@ -74,7 +87,7 @@ class BaselineSimulator(ProcedureFront):
     def _trial_gains(
         self,
         injected: InjectedFault,
-        sequence: StateSequence,
+        sequences: SequenceSet,
         pairs: Sequence[Tuple[int, int]],
     ) -> List[int]:
         """Newly specified PO/NS values when ``y_i`` is set at time *u*,
@@ -82,12 +95,12 @@ class BaselineSimulator(ProcedureFront):
 
         A pair's gain sums over both trial values -- the forward-only
         analogue of the paper's ``N_extra`` criteria -- the PO/NS
-        positions that are unspecified in *sequence*'s frame at *u* and
-        specified once ``y_i`` is.  Every frame is evaluated in one
-        two-plane kernel pass over the faulty circuit: one base slot per
-        time unit, then the two trial slots of each of its pairs.  (Each
-        trial row differs from its base row only at ``y_i``, which is
-        unspecified there.)
+        positions that are unspecified in the frame of sequence 0 (slot
+        0 of *sequences*) at *u* and specified once ``y_i`` is.  Every
+        frame is evaluated in one two-plane kernel pass over the faulty
+        circuit: one base slot per time unit, then the two trial slots
+        of each of its pairs.  (Each trial row differs from its base row
+        only at ``y_i``, which is unspecified there.)
         """
         ir = compile_circuit(injected.circuit)
         trials = 2 * len(pairs)  # pair k: y_i = 0 in slot 2k, 1 in 2k+1
@@ -103,7 +116,7 @@ class BaselineSimulator(ProcedureFront):
             ones[ir.ps_lines[i]] |= 1 << 2 * k + 1
             group[u] |= 3 << 2 * k
         for u, mask in group.items():
-            sources = self.patterns[u] + sequence.states[u]
+            sources = self.patterns[u] + sequences.row(0, u)
             for line, value in zip(ir.inputs + ir.ps_lines, sources):
                 if value == ONE:
                     ones[line] |= mask
@@ -128,24 +141,16 @@ class BaselineSimulator(ProcedureFront):
     def _choose_pair(
         self,
         injected: InjectedFault,
-        sequences: List[StateSequence],
+        sequences: SequenceSet,
         profile: MotProfile,
     ) -> Optional[Tuple[int, int]]:
         """Pick the next (time unit, state variable) to expand."""
-        length = len(self.patterns)
-        num_flops = injected.circuit.num_flops
-        forced = injected.forced_ps
         candidate_pairs: List[Tuple[int, int]] = []
-        for u in range(length):
+        for u in range(len(self.patterns)):
             if profile.n_out[u] <= 0 or profile.n_sv[u] <= 0:
                 continue
-            for flop_index in range(num_flops):
-                if flop_index in forced:
-                    continue
-                if all(
-                    seq.states[u][flop_index] == UNKNOWN for seq in sequences
-                ):
-                    candidate_pairs.append((u, flop_index))
+            # Stuck flops are specified in the base, so never free.
+            candidate_pairs.extend((u, i) for i in sequences.free(u))
         if not candidate_pairs:
             return None
         best_n_out = max(profile.n_out[u] for u, _ in candidate_pairs)
@@ -156,7 +161,7 @@ class BaselineSimulator(ProcedureFront):
         candidate_pairs = [
             p for p in candidate_pairs if profile.n_sv[p[0]] == best_n_sv
         ]
-        gains = self._trial_gains(injected, sequences[0], candidate_pairs)
+        gains = self._trial_gains(injected, sequences, candidate_pairs)
         best_pair = None
         best_key: Tuple[int, int, int] = (-1, 0, 0)
         for (u, flop_index), gain in zip(candidate_pairs, gains):
@@ -167,95 +172,85 @@ class BaselineSimulator(ProcedureFront):
         return best_pair
 
     @staticmethod
-    def _expand_all(
-        sequences: List[StateSequence], u: int, flop_index: int
-    ) -> None:
+    def _expand_all(sequences: SequenceSet, u: int, flop_index: int) -> None:
         """Duplicate every sequence, assigning ``y_i = 0`` / ``1``."""
-        doubled: List[StateSequence] = []
-        for seq in sequences:
-            twin = seq.copy()
-            seq.assign(u, flop_index, 0)
-            twin.assign(u, flop_index, 1)
-            doubled.append(twin)
-        sequences.extend(doubled)
+        sequences.double(u, [(flop_index, ZERO)], [(flop_index, ONE)])
 
     def _resolve(
         self,
         injected: InjectedFault,
-        sequences: List[StateSequence],
+        frames: Sequence[Sequence[int]],
+        sequences: SequenceSet,
         meter: Optional[BudgetMeter] = None,
         first_only: bool = False,
-    ) -> List[StateSequence]:
-        """Resimulate and keep only unresolved sequences.
+    ) -> Resolution:
+        """Resimulate *sequences* and charge one event per returned
+        status (:func:`~repro.mot.resimulate.resolve_sequences`).
 
         With *first_only*, stop at the first unresolved sequence: the
         one-shot verdict only asks whether any sequence stays
         unresolved, so the rest need not be resimulated (nor charged).
         """
-        unresolved: List[StateSequence] = []
-        for seq in sequences:
-            if meter is not None:
+        resolution = resolve_sequences(
+            injected.circuit,
+            frames,
+            self.reference_outputs,
+            sequences,
+            first_only,
+        )
+        if meter is not None:
+            for _status in resolution.statuses:
                 meter.charge()
-            status = resimulate_sequence(
-                injected.circuit,
-                self.patterns,
-                self.reference_outputs,
-                seq,
-                injected.forced_ps,
-            )
-            if status is SequenceStatus.UNRESOLVED:
-                unresolved.append(seq)
-                if first_only:
-                    break
-        return unresolved
+        return resolution
 
     # ------------------------------------------------------------------
     def _procedure(
         self, fault: Fault, meter: Optional[BudgetMeter]
     ) -> FaultVerdict:
         injected = inject_fault(self.circuit, fault)
-        faulty = simulate_injected(injected, self.patterns)
+        faulty = simulate_injected(injected, self.patterns, keep_frames=True)
         profile = mot_profile(
             faulty.states, self.reference_outputs, faulty.outputs
         )
         return self.expand_and_resolve(
-            fault, injected, faulty.states, profile, meter
+            fault, injected, faulty, profile, meter
         )
 
     def expand_and_resolve(
         self,
         fault: Fault,
         injected: InjectedFault,
-        faulty_states: Sequence[Sequence[int]],
+        faulty: SequentialResult,
         profile: MotProfile,
         meter: Optional[BudgetMeter] = None,
     ) -> FaultVerdict:
         """State expansion and resimulation of a fault that is neither
         conventionally detected nor dropped by condition (C).
 
-        *faulty_states* and *profile* come from the conventional
-        simulation of *injected* (``L + 1`` state rows and its
-        ``N_sv``/``N_out`` profile); the proposed procedure's forward
+        *faulty* is the conventional simulation of *injected*, with its
+        frames (``keep_frames=True``), and *profile* its
+        ``N_sv``/``N_out`` profile; the proposed procedure's forward
         fallback passes its own, so the fault is not injected and
         simulated twice.  *meter* is charged like in
         :meth:`~repro.mot.simulator.ProcedureFront.simulate_fault` with
         a caller-supplied meter.
         """
-        sequences = [StateSequence(states=[list(r) for r in faulty_states])]
+        sequences = SequenceSet(faulty.states)
         if self.config.schedule == "oneshot":
             return self._simulate_oneshot(
-                fault, injected, profile, sequences, meter
+                fault, injected, faulty.frames, profile, sequences, meter
             )
         return self._simulate_iterative(
-            fault, injected, profile, sequences, meter
+            fault, injected, faulty.frames, profile, sequences, meter
         )
 
     def _simulate_oneshot(
         self,
         fault: Fault,
         injected: InjectedFault,
+        frames: Sequence[Sequence[int]],
         profile: MotProfile,
-        sequences: List[StateSequence],
+        sequences: SequenceSet,
         meter: Optional[BudgetMeter] = None,
     ) -> FaultVerdict:
         expansions = 0
@@ -268,8 +263,10 @@ class BaselineSimulator(ProcedureFront):
                 meter.charge(len(sequences))  # sequences about to be created
             self._expand_all(sequences, *pair)
         total = len(sequences)
-        unresolved = self._resolve(injected, sequences, meter, first_only=True)
-        if not unresolved:
+        resolution = self._resolve(
+            injected, frames, sequences, meter, first_only=True
+        )
+        if SequenceStatus.UNRESOLVED not in resolution.statuses:
             return FaultVerdict(
                 fault, "mot", how="expansion", num_expansions=expansions,
                 num_sequences=total,
@@ -286,13 +283,14 @@ class BaselineSimulator(ProcedureFront):
         self,
         fault: Fault,
         injected: InjectedFault,
+        frames: Sequence[Sequence[int]],
         profile: MotProfile,
-        sequences: List[StateSequence],
+        sequences: SequenceSet,
         meter: Optional[BudgetMeter] = None,
     ) -> FaultVerdict:
         expansions = 0
         aborted = False
-        while sequences:
+        while len(sequences):
             if 2 * len(sequences) > self.config.n_states:
                 aborted = True
                 break
@@ -303,8 +301,18 @@ class BaselineSimulator(ProcedureFront):
             if meter is not None:
                 meter.charge(len(sequences))
             self._expand_all(sequences, *pair)
-            sequences = self._resolve(injected, sequences, meter)
-        if not sequences:
+            statuses = self._resolve(
+                injected, frames, sequences, meter
+            ).statuses
+            # Keep the unresolved sequences, in order.
+            sequences.compact(
+                sum(
+                    1 << slot
+                    for slot, status in enumerate(statuses)
+                    if status is SequenceStatus.UNRESOLVED
+                )
+            )
+        if not len(sequences):
             return FaultVerdict(
                 fault, "mot", how="expansion", num_expansions=expansions
             )
@@ -315,4 +323,3 @@ class BaselineSimulator(ProcedureFront):
             num_sequences=len(sequences),
             num_expansions=expansions,
         )
-

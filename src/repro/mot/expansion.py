@@ -13,6 +13,11 @@ no selectable pair remains.
 (The published Step 8 assigns both extra sets to the copy ``S''`` -- an
 obvious typo; we assign ``extra(., 0)`` to ``S'`` and ``extra(., 1)`` to
 ``S''``.)
+
+The set is bit-sliced (:class:`SequenceSet`): sequence *k* is slot *k*
+of one plane pair per flip-flop and time unit, over the shared base
+trajectory, so a duplication is a shift-or of the touched rows instead
+of a copy of every row of every sequence.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.logic.values import UNKNOWN
+from repro.logic.values import ONE, UNKNOWN, ZERO
 from repro.mot.backward import PairInfo, PairKey
 from repro.mot.conditions import MotProfile
 from repro.obs.metrics import get_metrics
@@ -66,16 +71,193 @@ class StateSequence:
         return True
 
 
+class SequenceSet:
+    """Expanded state sequences as the bit-slots of one plane set.
+
+    ``base`` is the shared base trajectory (``L + 1`` state rows: the
+    faulty circuit's conventional states).  Slot *k* holds sequence
+    *k*.  A time unit that some assignment touched keeps one
+    ``(ones, zeros)`` plane pair per flip-flop across all slots
+    (:attr:`ones` / :attr:`zeros`, ``None`` for untouched units, whose
+    rows are the base's), and :attr:`marks` holds per time unit the
+    mask of slots that must be resimulated there (paper Section 3.4).
+
+    Assignment and resimulation only ever write positions the base
+    leaves X, so a position the base specifies holds the base value in
+    every slot and has no plane bits.  A duplication
+    (:meth:`double`) shift-ors the touched rows and the marks by the
+    current width: slot *k*'s twin is slot ``k + width``, the order in
+    which a list of sequences appends its duplicates.
+    """
+
+    __slots__ = ("base", "width", "ones", "zeros", "marks")
+
+    def __init__(self, base: Sequence[Sequence[int]], width: int = 1) -> None:
+        self.base = base
+        self.width = width
+        self.ones: List[Optional[List[int]]] = [None] * len(base)
+        self.zeros: List[Optional[List[int]]] = [None] * len(base)
+        self.marks: List[int] = [0] * len(base)
+
+    def __len__(self) -> int:
+        return self.width
+
+    def planes(self, u: int) -> Tuple[List[int], List[int]]:
+        """The ``(ones, zeros)`` plane pair of time unit *u*, created on
+        first use."""
+        ones = self.ones[u]
+        zeros = self.zeros[u]
+        if ones is None or zeros is None:
+            ones = [0] * len(self.base[u])
+            zeros = [0] * len(self.base[u])
+            self.ones[u] = ones
+            self.zeros[u] = zeros
+        return ones, zeros
+
+    def assign(self, u: int, flop_index: int, value: int, slots: int) -> int:
+        """Specify ``y_flop_index = value`` at time *u* in *slots*.
+
+        Only X positions are written, and *u* is marked for the slots
+        that changed.  Returns the mask of *slots* that already held
+        the opposite value (the caller decides what a clash means).
+        """
+        fixed = self.base[u][flop_index]
+        if fixed != UNKNOWN:
+            return 0 if fixed == value else slots
+        ones, zeros = self.planes(u)
+        one = ones[flop_index]
+        zero = zeros[flop_index]
+        new = slots & ~(one | zero)
+        if value == ONE:
+            ones[flop_index] = one | new
+            clash = zero & slots
+        else:
+            zeros[flop_index] = zero | new
+            clash = one & slots
+        if new:
+            self.marks[u] |= new
+        return clash
+
+    def double(
+        self,
+        u: int,
+        extra0: Sequence[Tuple[int, int]],
+        extra1: Sequence[Tuple[int, int]],
+    ) -> None:
+        """Duplicate every sequence: *extra0* goes to the original slots,
+        *extra1* to their twins ``k + width``."""
+        width = self.width
+        for planes in (self.ones, self.zeros):
+            for row in planes:
+                if row is not None:
+                    for index, bits in enumerate(row):
+                        if bits:
+                            row[index] = bits | bits << width
+        marks = self.marks
+        for t, bits in enumerate(marks):
+            if bits:
+                marks[t] = bits | bits << width
+        low = (1 << width) - 1
+        self.width = 2 * width
+        for flop_index, value in extra0:
+            self.assign(u, flop_index, value, low)
+        for flop_index, value in extra1:
+            self.assign(u, flop_index, value, low << width)
+
+    def compact(self, keep: int) -> None:
+        """Keep only the slots in mask *keep*, renumbered in slot order."""
+        # Runs of consecutive kept slots move as one shifted field.
+        runs: List[Tuple[int, int, int]] = []  # (first slot, mask, target)
+        target = 0
+        rest = keep
+        while rest:
+            first = (rest & -rest).bit_length() - 1
+            tail = rest >> first
+            length = (tail ^ (tail + 1)).bit_length() - 1
+            runs.append((first, (1 << length) - 1, target))
+            target += length
+            rest &= ~(((1 << length) - 1) << first)
+
+        def gather(bits: int) -> int:
+            out = 0
+            for first, mask, to in runs:
+                out |= (bits >> first & mask) << to
+            return out
+
+        for planes in (self.ones, self.zeros):
+            for row in planes:
+                if row is not None:
+                    for index, bits in enumerate(row):
+                        if bits:
+                            row[index] = gather(bits)
+        marks = self.marks
+        for t, bits in enumerate(marks):
+            if bits:
+                marks[t] = gather(bits)
+        self.width = target
+
+    def free(self, u: int) -> List[int]:
+        """The flops that no slot specifies at time *u*."""
+        base = self.base[u]
+        ones = self.ones[u]
+        zeros = self.zeros[u]
+        if ones is None or zeros is None:
+            return [i for i, value in enumerate(base) if value == UNKNOWN]
+        return [
+            i
+            for i, value in enumerate(base)
+            if value == UNKNOWN and not (ones[i] | zeros[i])
+        ]
+
+    def row(self, slot: int, u: int) -> List[int]:
+        """Sequence *slot*'s state row at time *u*."""
+        base = self.base[u]
+        ones = self.ones[u]
+        zeros = self.zeros[u]
+        if ones is None or zeros is None:
+            return list(base)
+        return [
+            value if value != UNKNOWN
+            else ONE if ones[i] >> slot & 1
+            else ZERO if zeros[i] >> slot & 1
+            else UNKNOWN
+            for i, value in enumerate(base)
+        ]
+
+    def states(self, slot: int) -> List[List[int]]:
+        """Sequence *slot*'s whole trajectory (``L + 1`` rows)."""
+        return [self.row(slot, u) for u in range(len(self.base))]
+
+    def assignments(self, slot: int) -> Dict[Tuple[int, int], int]:
+        """The values sequence *slot* specifies beyond the base, keyed by
+        ``(time unit, flop index)``."""
+        found: Dict[Tuple[int, int], int] = {}
+        for u, (ones, zeros) in enumerate(zip(self.ones, self.zeros)):
+            if ones is None or zeros is None:
+                continue
+            for i, (one, zero) in enumerate(zip(ones, zeros)):
+                if one >> slot & 1:
+                    found[(u, i)] = ONE
+                elif zero >> slot & 1:
+                    found[(u, i)] = ZERO
+        return found
+
+    def marked(self, slot: int) -> Set[int]:
+        """The time units marked for sequence *slot*."""
+        return {u for u, bits in enumerate(self.marks) if bits >> slot & 1}
+
+
 @dataclass
 class ExpansionOutcome:
     """Result of Procedure 2.
 
     ``detected_in_phase1`` is set when mutually conflicting phase-1
     restrictions prove that every not-yet-detected state is impossible --
-    i.e. the fault is detected without any duplication.
+    i.e. the fault is detected without any duplication, and
+    ``sequences`` is empty (width 0).
     """
 
-    sequences: List[StateSequence]
+    sequences: SequenceSet
     phase1_pairs: List[Tuple[PairKey, int]]  # (pair, closed alpha)
     phase2_pairs: List[PairKey]
     detected_in_phase1: bool = False
@@ -135,7 +317,8 @@ def expand(
     ----------
     conventional_states:
         The faulty circuit's state trajectory from conventional
-        simulation (``L + 1`` rows) -- the paper's ``S_0``.
+        simulation (``L + 1`` rows) -- the paper's ``S_0`` and the
+        shared base of the returned :class:`SequenceSet`.
     info:
         Backward-implication information from
         :class:`~repro.mot.backward.BackwardCollector`.
@@ -151,8 +334,7 @@ def expand(
     """
     metrics = get_metrics()
     tracer = get_tracer()
-    base = StateSequence(states=[list(row) for row in conventional_states])
-    sequences = [base]
+    sequences = SequenceSet(conventional_states)
     phase1_pairs: List[Tuple[PairKey, int]] = []
 
     # ------------------------------------------------------------- phase 1
@@ -163,23 +345,24 @@ def expand(
             continue
         surviving = 1 - closed
         phase1_pairs.append((key, closed))
-        if metrics.enabled:
-            metrics.counter("mot.expansion.phase1_restrictions")
         if tracer.active:
             tracer.emit("phase1", u=key[0], i=key[1], closed=closed)
         for flop_index, value in pair.extra[surviving]:
-            if not base.assign(key[0], flop_index, value):
+            if sequences.assign(key[0], flop_index, value, 1):
                 # Mutually conflicting restrictions: no feasible
                 # not-yet-detected state remains (see module docstring of
                 # repro.mot.simulator for the soundness argument).
                 if metrics.enabled:
+                    metrics.counter(
+                        "mot.expansion.phase1_restrictions", len(phase1_pairs)
+                    )
                     metrics.counter("mot.expansion.phase1_conflict")
                 if tracer.active:
                     tracer.emit(
                         "phase1_conflict", u=key[0], i=flop_index
                     )
                 return ExpansionOutcome(
-                    sequences=[],
+                    sequences=SequenceSet(conventional_states, width=0),
                     phase1_pairs=phase1_pairs,
                     phase2_pairs=[],
                     detected_in_phase1=True,
@@ -192,6 +375,7 @@ def expand(
     # base sequence after phase 1 plus the chosen pairs' sv sets: test
     # the base once, then drop the pairs each choice blocks.
     candidates: List[Tuple[PairKey, Set[int]]] = []
+    free: Dict[int, Set[int]] = {}  # time unit -> flops still X there
     for key in sorted(info):
         u, _i = key
         pair = info[key]
@@ -199,8 +383,10 @@ def expand(
             continue
         if profile.n_out[u] <= 0 or profile.n_sv[u] <= 0:
             continue
+        if u not in free:
+            free[u] = set(sequences.free(u))
         sv = _sv_set(pair)
-        if sv and all(base.states[u][j] == UNKNOWN for j in sv):
+        if sv and sv <= free[u]:
             candidates.append((key, sv))
     phase2_pairs: List[PairKey] = []
     while len(sequences) < n_states:
@@ -218,17 +404,7 @@ def expand(
         ]
         if meter is not None:
             meter.charge(len(sequences))  # one event per sequence created
-        duplicates: List[StateSequence] = []
-        for seq in sequences:
-            twin = seq.copy()
-            for flop_index, value in pair.extra[0]:
-                seq.assign(u, flop_index, value)
-            for flop_index, value in pair.extra[1]:
-                twin.assign(u, flop_index, value)
-            duplicates.append(twin)
-        sequences.extend(duplicates)
-        if metrics.enabled:
-            metrics.counter("mot.expansion.branches")
+        sequences.double(u, pair.extra[0], pair.extra[1])
         if tracer.active:
             tracer.emit(
                 "branch", u=u, i=chosen[1], sequences=len(sequences)
@@ -236,6 +412,12 @@ def expand(
 
     ceiling = len(sequences) >= n_states
     if metrics.enabled:
+        if phase1_pairs:
+            metrics.counter(
+                "mot.expansion.phase1_restrictions", len(phase1_pairs)
+            )
+        if phase2_pairs:
+            metrics.counter("mot.expansion.branches", len(phase2_pairs))
         metrics.counter("mot.expansion.runs")
         metrics.observe("mot.expansion.sequences", len(sequences))
         if ceiling:

@@ -42,7 +42,6 @@ from repro.circuit.netlist import Circuit
 from repro.logic.gates import GateType
 from repro.logic.implication import Conflict
 from repro.logic.values import ONE, UNKNOWN, ZERO
-from repro.obs.metrics import get_metrics
 
 Assignment = Tuple[int, int]
 
@@ -262,9 +261,6 @@ class FrameEngine:
             When the assignments are inconsistent with *values* under the
             circuit's logic.
         """
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("mot.implication.runs")
         queue = self._seed(values, assignments, record)
         self._propagate(values, (), queue, record)
 
@@ -279,9 +275,6 @@ class FrameEngine:
         One sweep from outputs to inputs (gates in reverse topological
         order), then one sweep from inputs to outputs.
         """
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("mot.implication.runs")
         self._seed(values, assignments, record)
         self._propagate(
             values,

@@ -50,12 +50,33 @@ from repro.fsim.parallel import DEFAULT_BATCH
 from repro.mot.backward import BackwardCollector, detection_from_info
 from repro.mot.conditions import MotProfile, mot_profile
 from repro.mot.expansion import DEFAULT_N_STATES, expand
-from repro.mot.resimulate import SequenceStatus, resimulate_sequence
+from repro.mot.resimulate import (
+    SequenceStatus,
+    resimulate_sequence,
+    resolve_sequences,
+)
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 from repro.runner.budget import BudgetMeter, FaultBudget
 from repro.sim.goodcache import GoodMachineCache
-from repro.sim.sequential import simulate_injected, simulate_sequence
+from repro.sim.sequential import (
+    SequentialResult,
+    simulate_injected,
+    simulate_sequence,
+)
+
+__all__ = [
+    "fault_label",
+    "MotConfig",
+    "FaultCounters",
+    "FaultVerdict",
+    "Campaign",
+    "ProcedureFront",
+    "ProposedSimulator",
+    # Re-exported, not called: the benchmark's tracer (perfbench/spans.py)
+    # wraps this name on this module.
+    "resimulate_sequence",
+]
 
 
 def fault_label(circuit: Circuit, fault: Fault) -> str:
@@ -445,27 +466,27 @@ class ProposedSimulator(ProcedureFront):
                 num_expansions=len(outcome.phase2_pairs),
             )
 
-        tracer = get_tracer()
-        all_resolved = True
         with metrics.phase("resim"):
-            for sequence in outcome.sequences:
+            resolution = resolve_sequences(
+                injected.circuit,
+                faulty.frames,
+                self.reference_outputs,
+                outcome.sequences,
+                first_only=True,
+            )
+            statuses = resolution.statuses
+            tracer = get_tracer()
+            for status in statuses:
                 if meter is not None:
-                    meter.charge()
-                status = resimulate_sequence(
-                    injected.circuit,
-                    self.patterns,
-                    self.reference_outputs,
-                    sequence,
-                    injected.forced_ps,
-                )
-                if metrics.enabled:
-                    metrics.counter(f"mot.resim.{status.value}")
+                    meter.charge()  # one event per resimulated sequence
                 if tracer.active:
                     tracer.emit("resim", status=status.value)
-                if status is SequenceStatus.UNRESOLVED:
-                    all_resolved = False
-                    break
-        if all_resolved:
+            if metrics.enabled:
+                for status in SequenceStatus:
+                    total = statuses.count(status)
+                    if total:
+                        metrics.counter(f"mot.resim.{status.value}", total)
+        if SequenceStatus.UNRESOLVED not in statuses:
             return FaultVerdict(
                 fault,
                 "mot",
@@ -475,7 +496,7 @@ class ProposedSimulator(ProcedureFront):
                 num_expansions=len(outcome.phase2_pairs),
             )
         if self.config.forward_fallback and self._fallback_detects(
-            fault, injected, faulty.states, profile, meter
+            fault, injected, faulty, profile, meter
         ):
             return FaultVerdict(
                 fault,
@@ -497,16 +518,16 @@ class ProposedSimulator(ProcedureFront):
         self,
         fault: Fault,
         injected: InjectedFault,
-        faulty_states: Sequence[Sequence[int]],
+        faulty: SequentialResult,
         profile: MotProfile,
         meter: Optional[BudgetMeter] = None,
     ) -> bool:
         """Retry with the [4] forward trial-gain expansion (one shot).
 
         The fallback starts from this procedure's injected fault,
-        conventional faulty states and profile, and shares the caller's
-        *meter*, so the fault budget bounds the combined effort of both
-        procedures.
+        conventional faulty simulation (states and frames) and profile,
+        and shares the caller's *meter*, so the fault budget bounds the
+        combined effort of both procedures.
         """
         from repro.mot.baseline import BaselineConfig, BaselineSimulator
 
@@ -522,7 +543,7 @@ class ProposedSimulator(ProcedureFront):
             metrics.counter("mot.fallback.runs")
         with metrics.phase("fallback"):
             verdict = self._fallback.expand_and_resolve(
-                fault, injected, faulty_states, profile, meter
+                fault, injected, faulty, profile, meter
             )
         return verdict.status == "mot"
 

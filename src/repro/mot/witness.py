@@ -43,7 +43,7 @@ from repro.logic.values import UNKNOWN
 from repro.mot.backward import BackwardCollector
 from repro.mot.conditions import mot_profile
 from repro.mot.expansion import expand
-from repro.mot.resimulate import SequenceStatus, resimulate_sequence
+from repro.mot.resimulate import SequenceStatus, resolve_sequences
 from repro.mot.simulator import MotConfig
 from repro.sim.sequential import (
     outputs_conflict,
@@ -151,24 +151,22 @@ def build_witness(
         # above already cover every feasible trajectory.
         return witness if witness.cases else None
 
-    for sequence in outcome.sequences:
-        constraints = {
-            (u, flop_index): value
-            for u, row in enumerate(sequence.states)
-            for flop_index, value in enumerate(row)
-            if value != UNKNOWN and faulty.states[u][flop_index] == UNKNOWN
-        }
-        detail: dict = {}
-        status = resimulate_sequence(
-            injected.circuit,
-            patterns,
-            reference_outputs,
-            sequence,
-            injected.forced_ps,
-            detail=detail,
-        )
+    sequences = outcome.sequences
+    # A slot's constraints are the values expansion assigned to it,
+    # before resimulation fills in the values they imply.
+    constraints = [sequences.assignments(slot) for slot in range(len(sequences))]
+    resolution = resolve_sequences(
+        injected.circuit,
+        faulty.frames,
+        reference_outputs,
+        sequences,
+        first_only=True,
+    )
+    for slot, status in enumerate(resolution.statuses):
         if status is SequenceStatus.DETECTED:
-            witness.cases.append(WitnessCase(constraints, detail["site"]))
+            witness.cases.append(
+                WitnessCase(constraints[slot], resolution.sites[slot])
+            )
         elif status is SequenceStatus.UNRESOLVED:
             return None  # procedure (without fallback) does not detect
     return witness

@@ -15,8 +15,6 @@ per (circuit, pattern sequence) and is then shared read-only:
   :class:`~repro.mot.baseline.BaselineSimulator` and
   :class:`~repro.mot.unrestricted.UnrestrictedSimulator` accept a
   ``good_cache`` argument and skip their own good-machine simulation;
-* :func:`~repro.mot.resimulate.resimulate_sequence` accepts a cache in
-  place of raw ``reference_outputs``;
 * :func:`~repro.runner.campaign.run_campaign` computes the cache once
   in the parent process; ``--workers N`` forks its local workers
   (:class:`~repro.runner.transport.LocalTransport`) from that parent,

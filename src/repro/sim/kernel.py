@@ -39,6 +39,7 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     FrozenSet,
+    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -68,6 +69,7 @@ __all__ = [
     "unpack_column",
     "broadcast_planes",
     "eval_pass",
+    "eval_cone",
     "eval_frame_values",
     "eval_frame_planes",
     "eval_frame_patterns",
@@ -274,6 +276,71 @@ def eval_pass(
                     ones[out], zeros[out] = 0, mask
                 else:
                     ones[out], zeros[out] = mask, 0
+
+
+def eval_cone(
+    ir: CircuitIR,
+    ones: List[int],
+    zeros: List[int],
+    mask: int,
+    slots: Iterable[int],
+) -> None:
+    """Evaluate only the schedule slots *slots*, in place.
+
+    *slots* must be ascending (schedule order is topological).  Every
+    other line is read as it stands in *ones* / *zeros*, so once the
+    lines outside *slots* hold the values a full :func:`eval_pass`
+    gives them, every evaluated line comes out as that pass leaves it.
+    This is the event-limited pass of MOT resolution
+    (:func:`repro.mot.resimulate.resolve_sequences`): a frame that
+    differs from a stored frame only on some present-state lines
+    changes only inside their fanout cone.  There are no pin
+    overrides -- it runs on injected netlists.
+    """
+    ops = ir.ops
+    off = ir.fanin_offsets
+    fl = ir.fanin_lines
+    outs = ir.outs
+    for s in slots:
+        op = ops[s]
+        lo, hi = off[s], off[s + 1]
+        if op <= OP_NOR:  # AND / NAND / OR / NOR
+            if op <= OP_NAND:
+                acc1, acc0 = mask, 0
+                for i in range(lo, hi):
+                    line = fl[i]
+                    acc1 &= ones[line]
+                    acc0 |= zeros[line]
+            else:
+                acc1, acc0 = 0, mask
+                for i in range(lo, hi):
+                    line = fl[i]
+                    acc1 |= ones[line]
+                    acc0 &= zeros[line]
+            if op == OP_NAND or op == OP_NOR:
+                acc1, acc0 = acc0, acc1
+        elif op <= OP_XNOR:  # XOR / XNOR by plane recurrence
+            line = fl[lo]
+            acc1, acc0 = ones[line], zeros[line]
+            for i in range(lo + 1, hi):
+                line = fl[i]
+                v1, v0 = ones[line], zeros[line]
+                acc1, acc0 = (acc1 & v0) | (acc0 & v1), (acc1 & v1) | (acc0 & v0)
+            if op == OP_XNOR:
+                acc1, acc0 = acc0, acc1
+        elif op == OP_NOT:
+            line = fl[lo]
+            acc1, acc0 = zeros[line], ones[line]
+        elif op == OP_BUF:
+            line = fl[lo]
+            acc1, acc0 = ones[line], zeros[line]
+        elif op == OP_CONST0:
+            acc1, acc0 = 0, mask
+        else:  # CONST1
+            acc1, acc0 = mask, 0
+        out = outs[s]
+        ones[out] = acc1
+        zeros[out] = acc0
 
 
 def _read_override(

@@ -19,7 +19,6 @@ from repro.circuits.generators import random_moore, reconvergent_fsm
 from repro.circuits.library import s27
 from repro.faults.sites import all_faults
 from repro.mot.baseline import BaselineSimulator
-from repro.mot.resimulate import resimulate_sequence
 from repro.mot.simulator import ProposedSimulator
 from repro.mot.unrestricted import UnrestrictedSimulator
 from repro.patterns.random_gen import random_patterns
@@ -136,53 +135,6 @@ def test_s27_campaign_identical_with_and_without_cache():
         faults
     )
     assert plain.verdicts == cached.verdicts
-
-
-# ----------------------------------------------------------------------
-# Resimulation accepts the cache in place of raw outputs
-# ----------------------------------------------------------------------
-def test_resimulate_accepts_cache_for_reference_outputs():
-    from repro.faults.injection import inject_fault
-    from repro.faults.model import Fault
-    from repro.logic.values import ONE
-    from repro.mot.expansion import StateSequence
-    from repro.sim.sequential import simulate_injected
-
-    circuit = toggle_circuit()
-    patterns = [[1]] * 4
-    cache = GoodMachineCache.compute(circuit, patterns)
-    injected = inject_fault(circuit, Fault(circuit.line_id("Z"), ONE))
-    faulty = simulate_injected(injected, patterns)
-
-    def fresh_sequence():
-        seq = StateSequence(states=[list(row) for row in faulty.states])
-        seq.assign(0, 0, ONE)
-        return seq
-
-    with_outputs = resimulate_sequence(
-        injected.circuit,
-        patterns,
-        cache.outputs,
-        fresh_sequence(),
-        injected.forced_ps,
-    )
-    with_cache = resimulate_sequence(
-        injected.circuit,
-        patterns,
-        None,
-        fresh_sequence(),
-        injected.forced_ps,
-        good=cache,
-    )
-    assert with_outputs == with_cache
-    with pytest.raises(ValueError, match="reference_outputs"):
-        resimulate_sequence(
-            injected.circuit,
-            patterns,
-            None,
-            fresh_sequence(),
-            injected.forced_ps,
-        )
 
 
 # ----------------------------------------------------------------------

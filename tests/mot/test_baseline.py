@@ -11,7 +11,7 @@ from repro.faults.model import Fault
 from repro.faults.sites import all_faults
 from repro.logic.values import ONE, UNKNOWN
 from repro.mot.baseline import BaselineConfig, BaselineSimulator
-from repro.mot.expansion import StateSequence
+from repro.mot.expansion import SequenceSet
 from repro.mot.resimulate import SequenceStatus
 from repro.patterns.random_gen import random_patterns
 from repro.sim.frame import eval_frame
@@ -104,13 +104,13 @@ def test_no_counters_for_baseline():
 # ----------------------------------------------------------------------
 # Batched trial gains against per-candidate frame evaluations
 # ----------------------------------------------------------------------
-def _reference_gain(injected, patterns, sequence, u, flop_index):
+def _reference_gain(injected, patterns, base_row, u, flop_index):
     """The trial gain frame by frame: PO/NS positions (with
-    multiplicity) unspecified in the base frame at *u* and specified
-    once ``y_i`` is set, summed over both values."""
+    multiplicity) unspecified in the base frame at *u* (state row
+    *base_row*) and specified once ``y_i`` is set, summed over both
+    values."""
     circuit = injected.circuit
     interesting = list(circuit.outputs) + [f.ns for f in circuit.flops]
-    base_row = sequence.states[u]
     base = eval_frame(circuit, patterns[u], base_row)
     gain = 0
     for alpha in (0, 1):
@@ -135,27 +135,34 @@ def test_batched_trial_gains_match_frame_evaluations(seed, data):
     fault = faults[data.draw(st.integers(0, len(faults) - 1))]
     injected = inject_fault(circuit, fault)
     states = simulate_injected(injected, patterns).states
-    # Specify a few extra state values, as earlier expansions would.
-    sequence = StateSequence(states=[list(row) for row in states])
+    # Specify a few extra state values, as earlier expansions would;
+    # the gains read sequence 0, so give its twin other values.
+    sequences = SequenceSet(states)
     for _ in range(data.draw(st.integers(0, 4))):
-        sequence.assign(
+        sequences.assign(
             data.draw(st.integers(0, length - 1)),
             data.draw(st.integers(0, circuit.num_flops - 1)),
             data.draw(st.integers(0, 1)),
+            1,
         )
+    if data.draw(st.booleans()):
+        u = data.draw(st.integers(0, length - 1))
+        i = data.draw(st.integers(0, circuit.num_flops - 1))
+        sequences.double(u, [], [(i, data.draw(st.integers(0, 1)))])
     pairs = [
         (u, i)
         for u in range(length)
         for i in range(circuit.num_flops)
-        if i not in injected.forced_ps and sequence.states[u][i] == UNKNOWN
+        if i not in injected.forced_ps and sequences.row(0, u)[i] == UNKNOWN
     ]
     if not pairs:
         return
     pairs = data.draw(st.permutations(pairs))
     simulator = BaselineSimulator(circuit, patterns)
-    gains = simulator._trial_gains(injected, sequence, pairs)
+    gains = simulator._trial_gains(injected, sequences, pairs)
     assert gains == [
-        _reference_gain(injected, patterns, sequence, u, i) for u, i in pairs
+        _reference_gain(injected, patterns, sequences.row(0, u), u, i)
+        for u, i in pairs
     ]
 
 
@@ -163,23 +170,66 @@ def test_oneshot_resimulation_stops_at_the_first_unresolved_sequence(
     monkeypatch,
 ):
     """One unresolved sequence settles the one-shot verdict, so the
-    remaining sequences are not resimulated; the reported sequence count
-    is still the expanded one."""
+    resolution returns (and the meter is charged for) the sequences up
+    to and including the first unresolved one only; the reported
+    sequence count is still the expanded one."""
     import repro.mot.baseline as baseline
+    from repro.runner.budget import UNLIMITED, BudgetMeter
 
-    statuses = []
-    real = baseline.resimulate_sequence
+    resolutions = []
+    real = baseline.resolve_sequences
 
     def recording(*args, **kwargs):
-        statuses.append(real(*args, **kwargs))
-        return statuses[-1]
+        resolutions.append(real(*args, **kwargs))
+        return resolutions[-1]
 
-    monkeypatch.setattr(baseline, "resimulate_sequence", recording)
+    monkeypatch.setattr(baseline, "resolve_sequences", recording)
     circuit = s27()
-    verdict = BaselineSimulator(circuit, s27_patterns(seed=3)).simulate_fault(
-        Fault(circuit.line_id("G16"), ONE)
-    )
+    simulator = BaselineSimulator(circuit, s27_patterns(seed=3))
+    fault = Fault(circuit.line_id("G16"), ONE)
+    simulator.prefilter([fault])
+    meter = BudgetMeter(UNLIMITED)
+    verdict = simulator.simulate_fault(fault, meter)
     assert (verdict.status, verdict.num_sequences) == ("undetected", 64)
+    (resolution,) = resolutions
+    statuses = resolution.statuses
     assert statuses[-1] is SequenceStatus.UNRESOLVED
     assert SequenceStatus.UNRESOLVED not in statuses[:-1]
     assert len(statuses) < 64
+    # The conventional step, the 63 sequences the doublings created and
+    # one event per resimulated sequence.
+    assert meter.events == 1 + 63 + len(statuses)
+
+
+def test_iterative_schedule_keeps_only_unresolved_sequences(monkeypatch):
+    """Each iterative round compacts the set to its unresolved slots,
+    in slot order, before the next doubling."""
+    import repro.mot.baseline as baseline
+
+    rounds = []
+    real = baseline.resolve_sequences
+
+    def recording(circuit, frames, reference, sequences, first_only=False):
+        before = len(sequences)
+        resolution = real(circuit, frames, reference, sequences, first_only)
+        rounds.append((before, resolution.statuses))
+        return resolution
+
+    monkeypatch.setattr(baseline, "resolve_sequences", recording)
+    circuit = s27()
+    simulator = BaselineSimulator(
+        circuit, s27_patterns(seed=3), BaselineConfig(schedule="iterative")
+    )
+    multi_round = 0
+    for fault in s27_faults():
+        rounds.clear()
+        verdict = simulator.simulate_fault(fault)
+        for (width, statuses), (next_width, _) in zip(rounds, rounds[1:]):
+            assert len(statuses) == width
+            assert next_width == 2 * statuses.count(SequenceStatus.UNRESOLVED)
+        if rounds and verdict.status == "undetected":
+            assert verdict.num_sequences == rounds[-1][1].count(
+                SequenceStatus.UNRESOLVED
+            )
+        multi_round += len(rounds) > 1
+    assert multi_round

@@ -1,9 +1,11 @@
 """Tests for Procedure 2 (state expansion)."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.logic.values import ONE, UNKNOWN, ZERO
 from repro.mot.backward import PairInfo
 from repro.mot.conditions import MotProfile
-from repro.mot.expansion import StateSequence, expand
+from repro.mot.expansion import SequenceSet, StateSequence, expand
 
 
 def _pair(u, i, extra0, extra1, conf=(False, False), detect=(False, False)):
@@ -48,9 +50,9 @@ def test_phase1_applies_closed_branches_without_duplication():
     profile = MotProfile(n_sv=[2, 2, 2], n_out=[2, 1, 0])
     outcome = expand(_states(2, 2), info, profile, n_states=8)
     assert len(outcome.sequences) == 1
-    base = outcome.sequences[0]
-    assert base.states[1][0] == ZERO
-    assert base.states[1][1] == ONE
+    base = outcome.sequences.states(0)
+    assert base[1][0] == ZERO
+    assert base[1][1] == ONE
     assert outcome.phase1_pairs == [((1, 0), 1)]
     assert not outcome.detected_in_phase1
 
@@ -63,7 +65,7 @@ def test_phase1_mutual_conflict_is_detection():
     profile = MotProfile(n_sv=[2, 2, 2], n_out=[2, 1, 0])
     outcome = expand(_states(2, 2), info, profile, n_states=8)
     assert outcome.detected_in_phase1
-    assert outcome.sequences == []
+    assert len(outcome.sequences) == 0
 
 
 def test_phase2_doubles_until_limit():
@@ -78,8 +80,9 @@ def test_phase2_doubles_until_limit():
     assert len(outcome.phase2_pairs) == 2
     # Each selected pair splits the set: both values appear among the
     # sequences at the expanded position.
+    sequences = outcome.sequences
     for (u, i) in outcome.phase2_pairs:
-        values = {seq.states[u][i] for seq in outcome.sequences}
+        values = {sequences.row(k, u)[i] for k in range(len(sequences))}
         assert values == {ZERO, ONE}
 
 
@@ -137,5 +140,83 @@ def test_expansion_marks_time_units():
     info = {(1, 0): _pair(1, 0, [(0, 0)], [(0, 1)])}
     profile = MotProfile(n_sv=[1, 1, 1], n_out=[2, 1, 0])
     outcome = expand(_states(2, 1), info, profile, n_states=2)
-    for seq in outcome.sequences:
-        assert seq.marked == {1}
+    assert len(outcome.sequences) == 2
+    for k in range(len(outcome.sequences)):
+        assert outcome.sequences.marked(k) == {1}
+
+
+# ----------------------------------------------------------------------
+# The bit-sliced sequence set against a list of sequences
+# ----------------------------------------------------------------------
+def test_sequence_set_assign_reports_clashes_per_slot():
+    base = _states(2, 2)
+    base[0][1] = ONE  # specified by the base: same value in every slot
+    sequences = SequenceSet(base)
+    sequences.double(1, [(0, ZERO)], [(0, ONE)])
+    assert len(sequences) == 2
+    assert sequences.marked(0) == sequences.marked(1) == {1}
+    # Slot 0 holds 0 at (1, 0), slot 1 holds 1: assigning 1 clashes in 0.
+    assert sequences.assign(1, 0, ONE, 0b11) == 0b01
+    assert sequences.assign(0, 1, ONE, 0b11) == 0
+    assert sequences.assign(0, 1, ZERO, 0b10) == 0b10
+    assert sequences.marked(0) == {1}
+    assert sequences.free(1) == [1]
+    assert sequences.free(0) == [0]
+    assert sequences.assignments(1) == {(1, 0): ONE}
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["assign", "double", "compact"]),
+        st.integers(0, 3),  # time unit
+        st.integers(0, 2),  # flop
+        st.integers(0, 1),  # value
+        st.integers(0, 2**16 - 1),  # slot mask
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ops=_OPS, fixed=st.lists(st.integers(0, 2), min_size=12, max_size=12))
+def test_sequence_set_matches_a_list_of_sequences(ops, fixed):
+    """Assignment, doubling (twin k + width appended after every
+    original) and compaction act slot by slot like the list code."""
+    values = (ZERO, ONE, UNKNOWN)
+    base = [[values[fixed[3 * u + i]] for i in range(3)] for u in range(4)]
+    sequences = SequenceSet(base)
+    listed = [StateSequence(states=[list(row) for row in base])]
+    for op, u, i, value, mask in ops:
+        if op == "assign":
+            mask &= (1 << len(sequences)) - 1
+            clash = sequences.assign(u, i, value, mask)
+            for k, seq in enumerate(listed):
+                if mask >> k & 1:
+                    assert seq.assign(u, i, value) == (not clash >> k & 1)
+        elif op == "double" and len(listed) < 16:
+            extra0 = [(i, value)]
+            extra1 = [((i + 1) % 3, 1 - value), (i, value)]
+            sequences.double(u, extra0, extra1)
+            twins = []
+            for seq in listed:
+                twin = seq.copy()
+                for flop, val in extra0:
+                    seq.assign(u, flop, val)
+                for flop, val in extra1:
+                    twin.assign(u, flop, val)
+                twins.append(twin)
+            listed.extend(twins)
+        elif op == "compact":
+            mask &= (1 << len(sequences)) - 1
+            sequences.compact(mask)
+            listed = [seq for k, seq in enumerate(listed) if mask >> k & 1]
+        assert len(sequences) == len(listed)
+        for k, seq in enumerate(listed):
+            assert sequences.states(k) == seq.states
+            assert sequences.marked(k) == seq.marked
+            assert sequences.assignments(k) == {
+                (t, j): value
+                for t, row in enumerate(seq.states)
+                for j, value in enumerate(row)
+                if value != UNKNOWN and base[t][j] == UNKNOWN
+            }

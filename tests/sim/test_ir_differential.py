@@ -14,6 +14,8 @@ seeded random Moore machines and random 3-valued patterns through
   value capture and flop state carry-over across frames,
 * the serial :mod:`repro.fsim.conventional` vs the kernel fault batches
   of :mod:`repro.fsim.parallel`,
+* a full :func:`~repro.sim.kernel.eval_pass` vs the cone-limited
+  :func:`~repro.sim.kernel.eval_cone` over any set of schedule slots,
 
 and asserts exact equality everywhere.  X-propagation is exercised by
 construction: patterns and states draw from {0, 1, X} uniformly.
@@ -24,6 +26,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.circuit.netlist import CircuitBuilder
 from repro.circuits.generators import random_moore
 from repro.circuits.library import s27
 from repro.circuits.registry import build_circuit
@@ -33,12 +36,14 @@ from repro.fsim.parallel import run_parallel_conventional
 from repro.logic.values import ONE, UNKNOWN, ZERO
 from repro.patterns.random_gen import random_patterns
 from repro.sim.frame import eval_frame
-from repro.sim.ir import compile_circuit
+from repro.sim.ir import OP_CONST1, compile_circuit
 from repro.sim.kernel import (
     compile_fault_batch,
+    eval_cone,
     eval_frame_patterns,
     eval_frame_planes,
     eval_frame_values,
+    eval_pass,
     simulate_fault_batch,
     simulate_sequence_ir,
     simulate_sequences_packed,
@@ -305,3 +310,82 @@ def test_property_all_engines_agree(seed, pattern_seed, batch):
     assert ir.states == interp.states
     assert ir.outputs == interp.outputs
     assert ir.frames == interp.frames
+
+
+# ----------------------------------------------------------------------
+# Cone-limited evaluation == the full pass on the cone
+# ----------------------------------------------------------------------
+_CONE_GATES = (
+    "AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUFF",
+    "CONST0", "CONST1",
+)
+
+
+def _every_opcode_circuit(seed):
+    """A random combinational core holding every gate type (constants
+    included) and gates that read one line on several pins."""
+    rng = random.Random(seed)
+    builder = CircuitBuilder(f"cone_{seed}")
+    for k in range(3):
+        builder.add_input(f"pi{k}")
+    pool = [f"pi{k}" for k in range(3)] + [f"ps{k}" for k in range(3)]
+    for g in range(30):
+        op = _CONE_GATES[g] if g < len(_CONE_GATES) else rng.choice(_CONE_GATES)
+        if op.startswith("CONST"):
+            sources = []
+        elif op in ("NOT", "BUFF"):
+            sources = [rng.choice(pool)]
+        else:
+            sources = [rng.choice(pool) for _ in range(rng.randint(2, 4))]
+            if rng.random() < 0.4:
+                sources.insert(rng.randrange(len(sources)), sources[0])
+        builder.add_gate(op, f"g{g}", sources)
+        pool.append(f"g{g}")
+    for k in range(3):
+        builder.add_flop(f"ps{k}", rng.choice(pool[6:]))
+    builder.add_output(pool[-1])
+    return builder.build()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), data=st.data())
+def test_cone_pass_matches_the_full_pass(seed, data):
+    """With the lines outside a cone at their full-pass values, the cone
+    pass leaves every cone line exactly as :func:`eval_pass` does --
+    for fanout cones of random source lines and for arbitrary slot
+    subsets."""
+    circuit = _every_opcode_circuit(seed)
+    ir = compile_circuit(circuit)
+    assert set(ir.ops) == set(range(OP_CONST1 + 1))
+    width = data.draw(st.integers(1, 9))
+    mask = (1 << width) - 1
+    ones = [0] * ir.num_lines
+    zeros = [0] * ir.num_lines
+    for line in ir.inputs + ir.ps_lines:
+        one = data.draw(st.integers(0, mask))
+        ones[line] = one
+        zeros[line] = data.draw(st.integers(0, mask)) & ~one
+    eval_pass(ir, ones, zeros, mask)
+    if data.draw(st.booleans()):
+        changed = set(
+            data.draw(st.lists(st.sampled_from(ir.inputs + ir.ps_lines)))
+        )
+        cone = []
+        for s in range(ir.num_gates):
+            fanins = ir.fanin_lines[ir.fanin_offsets[s]:ir.fanin_offsets[s + 1]]
+            if changed.intersection(fanins):
+                cone.append(s)
+                changed.add(ir.outs[s])
+    else:
+        cone = sorted(
+            set(data.draw(st.lists(st.integers(0, ir.num_gates - 1))))
+        )
+    scrambled_ones = list(ones)
+    scrambled_zeros = list(zeros)
+    for s in cone:
+        line = ir.outs[s]
+        scrambled_ones[line] = data.draw(st.integers(0, mask))
+        scrambled_zeros[line] = data.draw(st.integers(0, mask))
+    eval_cone(ir, scrambled_ones, scrambled_zeros, mask, cone)
+    assert scrambled_ones == ones
+    assert scrambled_zeros == zeros
