@@ -57,7 +57,7 @@ def _corpus():
         ("fig4", fig4(), random_patterns(fig4().num_inputs, 12, seed=4)),
         ("learned_demo", demo, random_patterns(demo.num_inputs, 10, seed=11)),
     ]
-    for seed in (11, 23, 47):
+    for seed in (35, 57, 62):
         circuit = random_moore(seed, num_inputs=2, num_flops=3, num_gates=12)
         entries.append(
             (f"random_moore_{seed}", circuit, random_patterns(2, 8, seed=seed))

@@ -69,19 +69,17 @@ class PairInfo:
     def resolved_alpha(self) -> Optional[int]:
         """The value whose branch is closed by conflict or detection, if
         exactly one branch is closed (the phase-1 case)."""
-        closed = [
-            alpha
-            for alpha in (0, 1)
-            if self.conf[alpha] or self.detect[alpha]
-        ]
-        if len(closed) == 1:
-            return closed[0]
-        return None
+        closed0 = self.conf[0] or self.detect[0]
+        if closed0 == (self.conf[1] or self.detect[1]):
+            return None
+        return 0 if closed0 else 1
 
     @property
     def both_branches_closed(self) -> bool:
         """Both values lead to conflict or detection (Section 3.2)."""
-        return all(self.conf[a] or self.detect[a] for a in (0, 1))
+        return (self.conf[0] or self.detect[0]) and (
+            self.conf[1] or self.detect[1]
+        )
 
     @property
     def establishes_detection(self) -> bool:

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.circuit.netlist import Circuit
 from repro.faults.injection import InjectedFault, inject_fault
 from repro.faults.model import Fault
 from repro.logic.values import ONE, ZERO
@@ -52,6 +53,7 @@ from repro.sim.sequential import SequentialResult, simulate_injected
 __all__ = [
     "BaselineConfig",
     "BaselineSimulator",
+    "trial_gains",
     # Re-exported, not called: the benchmark's tracer (perfbench/spans.py)
     # wraps this name on this module.
     "resimulate_sequence",
@@ -73,6 +75,65 @@ class BaselineConfig:
             raise ValueError(f"unknown schedule {self.schedule!r}")
 
 
+def trial_gains(
+    circuit: Circuit,
+    patterns: Sequence[Sequence[int]],
+    sequences: SequenceSet,
+    slot: int,
+    pairs: Sequence[Tuple[int, int]],
+    lines: Sequence[int],
+) -> List[int]:
+    """Newly specified values on *lines* when ``y_i`` is set at time *u*,
+    for every ``(u, i)`` in *pairs*.
+
+    A pair's gain sums over both trial values -- the forward-only
+    analogue of the paper's ``N_extra`` criteria -- the positions of
+    *lines* (with multiplicity) that are unspecified in the frame of
+    sequence *slot* of *sequences* at *u* and specified once ``y_i`` is.
+    Every frame is evaluated in one two-plane kernel pass over
+    *circuit*: one base slot per time unit, then the two trial slots of
+    each of its pairs.  (Each trial row differs from its base row only
+    at ``y_i``, which is unspecified there.)  The [4] baseline counts
+    the PO and next-state lines of the faulty circuit, the unrestricted
+    reference expansion the PO lines of the fault-free one.
+    """
+    ir = compile_circuit(circuit)
+    trials = 2 * len(pairs)  # pair k: y_i = 0 in slot 2k, 1 in 2k+1
+    ones = [0] * ir.num_lines
+    zeros = [0] * ir.num_lines
+    base_slot: Dict[int, int] = {}  # time unit -> its base slot
+    group: Dict[int, int] = {}  # time unit -> mask of all its slots
+    for k, (u, i) in enumerate(pairs):
+        if u not in base_slot:
+            base_slot[u] = trials + len(base_slot)
+            group[u] = 1 << base_slot[u]
+        zeros[ir.ps_lines[i]] |= 1 << 2 * k
+        ones[ir.ps_lines[i]] |= 1 << 2 * k + 1
+        group[u] |= 3 << 2 * k
+    for u, mask in group.items():
+        sources = list(patterns[u]) + sequences.row(slot, u)
+        for line, value in zip(ir.inputs + ir.ps_lines, sources):
+            if value == ONE:
+                ones[line] |= mask
+            elif value == ZERO:
+                zeros[line] |= mask
+    eval_pass(ir, ones, zeros, (1 << (trials + len(group))) - 1)
+    # Per trial slot, count the lines (with multiplicity) that the slot
+    # specifies while its base slot leaves them X.
+    counts = [0] * trials
+    for line in lines:
+        specified = ones[line] | zeros[line]
+        newly = 0
+        for u, mask in group.items():
+            if not specified >> base_slot[u] & 1:
+                newly |= specified & mask
+        while newly:
+            low = newly & -newly
+            counts[low.bit_length() - 1] += 1
+            newly ^= low
+    return [counts[2 * k] + counts[2 * k + 1] for k in range(len(pairs))]
+
+
 class BaselineSimulator(ProcedureFront):
     """State-expansion fault simulator without backward implications.
 
@@ -84,60 +145,6 @@ class BaselineSimulator(ProcedureFront):
     config_class = BaselineConfig
 
     # ------------------------------------------------------------------
-    def _trial_gains(
-        self,
-        injected: InjectedFault,
-        sequences: SequenceSet,
-        pairs: Sequence[Tuple[int, int]],
-    ) -> List[int]:
-        """Newly specified PO/NS values when ``y_i`` is set at time *u*,
-        for every ``(u, i)`` in *pairs*.
-
-        A pair's gain sums over both trial values -- the forward-only
-        analogue of the paper's ``N_extra`` criteria -- the PO/NS
-        positions that are unspecified in the frame of sequence 0 (slot
-        0 of *sequences*) at *u* and specified once ``y_i`` is.  Every
-        frame is evaluated in one two-plane kernel pass over the faulty
-        circuit: one base slot per time unit, then the two trial slots
-        of each of its pairs.  (Each trial row differs from its base row
-        only at ``y_i``, which is unspecified there.)
-        """
-        ir = compile_circuit(injected.circuit)
-        trials = 2 * len(pairs)  # pair k: y_i = 0 in slot 2k, 1 in 2k+1
-        ones = [0] * ir.num_lines
-        zeros = [0] * ir.num_lines
-        base_slot: Dict[int, int] = {}  # time unit -> its base slot
-        group: Dict[int, int] = {}  # time unit -> mask of all its slots
-        for k, (u, i) in enumerate(pairs):
-            if u not in base_slot:
-                base_slot[u] = trials + len(base_slot)
-                group[u] = 1 << base_slot[u]
-            zeros[ir.ps_lines[i]] |= 1 << 2 * k
-            ones[ir.ps_lines[i]] |= 1 << 2 * k + 1
-            group[u] |= 3 << 2 * k
-        for u, mask in group.items():
-            sources = self.patterns[u] + sequences.row(0, u)
-            for line, value in zip(ir.inputs + ir.ps_lines, sources):
-                if value == ONE:
-                    ones[line] |= mask
-                elif value == ZERO:
-                    zeros[line] |= mask
-        eval_pass(ir, ones, zeros, (1 << (trials + len(group))) - 1)
-        # Per trial slot, count the interesting lines (with multiplicity)
-        # that the slot specifies while its base slot leaves them X.
-        counts = [0] * trials
-        for line in ir.outputs + ir.ns_lines:
-            specified = ones[line] | zeros[line]
-            newly = 0
-            for u, mask in group.items():
-                if not specified >> base_slot[u] & 1:
-                    newly |= specified & mask
-            while newly:
-                low = newly & -newly
-                counts[low.bit_length() - 1] += 1
-                newly ^= low
-        return [counts[2 * k] + counts[2 * k + 1] for k in range(len(pairs))]
-
     def _choose_pair(
         self,
         injected: InjectedFault,
@@ -161,7 +168,11 @@ class BaselineSimulator(ProcedureFront):
         candidate_pairs = [
             p for p in candidate_pairs if profile.n_sv[p[0]] == best_n_sv
         ]
-        gains = self._trial_gains(injected, sequences, candidate_pairs)
+        ir = compile_circuit(injected.circuit)
+        gains = trial_gains(
+            injected.circuit, self.patterns, sequences, 0, candidate_pairs,
+            ir.outputs + ir.ns_lines,
+        )
         best_pair = None
         best_key: Tuple[int, int, int] = (-1, 0, 0)
         for (u, flop_index), gain in zip(candidate_pairs, gains):

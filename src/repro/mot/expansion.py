@@ -8,7 +8,9 @@ base sequence without duplicating anything.  Phase 2 repeatedly selects
 the best remaining pair by the paper's four ordered criteria and doubles
 every sequence, writing ``extra(u, i, 0)`` into one copy and
 ``extra(u, i, 1)`` into the other, until ``N_STATES`` sequences exist or
-no selectable pair remains.
+no selectable pair remains.  The criteria never change during phase 2,
+so the pairs are sorted once and taken in that order, skipping each
+pair whose ``sv`` set meets an earlier choice at its time unit.
 
 (The published Step 8 assigns both extra sets to the copy ``S''`` -- an
 obvious typo; we assign ``extra(., 0)`` to ``S'`` and ``extra(., 1)`` to
@@ -263,47 +265,6 @@ class ExpansionOutcome:
     detected_in_phase1: bool = False
 
 
-def _sv_set(pair: PairInfo) -> Set[int]:
-    """``sv(u, i)``: state variables assigned by either extra set."""
-    return {j for alpha in (0, 1) for (j, _val) in pair.extra[alpha]}
-
-
-def _select_pair(
-    candidates: List[PairKey],
-    info: Dict[PairKey, PairInfo],
-    profile: MotProfile,
-) -> Optional[PairKey]:
-    """Steps 4-7 of Procedure 2: filter by the four ordered criteria."""
-    if not candidates:
-        return None
-    # (1) maximize N_out(u).
-    best = max(profile.n_out[u] for (u, _i) in candidates)
-    candidates = [key for key in candidates if profile.n_out[key[0]] == best]
-    # (2) minimize N_sv(u).
-    best = min(profile.n_sv[u] for (u, _i) in candidates)
-    candidates = [key for key in candidates if profile.n_sv[key[0]] == best]
-    # (3) maximize min(N_extra(u,i,0), N_extra(u,i,1)).
-    best = max(
-        min(info[key].n_extra(0), info[key].n_extra(1)) for key in candidates
-    )
-    candidates = [
-        key
-        for key in candidates
-        if min(info[key].n_extra(0), info[key].n_extra(1)) == best
-    ]
-    # (4) maximize max(N_extra(u,i,0), N_extra(u,i,1)).
-    best = max(
-        max(info[key].n_extra(0), info[key].n_extra(1)) for key in candidates
-    )
-    candidates = [
-        key
-        for key in candidates
-        if max(info[key].n_extra(0), info[key].n_extra(1)) == best
-    ]
-    # Deterministic tie-break.
-    return min(candidates)
-
-
 def expand(
     conventional_states: Sequence[Sequence[int]],
     info: Dict[PairKey, PairInfo],
@@ -336,18 +297,22 @@ def expand(
     tracer = get_tracer()
     sequences = SequenceSet(conventional_states)
     phase1_pairs: List[Tuple[PairKey, int]] = []
+    open_pairs: List[PairKey] = []  # neither branch closed
 
     # ------------------------------------------------------------- phase 1
     for key in sorted(info):
         pair = info[key]
-        closed = pair.resolved_alpha
-        if closed is None:
+        closed0 = pair.conf[0] or pair.detect[0]
+        closed1 = pair.conf[1] or pair.detect[1]
+        if closed0 == closed1:  # both open, or both closed (Section 3.2)
+            if not closed0:
+                open_pairs.append(key)
             continue
-        surviving = 1 - closed
+        closed = 0 if closed0 else 1
         phase1_pairs.append((key, closed))
         if tracer.active:
             tracer.emit("phase1", u=key[0], i=key[1], closed=closed)
-        for flop_index, value in pair.extra[surviving]:
+        for flop_index, value in pair.extra[1 - closed]:
             if sequences.assign(key[0], flop_index, value, 1):
                 # Mutually conflicting restrictions: no feasible
                 # not-yet-detected state remains (see module docstring of
@@ -371,37 +336,45 @@ def expand(
     # ------------------------------------------------------------- phase 2
     # A pair is a candidate while none of its sv(u, i) positions is
     # specified in any sequence.  Phase 2 only ever specifies the chosen
-    # pairs' extra positions, so the specified positions are those of the
-    # base sequence after phase 1 plus the chosen pairs' sv sets: test
-    # the base once, then drop the pairs each choice blocks.
-    candidates: List[Tuple[PairKey, Set[int]]] = []
+    # pairs' sv positions, so a pair eligible against the base after
+    # phase 1 leaves the candidates exactly when its sv set meets that
+    # of an earlier choice at its time unit.  The four criteria read
+    # only the fixed profile and extra sets, so the best candidate of
+    # each round is the first unblocked pair of one static sort.
+    ranked: List[Tuple[Tuple[int, int, int, int, PairKey], Set[int]]] = []
     free: Dict[int, Set[int]] = {}  # time unit -> flops still X there
-    for key in sorted(info):
-        u, _i = key
-        pair = info[key]
-        if pair.resolved_alpha is not None or pair.both_branches_closed:
-            continue
+    for key in open_pairs:
+        u = key[0]
         if profile.n_out[u] <= 0 or profile.n_sv[u] <= 0:
             continue
         if u not in free:
             free[u] = set(sequences.free(u))
-        sv = _sv_set(pair)
+        extra0, extra1 = info[key].extra
+        sv = {j for j, _value in extra0} | {j for j, _value in extra1}
         if sv and sv <= free[u]:
-            candidates.append((key, sv))
+            n0, n1 = len(extra0), len(extra1)
+            rank = (
+                -profile.n_out[u],  # (1) maximize N_out(u)
+                profile.n_sv[u],  # (2) minimize N_sv(u)
+                -min(n0, n1),  # (3) maximize min N_extra(u, i, .)
+                -max(n0, n1),  # (4) maximize max N_extra(u, i, .)
+                key,  # deterministic tie-break
+            )
+            ranked.append((rank, sv))
+    ranked.sort(key=lambda entry: entry[0])
     phase2_pairs: List[PairKey] = []
-    while len(sequences) < n_states:
-        chosen = _select_pair([key for key, _sv in candidates], info, profile)
-        if chosen is None:
+    taken: Dict[int, Set[int]] = {}  # time unit -> sv positions chosen
+    for rank, sv in ranked:
+        if len(sequences) >= n_states:
             break
+        chosen = rank[-1]
+        u = chosen[0]
+        blocked = taken.setdefault(u, set())
+        if not blocked.isdisjoint(sv):
+            continue
+        blocked |= sv
         phase2_pairs.append(chosen)
         pair = info[chosen]
-        u = chosen[0]
-        taken = _sv_set(pair)
-        candidates = [
-            (key, sv)
-            for key, sv in candidates
-            if key[0] != u or taken.isdisjoint(sv)
-        ]
         if meter is not None:
             meter.charge(len(sequences))  # one event per sequence created
         sequences.double(u, pair.extra[0], pair.extra[1])

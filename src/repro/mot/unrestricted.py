@@ -34,12 +34,14 @@ fault.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
-from repro.logic.values import UNKNOWN
-from repro.mot.expansion import StateSequence
+from repro.logic.values import ONE, UNKNOWN, ZERO
+from repro.mot.baseline import trial_gains
+from repro.mot.expansion import SequenceSet
+from repro.mot.resimulate import SequenceStatus, resolve_sequences
 from repro.mot.simulator import (
     Campaign,
     FaultVerdict,
@@ -47,9 +49,9 @@ from repro.mot.simulator import (
     ProposedSimulator,
 )
 from repro.runner.budget import BudgetMeter
-from repro.sim.frame import eval_frame
 from repro.sim.goodcache import GoodMachineCache
-from repro.sim.sequential import SequentialResult, simulate_sequence
+from repro.sim.kernel import eval_frame_planes
+from repro.sim.sequential import simulate_sequence
 
 
 @dataclass(frozen=True)
@@ -66,104 +68,70 @@ def expand_fault_free_references(
     circuit: Circuit,
     patterns: Sequence[Sequence[int]],
     n_references: int = 8,
-    reference: Optional[SequentialResult] = None,
 ) -> List[List[List[int]]]:
     """Expand the fault-free circuit into multiple response sequences.
 
-    Greedy: repeatedly pick the unspecified (time, state variable) whose
-    trial expansion specifies the most new output values, duplicate every
-    sequence with both values, and forward-fill, until the reference
-    limit is reached or everything useful is specified.  Infeasible
-    branches (next-state contradictions) are dropped -- no concrete
-    response completes them.
+    Greedy, on the machinery of Procedure 2: the sequences are the
+    slots of one :class:`~repro.mot.expansion.SequenceSet` over the
+    good machine's trajectory.  Each round picks the (time unit, state
+    variable) that no sequence specifies and whose trial expansion
+    specifies the most new output values in the first sequence
+    (:func:`~repro.mot.baseline.trial_gains` on the PO lines; ties go
+    to the lowest ``(u, i)``), doubles every sequence with both values,
+    and forward-fills every slot with
+    :func:`~repro.mot.resimulate.resolve_sequences` against an all-X
+    reference, which never detects.  Infeasible slots (next-state
+    contradictions) are dropped -- no concrete response completes
+    them.  The rounds stop at the reference limit or when no pair
+    gains anything.
 
-    Returns a list of output sequences (``L`` rows each).  Every concrete
+    Returns one output sequence (``L`` rows) per surviving slot,
+    evaluated from its final state rows, in the order of the chosen
+    values (lexicographic, the first choice most significant; the
+    "first sequence" is the first in this order).  Every concrete
     fault-free response is a completion of at least one returned
-    sequence.  *reference* supplies a precomputed fault-free trajectory
-    (e.g. from a :class:`~repro.sim.goodcache.GoodMachineCache`) so the
-    good machine is not re-simulated here.
+    sequence.
     """
-    if reference is None:
-        reference = simulate_sequence(circuit, patterns, engine="ir")
-    base = StateSequence(states=[list(row) for row in reference.states])
-    sequences: List[Tuple[StateSequence, List[List[int]]]] = [
-        (base, [list(row) for row in reference.outputs])
-    ]
-
-    def forward_fill(seq: StateSequence) -> Optional[List[List[int]]]:
-        """Forward-simulate marked frames; None when infeasible."""
-        outputs = [list(row) for row in reference.outputs]
-        length = len(patterns)
-        u = min(seq.marked) if seq.marked else length
-        while u < length:
-            if u not in seq.marked:
-                u += 1
-                continue
-            seq.marked.discard(u)
-            values = eval_frame(circuit, patterns[u], seq.states[u])
-            for position, line in enumerate(circuit.outputs):
-                if values[line] != UNKNOWN:
-                    outputs[u][position] = values[line]
-            next_row = seq.states[u + 1]
-            for flop_index, flop in enumerate(circuit.flops):
-                computed = values[flop.ns]
-                if computed == UNKNOWN:
-                    continue
-                stored = next_row[flop_index]
-                if stored == UNKNOWN:
-                    next_row[flop_index] = computed
-                    seq.marked.add(u + 1)
-                elif stored != computed:
-                    return None
-            u += 1
-        seq.marked.clear()
-        return outputs
-
-    def output_gain(seq: StateSequence, u: int, flop_index: int) -> int:
-        values_base = eval_frame(circuit, patterns[u], seq.states[u])
-        gain = 0
-        for alpha in (0, 1):
-            row = list(seq.states[u])
-            row[flop_index] = alpha
-            values = eval_frame(circuit, patterns[u], row)
-            gain += sum(
-                1
-                for line in circuit.outputs
-                if values_base[line] == UNKNOWN and values[line] != UNKNOWN
-            )
-        return gain
-
+    good = simulate_sequence(circuit, patterns, engine="ir", keep_frames=True)
     length = len(patterns)
-    while len(sequences) * 2 <= n_references:
-        # Choose the globally best (u, i) over the first sequence.
-        best: Optional[Tuple[int, int, int]] = None
-        seq0 = sequences[0][0]
-        for u in range(length):
-            for flop_index in range(circuit.num_flops):
-                if any(
-                    seq.states[u][flop_index] != UNKNOWN
-                    for seq, _out in sequences
-                ):
-                    continue
-                gain = output_gain(seq0, u, flop_index)
-                if gain > 0 and (best is None or gain > best[0]):
-                    best = (gain, u, flop_index)
-        if best is None:
+    all_x = [[UNKNOWN] * len(circuit.outputs) for _ in range(length)]
+    sequences = SequenceSet(good.states)
+    # Per slot, its chosen values as a binary number, first choice most
+    # significant: the order of the returned references.
+    ranks = [0]
+    while 2 * len(sequences) <= n_references:
+        first = ranks.index(min(ranks))
+        pairs = [(u, i) for u in range(length) for i in sequences.free(u)]
+        gains = trial_gains(
+            circuit, patterns, sequences, first, pairs, circuit.outputs
+        )
+        best = max(gains, default=0)
+        if best <= 0:
             break
-        _gain, u, flop_index = best
-        expanded: List[Tuple[StateSequence, List[List[int]]]] = []
-        for seq, _outputs in sequences:
-            twin = seq.copy()
-            seq.assign(u, flop_index, 0)
-            twin.assign(u, flop_index, 1)
-            for candidate in (seq, twin):
-                filled = forward_fill(candidate)
-                if filled is not None:
-                    expanded.append((candidate, filled))
-        if not expanded:  # pragma: no cover - defensive
-            break
-        sequences = expanded
-    return [outputs for _seq, outputs in sequences]
+        u, flop_index = pairs[gains.index(best)]
+        sequences.double(u, [(flop_index, ZERO)], [(flop_index, ONE)])
+        ranks = [2 * rank for rank in ranks] + [2 * rank + 1 for rank in ranks]
+        statuses = resolve_sequences(
+            circuit, good.frames, all_x, sequences
+        ).statuses
+        keep = sum(
+            1 << slot
+            for slot, status in enumerate(statuses)
+            if status is SequenceStatus.UNRESOLVED
+        )
+        sequences.compact(keep)
+        ranks = [rank for slot, rank in enumerate(ranks) if keep >> slot & 1]
+    order = sorted(range(len(sequences)), key=ranks.__getitem__)
+    references: List[List[List[int]]] = [[] for _ in order]
+    for u, pattern in enumerate(patterns):
+        planes = eval_frame_planes(
+            circuit,
+            [pattern] * len(order),
+            [sequences.row(slot, u) for slot in order],
+        )
+        for k, reference in enumerate(references):
+            reference.append(planes.output_values(k))
+    return references
 
 
 class UnrestrictedSimulator:
@@ -177,9 +145,12 @@ class UnrestrictedSimulator:
         good_cache: Optional[GoodMachineCache] = None,
     ) -> None:
         """*good_cache* supplies the shared fault-free trajectory (see
-        :class:`~repro.mot.simulator.ProposedSimulator`): the reference
-        expansion and every per-reference runner reuse it instead of
-        re-simulating the good machine ``n_references + 1`` times."""
+        :class:`~repro.mot.simulator.ProposedSimulator`): every
+        per-reference runner reuses it instead of re-simulating the good
+        machine ``n_references`` times.  The reference expansion does
+        not read it: it resolves sequences from the good machine's
+        frames, which the cache does not keep, so it simulates the good
+        machine once itself."""
         self.circuit = circuit
         self.patterns = [list(p) for p in patterns]
         self.config = config or UnrestrictedConfig()
@@ -189,12 +160,7 @@ class UnrestrictedSimulator:
             else None
         )
         self.references = expand_fault_free_references(
-            circuit,
-            self.patterns,
-            self.config.n_references,
-            reference=(
-                self.good_cache.result if self.good_cache is not None else None
-            ),
+            circuit, self.patterns, self.config.n_references
         )
         self._runners = [
             ProposedSimulator(

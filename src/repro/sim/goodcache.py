@@ -14,7 +14,10 @@ per (circuit, pattern sequence) and is then shared read-only:
 * :class:`~repro.mot.simulator.ProposedSimulator`,
   :class:`~repro.mot.baseline.BaselineSimulator` and
   :class:`~repro.mot.unrestricted.UnrestrictedSimulator` accept a
-  ``good_cache`` argument and skip their own good-machine simulation;
+  ``good_cache`` argument and skip their own good-machine simulation
+  (the unrestricted simulator's reference expansion is the exception:
+  it needs the good machine's frames, which the cache does not keep,
+  so it simulates the good machine once more itself);
 * :func:`~repro.runner.campaign.run_campaign` computes the cache once
   in the parent process; ``--workers N`` forks its local workers
   (:class:`~repro.runner.transport.LocalTransport`) from that parent,

@@ -10,7 +10,7 @@ from repro.faults.injection import inject_fault
 from repro.faults.model import Fault
 from repro.faults.sites import all_faults
 from repro.logic.values import ONE, UNKNOWN
-from repro.mot.baseline import BaselineConfig, BaselineSimulator
+from repro.mot.baseline import BaselineConfig, BaselineSimulator, trial_gains
 from repro.mot.expansion import SequenceSet
 from repro.mot.resimulate import SequenceStatus
 from repro.patterns.random_gen import random_patterns
@@ -104,13 +104,11 @@ def test_no_counters_for_baseline():
 # ----------------------------------------------------------------------
 # Batched trial gains against per-candidate frame evaluations
 # ----------------------------------------------------------------------
-def _reference_gain(injected, patterns, base_row, u, flop_index):
-    """The trial gain frame by frame: PO/NS positions (with
+def _reference_gain(circuit, patterns, base_row, u, flop_index, interesting):
+    """The trial gain frame by frame: positions of *interesting* (with
     multiplicity) unspecified in the base frame at *u* (state row
     *base_row*) and specified once ``y_i`` is set, summed over both
     values."""
-    circuit = injected.circuit
-    interesting = list(circuit.outputs) + [f.ns for f in circuit.flops]
     base = eval_frame(circuit, patterns[u], base_row)
     gain = 0
     for alpha in (0, 1):
@@ -136,7 +134,7 @@ def test_batched_trial_gains_match_frame_evaluations(seed, data):
     injected = inject_fault(circuit, fault)
     states = simulate_injected(injected, patterns).states
     # Specify a few extra state values, as earlier expansions would;
-    # the gains read sequence 0, so give its twin other values.
+    # the gains read one slot, so give the other slot other values.
     sequences = SequenceSet(states)
     for _ in range(data.draw(st.integers(0, 4))):
         sequences.assign(
@@ -149,21 +147,29 @@ def test_batched_trial_gains_match_frame_evaluations(seed, data):
         u = data.draw(st.integers(0, length - 1))
         i = data.draw(st.integers(0, circuit.num_flops - 1))
         sequences.double(u, [], [(i, data.draw(st.integers(0, 1)))])
+    slot = data.draw(st.integers(0, len(sequences) - 1))
     pairs = [
         (u, i)
         for u in range(length)
         for i in range(circuit.num_flops)
-        if i not in injected.forced_ps and sequences.row(0, u)[i] == UNKNOWN
+        if i not in injected.forced_ps
+        and sequences.row(slot, u)[i] == UNKNOWN
     ]
     if not pairs:
         return
     pairs = data.draw(st.permutations(pairs))
-    simulator = BaselineSimulator(circuit, patterns)
-    gains = simulator._trial_gains(injected, sequences, pairs)
-    assert gains == [
-        _reference_gain(injected, patterns, sequences.row(0, u), u, i)
-        for u, i in pairs
-    ]
+    faulty = injected.circuit
+    outputs = list(faulty.outputs)
+    # The [4] baseline counts PO and NS lines, the reference expansion
+    # PO lines only.
+    for lines in (outputs + [f.ns for f in faulty.flops], outputs):
+        gains = trial_gains(faulty, patterns, sequences, slot, pairs, lines)
+        assert gains == [
+            _reference_gain(
+                faulty, patterns, sequences.row(slot, u), u, i, lines
+            )
+            for u, i in pairs
+        ]
 
 
 def test_oneshot_resimulation_stops_at_the_first_unresolved_sequence(

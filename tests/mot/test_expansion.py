@@ -136,6 +136,107 @@ def test_no_candidates_stops_early():
     assert outcome.phase2_pairs == []
 
 
+# ----------------------------------------------------------------------
+# Phase 2's static order against the four filters of Procedure 2
+# ----------------------------------------------------------------------
+def _sv(pair):
+    return {j for extra in pair.extra for j, _value in extra}
+
+
+def _four_filter_pairs(info, profile, free, n_states):
+    """Steps 4-7 of Procedure 2 as written: each round filters the
+    remaining candidates by the four criteria in turn, takes the lowest
+    ``(u, i)`` of the survivors, and drops the candidates whose ``sv``
+    set meets the choice's at its time unit."""
+    candidates = [
+        key
+        for key in sorted(info)
+        if not any(info[key].conf[a] or info[key].detect[a] for a in (0, 1))
+        and profile.n_out[key[0]] > 0
+        and profile.n_sv[key[0]] > 0
+        and _sv(info[key])
+        and _sv(info[key]) <= set(free[key[0]])
+    ]
+    criteria = [
+        lambda key: profile.n_out[key[0]],
+        lambda key: -profile.n_sv[key[0]],
+        lambda key: min(info[key].n_extra(0), info[key].n_extra(1)),
+        lambda key: max(info[key].n_extra(0), info[key].n_extra(1)),
+    ]
+    chosen = []
+    width = 1
+    while width < n_states and candidates:
+        tied = candidates
+        for criterion in criteria:
+            best = max(criterion(key) for key in tied)
+            tied = [key for key in tied if criterion(key) == best]
+        pick = min(tied)
+        chosen.append(pick)
+        candidates = [
+            key
+            for key in candidates
+            if key[0] != pick[0] or _sv(info[key]).isdisjoint(_sv(info[pick]))
+        ]
+        width *= 2
+    return chosen
+
+
+_EXTRA = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 1)),
+    max_size=3,
+    unique_by=lambda entry: entry[0],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_out=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+    n_sv=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+    pairs=st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 3)),
+        st.tuples(
+            _EXTRA,
+            _EXTRA,
+            st.sampled_from(["open"] * 6 + ["conf0", "detect1", "both"]),
+        ),
+        min_size=2,
+        max_size=12,
+    ),
+    fixed=st.lists(st.integers(0, 7), min_size=16, max_size=16),
+    n_states=st.sampled_from([1, 2, 4, 8, 64]),
+)
+def test_phase2_static_order_matches_the_four_filters(
+    n_out, n_sv, pairs, fixed, n_states
+):
+    """One sort by ``(-N_out, N_sv, -min N_extra, -max N_extra, (u, i))``
+    and a walk that skips blocked pairs choose the pairs that filtering
+    the candidates by the four criteria every round does.  Small value
+    ranges give ties at every criterion and overlapping ``sv`` sets at
+    one time unit; a few base positions are specified, and some pairs
+    close a branch."""
+    # Mostly X, sometimes a specified base value.
+    values = [ZERO, ONE] + [UNKNOWN] * 6
+    states = [[values[fixed[4 * u + i]] for i in range(4)] for u in range(4)]
+    profile = MotProfile(n_sv=n_sv + [0], n_out=n_out + [0])
+    info = {}
+    for (u, i), (extra0, extra1, closed) in pairs.items():
+        info[(u, i)] = _pair(
+            u, i, list(extra0), list(extra1),
+            conf=(closed in ("conf0", "both"), False),
+            detect=(False, closed in ("detect1", "both")),
+        )
+    after_phase1 = expand(states, info, profile, n_states=1)
+    outcome = expand(states, info, profile, n_states=n_states)
+    if after_phase1.detected_in_phase1:
+        assert outcome.phase2_pairs == []
+        return
+    free = {u: after_phase1.sequences.free(u) for u in range(4)}
+    assert outcome.phase2_pairs == _four_filter_pairs(
+        info, profile, free, n_states
+    )
+    assert len(outcome.sequences) == 2 ** len(outcome.phase2_pairs)
+
+
 def test_expansion_marks_time_units():
     info = {(1, 0): _pair(1, 0, [(0, 0)], [(0, 1)])}
     profile = MotProfile(n_sv=[1, 1, 1], n_out=[2, 1, 0])

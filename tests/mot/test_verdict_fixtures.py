@@ -2,7 +2,8 @@
 
 Each ``tests/mot/golden/<name>.verdicts.json`` fixture pins the full
 ``campaign_csv`` output of one circuit under the proposed procedure
-(fixpoint, two-pass) and the [4] baseline (one-shot, iterative).  Any
+(fixpoint, two-pass), the [4] baseline (one-shot, iterative) and the
+unrestricted generalization.  Any
 change to a verdict, a ``how`` tag, the Table 3 counters or the
 sequence/expansion counts fails here -- including a changed
 implication record order, which moves ``N_extra`` and with it the

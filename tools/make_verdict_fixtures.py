@@ -5,8 +5,10 @@ Each ``<name>.verdicts.json`` fixture freezes the full per-fault
 ``campaign_csv`` output (status, how, ``N_det``/``N_conf``/``N_extra``,
 sequences, expansions) of one circuit under every simulator setting in
 :data:`RUNS`: the proposed procedure with the fixpoint and two-pass
-implication schedules, and the [4] baseline with its one-shot and
-iterative schedules.  The replay test
+implication schedules, the [4] baseline with its one-shot and
+iterative schedules, and the unrestricted generalization (fault-free
+reference expansion, then the proposed procedure against each
+reference).  The replay test
 (``tests/mot/test_verdict_fixtures.py``) reruns every setting and
 compares the CSV text byte for byte, so an optimization of the MOT core
 that changes any verdict -- or merely the order in which implications
@@ -35,22 +37,30 @@ from repro.circuits.registry import build_circuit
 from repro.faults.sites import all_faults
 from repro.mot.baseline import BaselineConfig, BaselineSimulator
 from repro.mot.simulator import MotConfig, ProposedSimulator
+from repro.mot.unrestricted import UnrestrictedSimulator
 from repro.patterns.random_gen import random_patterns
 from repro.reporting.campaign import campaign_csv
 
 #: Fixture name -> (circuit source, pattern length, pattern seed).  A
 #: source is a ``.bench`` path, a registered circuit name, or
 #: ``random_moore:<seed>`` (2 inputs, 3 flops, 12 gates).  The first
-#: six entries are the collapse gate's differential corpus.
+#: six entries are the collapse gate's differential corpus.  The last
+#: three machines never initialize: their fault-free response is X at
+#: every position, so condition (C) drops every fault of the restricted
+#: runs, and only the unrestricted run's reference expansion (which
+#: starts from an all-X good machine there) exercises MOT code.
 WORKLOADS = {
     "s27": ("examples/circuits/s27.bench", 16, 3),
     "fig4": ("examples/circuits/fig4.bench", 12, 4),
     "learned_demo": ("examples/circuits/learned_demo.bench", 10, 11),
+    "random_moore_35": ("random_moore:35", 8, 35),
+    "random_moore_57": ("random_moore:57", 8, 57),
+    "random_moore_62": ("random_moore:62", 8, 62),
+    "toggle": ("examples/circuits/toggle.bench", 16, 1),
+    "s208_like": ("s208_like", 16, 1),
     "random_moore_11": ("random_moore:11", 8, 11),
     "random_moore_23": ("random_moore:23", 8, 23),
     "random_moore_47": ("random_moore:47", 8, 47),
-    "toggle": ("examples/circuits/toggle.bench", 16, 1),
-    "s208_like": ("s208_like", 16, 1),
 }
 
 #: Run name -> simulator factory ``(circuit, patterns) -> simulator``.
@@ -63,6 +73,7 @@ RUNS = {
     "baseline_iterative": lambda c, p: BaselineSimulator(
         c, p, BaselineConfig(schedule="iterative")
     ),
+    "unrestricted": lambda c, p: UnrestrictedSimulator(c, p),
 }
 
 GOLDEN_DIR = os.path.join(ROOT, "tests", "mot", "golden")
