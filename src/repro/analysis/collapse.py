@@ -223,12 +223,15 @@ class CollapsePartition:
     circuit object like the compiled IR).  Everything exposed here is
     deterministic: class order, member order, representative choice,
     fanout-free-region heads and dominance edges depend only on the
-    circuit structure.
+    circuit structure.  The partition keeps the circuit's name, not the
+    circuit: a back-reference would make a reference cycle through the
+    cache, and a dropped circuit would then wait for the cyclic garbage
+    collector instead of being freed at once.
     """
 
     def __init__(
         self,
-        circuit: Circuit,
+        circuit_name: str,
         ir: CircuitIR,
         universe: Tuple[Fault, ...],
         classes: Tuple[FaultClass, ...],
@@ -237,7 +240,7 @@ class CollapsePartition:
         facts: ReachabilityFacts[int],
         dominance: Tuple[DominanceEdge, ...],
     ) -> None:
-        self.circuit = circuit
+        self.circuit_name = circuit_name
         self.ir = ir
         self.universe = universe
         self.classes = classes
@@ -273,7 +276,7 @@ class CollapsePartition:
         except KeyError:
             raise KeyError(
                 f"fault {fault!r} is not in the stuck-at universe of "
-                f"circuit {self.circuit.name!r}"
+                f"circuit {self.circuit_name!r}"
             ) from None
 
     # -- fanout-free regions -------------------------------------------
@@ -296,7 +299,7 @@ class CollapsePartition:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"CollapsePartition({self.circuit.name!r}: "
+            f"CollapsePartition({self.circuit_name!r}: "
             f"{self.universe_size} faults -> {self.num_classes} classes, "
             f"{self.num_ffrs} FFRs, {len(self.dominance)} dominance edges)"
         )
@@ -521,7 +524,7 @@ def _compute_partition(circuit: Circuit) -> CollapsePartition:
     )
 
     return CollapsePartition(
-        circuit=circuit,
+        circuit_name=circuit.name,
         ir=ir,
         universe=universe,
         classes=tuple(classes),

@@ -2,12 +2,14 @@
 
 The serial simulator in :mod:`repro.fsim.conventional` evaluates one
 faulty circuit at a time.  This module runs the classic parallel-fault
-technique instead: faults are split into batches of at most
-:data:`DEFAULT_BATCH`, each batch is compiled into per-pin plane masks
+technique instead: the fault list is compiled into per-pin plane masks
 (:func:`repro.sim.kernel.compile_fault_batch`; slot 0 is the fault-free
 machine, slot ``j + 1`` holds fault ``j``) and one levelized two-plane
 pass per time frame simulates the whole batch against the good
 machine's response (:func:`repro.sim.kernel.simulate_fault_batch`).
+The kernel's planes are Python ints with no word size, and the cost of
+a pass grows far slower than its width, so the whole list is one batch:
+only a list longer than :data:`DEFAULT_BATCH` faults is split.
 
 Verdicts are bit-identical to the serial simulator (asserted in
 ``tests/fsim/test_parallel.py`` and ``tests/sim/test_ir_differential.py``,
@@ -25,8 +27,9 @@ from repro.fsim.conventional import ConventionalCampaign, ConventionalVerdict
 from repro.obs.metrics import get_metrics
 from repro.sim.sequential import simulate_sequence
 
-#: Default number of fault slots per word (plus the fault-free slot 0).
-DEFAULT_BATCH = 62
+#: Most faults per kernel batch (plus the fault-free slot 0): a bound
+#: no registry fault list reaches, so a campaign's list is one batch.
+DEFAULT_BATCH = 1 << 16
 
 
 def run_parallel_conventional(
@@ -36,7 +39,8 @@ def run_parallel_conventional(
     batch: int = DEFAULT_BATCH,
     engine: str = "ir",
 ) -> ConventionalCampaign:
-    """Simulate *faults* in kernel batches and return per-fault verdicts.
+    """Simulate *faults* as one kernel batch (at most *batch* faults
+    per batch) and return per-fault verdicts.
 
     Detection semantics are identical to
     :func:`repro.fsim.conventional.run_conventional`; detection sites

@@ -25,7 +25,7 @@ faulty circuit leads to a detected response.  This shortcut is exercised
 against the exhaustive oracle in the test suite.
 
 Steps 1 and 2 run as one batched front (:class:`ProcedureFront`, shared
-with the [4] baseline): kernel fault batches decide both for a whole
+with the [4] baseline): one kernel fault batch decides both for a whole
 fault list, and only the faults that pass both are injected and
 simulated one at a time for steps 3-5.
 
@@ -239,9 +239,10 @@ class ProcedureFront:
     Both simulators start every fault the same way: conventional
     simulation against the reference response, then the necessary
     condition (C).  :meth:`prefilter` decides both for a whole fault
-    list in kernel fault batches of :data:`DEFAULT_BATCH` faults
-    (:func:`repro.sim.kernel.simulate_fault_batch`) and keeps the
-    answer per fault on the instance.  :meth:`simulate_fault` answers
+    list as one kernel fault batch
+    (:func:`repro.sim.kernel.simulate_fault_batch`; only a list longer
+    than :data:`DEFAULT_BATCH` faults is split) and keeps the answer
+    per fault on the instance.  :meth:`simulate_fault` answers
     ``"conv"`` and ``"dropped"`` from that table; only the faults that
     pass both checks are injected and simulated one at a time, by the
     subclass's :meth:`_procedure`.  The front also owns the reference
@@ -311,39 +312,71 @@ class ProcedureFront:
     def prefilter(self, faults: Iterable[Fault]) -> None:
         """Decide conventional detection and condition (C) for *faults*.
 
-        One kernel pass per :data:`DEFAULT_BATCH` faults not yet in the
-        table; recorded under the ``conv_sim`` phase.
+        The faults not yet in the table run as one kernel batch (split
+        only beyond :data:`DEFAULT_BATCH` faults), recorded under the
+        ``conv_sim`` phase.  A batch that raises is retried as two
+        halves, so one fault that cannot be simulated costs O(log n)
+        batches: that fault stays out of the table, every other fault
+        goes in, and the first such fault's exception is re-raised at
+        the end.
         """
         pending = [f for f in dict.fromkeys(faults) if f not in self._front]
         if not pending:
             return
+        errors: List[Exception] = []
         with get_metrics().phase("conv_sim"):
             for start in range(0, len(pending), DEFAULT_BATCH):
-                chunk = pending[start:start + DEFAULT_BATCH]
-                # Looked up on the module at call time, so a wrapper
-                # installed on the kernel's attributes sees every batch.
-                masks = kernel.simulate_fault_batch(
-                    self.circuit,
-                    kernel.compile_fault_batch(self.circuit, chunk),
-                    self.patterns,
-                    self.reference_outputs,
-                )
-                for j, fault in enumerate(chunk):
-                    if masks.detected >> j & 1:
-                        self._front[fault] = "conv"
-                    elif masks.condition_c >> j & 1:
-                        self._front[fault] = ""
-                    else:
-                        self._front[fault] = "dropped"
+                errors += self._fill(pending[start:start + DEFAULT_BATCH])
+        if errors:
+            raise errors[0]
+
+    def _fill(self, chunk: List[Fault]) -> List[Exception]:
+        """Enter one batch's answers in the table, halving on failure;
+        returns the exceptions of the single faults that raise."""
+        try:
+            # Looked up on the module at call time, so a wrapper
+            # installed on the kernel's attributes sees every batch.
+            masks = kernel.simulate_fault_batch(
+                self.circuit,
+                kernel.compile_fault_batch(self.circuit, chunk),
+                self.patterns,
+                self.reference_outputs,
+            )
+        except Exception as exc:
+            if len(chunk) == 1:
+                return [exc]
+            half = len(chunk) // 2
+            return self._fill(chunk[:half]) + self._fill(chunk[half:])
+        for j, fault in enumerate(chunk):
+            if masks.detected >> j & 1:
+                self._front[fault] = "conv"
+            elif masks.condition_c >> j & 1:
+                self._front[fault] = ""
+            else:
+                self._front[fault] = "dropped"
+        return []
+
+    def front_outcome(self, fault: Fault) -> str:
+        """The front's answer for *fault*: ``"conv"``, ``"dropped"``, or
+        ``""`` when it passes both checks.
+
+        A fault missing from the table is prefiltered alone first (a
+        batch of one), so a direct call gets the same answer as a
+        campaign.
+        """
+        outcome = self._front.get(fault)
+        if outcome is None:
+            self.prefilter([fault])
+            outcome = self._front[fault]
+        return outcome
 
     def simulate_fault(
         self, fault: Fault, meter: Optional[BudgetMeter] = None
     ) -> FaultVerdict:
         """Run the procedure for one fault.
 
-        A fault missing from the prefilter table is prefiltered alone
-        first (a batch of one), so a direct call gets the same verdict
-        as a campaign.
+        The front's answer comes from :meth:`front_outcome`, so a direct
+        call gets the same verdict as a campaign.
 
         With a budget configured (or an external *meter* supplied), work
         is charged at every phase; when the budget runs out the fault is
@@ -358,10 +391,7 @@ class ProcedureFront:
         if owned and budget is not None and budget.bounded:
             meter = BudgetMeter(budget)
         try:
-            outcome = self._front.get(fault)
-            if outcome is None:
-                self.prefilter([fault])
-                outcome = self._front[fault]
+            outcome = self.front_outcome(fault)
             if meter is not None:
                 meter.charge()  # the conventional step
             if outcome:

@@ -46,6 +46,7 @@ from repro.mot.simulator import (
     Campaign,
     FaultVerdict,
     MotConfig,
+    ProcedureFront,
     ProposedSimulator,
 )
 from repro.runner.budget import BudgetMeter
@@ -162,6 +163,14 @@ class UnrestrictedSimulator:
         self.references = expand_fault_free_references(
             circuit, self.patterns, self.config.n_references
         )
+        # Conventional simulation against the good machine's response:
+        # only its front is used, to tell ``conv`` from ``mot``.
+        self._conventional = ProcedureFront(
+            circuit,
+            self.patterns,
+            self.config.restricted,
+            good_cache=self.good_cache,
+        )
         self._runners = [
             ProposedSimulator(
                 circuit,
@@ -178,17 +187,32 @@ class UnrestrictedSimulator:
         return len(self.references)
 
     def prefilter(self, faults: Iterable[Fault]) -> None:
-        """Run every per-reference runner's batched front over *faults*
-        (:meth:`~repro.mot.simulator.ProcedureFront.prefilter`)."""
+        """Run the good machine's front and every per-reference runner's
+        over *faults* (:meth:`~repro.mot.simulator.ProcedureFront.prefilter`).
+
+        Every front is filled even when one raises; the first error is
+        re-raised at the end."""
         fault_list = list(faults)
-        for runner in self._runners:
-            runner.prefilter(fault_list)
+        errors: List[Exception] = []
+        for front in [self._conventional, *self._runners]:
+            try:
+                front.prefilter(fault_list)
+            except Exception as exc:
+                errors.append(exc)
+        if errors:
+            raise errors[0]
 
     def simulate_fault(
         self, fault: Fault, meter: Optional[BudgetMeter] = None
     ) -> FaultVerdict:
         """Detected iff the fault is detected against every expanded
         fault-free reference.
+
+        A detected fault is ``conv`` when conventional simulation
+        against the good machine's response detects it, and otherwise
+        ``mot`` with ``how="unrestricted"``.  Three-valued simulation is
+        monotone, so every such ``conv`` fault is also detected against
+        each reference, which only specifies more outputs.
 
         A caller-supplied *meter* is shared by the per-reference runs,
         so the fault's budget bounds their combined effort, and its
@@ -204,7 +228,7 @@ class UnrestrictedSimulator:
                     how=verdict.how,
                 )
             verdicts.append(verdict)
-        if all(v.status == "conv" for v in verdicts):
+        if self._conventional.front_outcome(fault) == "conv":
             return FaultVerdict(fault, "conv")
         merged = FaultVerdict(fault, "mot", how="unrestricted")
         for verdict in verdicts:

@@ -83,9 +83,11 @@ def probe_meter_support(simulator: Any) -> bool:
 def prefilter_pending(simulator: Any, faults: List[Fault]) -> None:
     """Run *simulator*'s batched front over *faults*, if it has one.
 
-    A batch that raises is left out of the simulator's table: its
-    faults then take the batch-of-one path inside ``simulate_fault``,
-    where the fault that raises is quarantined like any other failure.
+    The front splits a batch that raises in halves, fills its table with
+    every fault but the ones that raise alone, and then re-raises; the
+    error is swallowed here.  A fault left out takes the batch-of-one
+    path inside ``simulate_fault``, where it raises again and is
+    quarantined like any other failure.
     """
     prefilter = getattr(simulator, "prefilter", None)
     if prefilter is None:

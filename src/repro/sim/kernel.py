@@ -12,8 +12,9 @@ pattern single fault), a candidate initial state, or a faulty machine
 evaluation is pure bitwise logic over the planes (AND: ones intersect,
 zeros union; XOR by plane recurrence), so one levelized pass over the
 :class:`~repro.sim.ir.CircuitIR` schedule simulates every slot at once.
-Python integers are arbitrary precision, so one plane pair packs 64+
-slots per "word" with no windowing.
+Python integers are arbitrary precision, so a plane has no word size:
+one plane pair holds every slot of a batch, with no windowing, and the
+cost of a pass grows far slower than its width.
 
 Fault injection is compiled, not simulated: a stuck pin becomes a pair
 of force masks attached to its CSR fanin index (or primary-output tap /

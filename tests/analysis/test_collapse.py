@@ -1,6 +1,7 @@
 """Structural fault collapsing (repro.analysis.collapse)."""
 
 import itertools
+import weakref
 
 import pytest
 
@@ -102,6 +103,19 @@ def test_partition_is_cached_per_circuit():
     circuit = s27()
     assert fault_classes(circuit) is fault_classes(circuit)
     assert fault_classes(circuit) is not fault_classes(s27())
+
+
+def test_cached_partition_leaves_the_circuit_to_reference_counting(
+    gc_disabled,
+):
+    """The cache points from the circuit to its partition only, so a
+    dropped circuit is freed at once, not by a later cyclic collection."""
+    circuit = s27()
+    partition = fault_classes(circuit)
+    alive = weakref.ref(circuit)
+    del circuit
+    assert alive() is None
+    assert partition.circuit_name == "s27"
 
 
 def test_class_of_every_universe_fault():

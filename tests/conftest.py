@@ -5,9 +5,12 @@ runs the standard s27 campaign against it and returns everything a
 resume/merge test needs.  ``campaign_workers`` reads the
 ``REPRO_TEST_WORKERS`` environment variable (default 1) so CI can rerun
 the whole suite with the local-worker executor exercised at a higher
-worker count without editing any test.
+worker count without editing any test.  ``gc_disabled`` turns the
+cyclic garbage collector off for one test, so only reference counting
+frees objects.
 """
 
+import gc
 import os
 from dataclasses import dataclass
 from typing import List
@@ -35,6 +38,17 @@ def campaign_workers():
     more local workers.
     """
     return int(os.environ.get("REPRO_TEST_WORKERS", "1"))
+
+
+@pytest.fixture
+def gc_disabled():
+    """No cyclic garbage collection while the test runs."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
 
 
 @dataclass

@@ -2,18 +2,21 @@
 
 :meth:`~repro.mot.simulator.ProcedureFront.prefilter` decides
 conventional detection and condition (C) for a whole fault list in
-kernel fault batches; ``simulate_fault`` answers ``conv`` and
+one kernel fault batch; ``simulate_fault`` answers ``conv`` and
 ``dropped`` from that table and runs its per-fault steps only for the
 faults that pass both.  These tests pin what must not change: a fault
 simulated without a prefilter (a batch of one) gets the prefiltered
-verdict, budgets charge exactly as before, and every executor fills the
-table before its first fault.
+verdict, budgets charge exactly as before, every executor fills the
+table before its first fault, a fault list is one kernel batch, and a
+batch that raises is split in halves.
 """
 
+import math
 from collections import Counter
 
 import pytest
 
+import repro.sim.kernel as kernel
 from repro.circuits.library import s27
 from repro.faults.model import Fault
 from repro.faults.sites import all_faults
@@ -62,6 +65,43 @@ def test_prefilter_fills_the_table_once():
     assert set(table.values()) <= {"conv", "dropped", ""}
     simulator.prefilter(faults)
     assert simulator._front == table
+
+
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    """The size of every batch the front hands the kernel."""
+    sizes = []
+    compile_fault_batch = kernel.compile_fault_batch
+
+    def counting(circuit, faults):
+        sizes.append(len(faults))
+        return compile_fault_batch(circuit, faults)
+
+    monkeypatch.setattr(kernel, "compile_fault_batch", counting)
+    return sizes
+
+
+def test_prefilter_runs_the_fault_list_as_one_batch(batch_sizes):
+    faults = all_faults(s27())
+    ProposedSimulator(s27(), s27_patterns()).prefilter(faults)
+    assert batch_sizes == [len(faults)]
+
+
+def test_a_raising_batch_is_split_in_halves(batch_sizes):
+    circuit = s27()
+    faults = all_faults(circuit)
+    expected = ProposedSimulator(circuit, s27_patterns())
+    expected.prefilter(faults)
+    broken = Fault(circuit.num_lines + 5, ONE)
+    mixed = faults[:3] + [broken] + faults[3:]
+    batch_sizes.clear()
+    simulator = ProposedSimulator(circuit, s27_patterns())
+    with pytest.raises(IndexError):
+        simulator.prefilter(mixed)
+    assert simulator._front == expected._front
+    # The whole list, then two halves per level down to the broken
+    # fault alone.
+    assert len(batch_sizes) <= 1 + 2 * math.ceil(math.log2(len(mixed)))
 
 
 # ----------------------------------------------------------------------

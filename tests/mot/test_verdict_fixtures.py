@@ -18,6 +18,7 @@ byte for byte -- including the ``random_moore`` circuits, whose
 to a worker and only run because forked workers inherit the simulator.
 """
 
+import csv
 import importlib.util
 import json
 import os
@@ -29,6 +30,7 @@ from repro.patterns.random_gen import random_patterns
 from repro.reporting.campaign import campaign_csv
 from repro.runner.dispatch import DistributedCampaignRunner
 from repro.runner.transport import LocalTransport
+from repro.verify.exhaustive import exhaustive_unrestricted_mot
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
@@ -66,6 +68,51 @@ def test_campaign_csv_matches_fixture(name, run):
     )
     live = tool.run_csv(circuit, patterns, run)
     assert live == "".join(frozen["runs"][run])
+
+
+def _statuses(frozen, run):
+    """Fault label -> status of one frozen run."""
+    rows = csv.DictReader(frozen["runs"][run])
+    return {row["fault"]: row["status"] for row in rows}
+
+
+@pytest.mark.parametrize("name", sorted(tool.WORKLOADS))
+def test_unrestricted_conv_is_conventional_detection(name):
+    """An unrestricted ``conv`` verdict means conventionally detected
+    against the good machine's response: the restricted runs' set."""
+    frozen = _fixture(name)
+
+    def conv(run):
+        return {
+            label
+            for label, status in _statuses(frozen, run).items()
+            if status == "conv"
+        }
+
+    assert conv("unrestricted") == conv("proposed_fixpoint")
+
+
+#: Workloads small enough to enumerate in tier-1 time: s208_like's
+#: 2^8 initial states per machine take ~2 s per fault.
+ENUMERABLE = sorted(set(tool.WORKLOADS) - {"s208_like"})
+
+
+@pytest.mark.parametrize("name", ENUMERABLE)
+def test_unrestricted_mot_rows_are_confirmed_by_enumeration(name):
+    """Every unrestricted ``mot`` row has disjoint fault-free and faulty
+    response sets (the exhaustive oracle), the rows that conventional
+    simulation against an expanded reference detects included."""
+    frozen = _fixture(name)
+    circuit = tool.build(frozen["source"])
+    patterns = random_patterns(
+        circuit.num_inputs, frozen["length"], seed=frozen["pattern_seed"]
+    )
+    faults = {fault.describe(circuit): fault for fault in all_faults(circuit)}
+    for label, status in _statuses(frozen, "unrestricted").items():
+        if status == "mot":
+            assert exhaustive_unrestricted_mot(
+                circuit, faults[label], patterns
+            ), label
 
 
 #: (workload, run) pairs replayed on local workers.

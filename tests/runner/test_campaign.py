@@ -3,6 +3,7 @@ job service: spec validation, payload round-trips, result identity
 with a direct harness run, cooperative cancellation."""
 
 import threading
+import weakref
 
 import pytest
 
@@ -190,6 +191,15 @@ def test_run_campaign_bench_text_source():
     )
     assert result.circuit.name == "uploaded"
     assert result.campaign.total > 0
+
+
+def test_a_dropped_result_frees_its_circuit_at_once(gc_disabled):
+    """A finished campaign leaves no reference cycle: its netlist, fault
+    list and classes go with the result, without a cyclic collection."""
+    result = run_campaign(CampaignSpec(**S27))
+    alive = weakref.ref(result.circuit)
+    del result
+    assert alive() is None
 
 
 # --------------------------------------------------------- cancellation

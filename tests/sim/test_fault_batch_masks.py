@@ -8,7 +8,9 @@ interpreted path the batched front replaces -- ``inject_fault`` plus
 ``simulate_injected``, then ``outputs_conflict`` and
 ``mot_profile(...).condition_c()`` -- for every fault, at every batch
 size, against the good machine and against references more specified
-than it (the unrestricted simulator's expanded responses).
+than it (the unrestricted simulator's expanded responses).  On
+registry circuits the whole collapsed fault list is one batch, at the
+width campaigns run.
 """
 
 import functools
@@ -20,9 +22,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.circuits.generators import random_moore
+from repro.circuits.registry import build_circuit
+from repro.faults.collapse import collapse_faults
 from repro.faults.injection import inject_fault
 from repro.faults.model import Fault
 from repro.faults.sites import all_faults
+from repro.fsim.conventional import run_conventional
+from repro.fsim.parallel import DEFAULT_BATCH, run_parallel_conventional
 from repro.logic.values import ONE, UNKNOWN, ZERO
 from repro.mot.conditions import mot_profile
 from repro.patterns.random_gen import random_patterns
@@ -111,6 +117,31 @@ def test_golden_circuits_exercise_both_masks():
         for detected, condition in golden_workload(name)[4]:
             kinds.add("conv" if detected else ("survivor" if condition else "dropped"))
     assert kinds == {"conv", "dropped", "survivor"}
+
+
+# ----------------------------------------------------------------------
+# Registry circuits: the whole collapsed fault list as one batch
+# ----------------------------------------------------------------------
+#: Circuit -> pattern length; each case runs in a few seconds.
+FULL_WIDTH = {"s298_like": 32, "s641_like": 16}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_WIDTH))
+def test_one_full_width_batch_matches_the_serial_paths(name):
+    circuit = build_circuit(name)
+    faults = collapse_faults(circuit)
+    assert len(faults) <= DEFAULT_BATCH
+    patterns = random_patterns(circuit.num_inputs, FULL_WIDTH[name], seed=0)
+    serial = run_conventional(circuit, faults, patterns)
+    campaign = run_parallel_conventional(circuit, faults, patterns)
+    assert [v.detected for v in campaign.verdicts] == [
+        v.detected for v in serial.verdicts
+    ]
+    reference = serial.reference.outputs
+    got = batched(circuit, faults, patterns, reference, len(faults))
+    for fault, (_, condition) in zip(faults, got):
+        _, want = interpreted(circuit, fault, patterns, reference)
+        assert condition == want, fault.describe(circuit)
 
 
 # ----------------------------------------------------------------------
