@@ -73,23 +73,22 @@ def test_sequential_sim_ir_s1423_like(benchmark):
     benchmark(simulate_sequence, circuit, patterns, engine="ir")
 
 
-def test_sequential_packed64_s1423_like(benchmark):
-    """64 independent test sequences per levelized pass per frame."""
-    from repro.sim.ir import compile_circuit
-    from repro.sim.kernel import simulate_sequences_packed
+def test_initial_state_chunk_s208_like(benchmark):
+    """Every initial state of s208_like (2^11) through 48 frames: one
+    packed kernel pass per frame."""
+    from repro.verify.states import initial_state_chunks
 
-    circuit = build_circuit("s1423_like")
-    compile_circuit(circuit)
-    sequences = [
-        random_patterns(circuit.num_inputs, 16, seed=seed)
-        for seed in range(64)
-    ]
-    packed = benchmark.pedantic(
-        lambda: simulate_sequences_packed(circuit, sequences),
-        rounds=3,
-        iterations=1,
-    )
-    assert packed.width == 64
+    circuit = build_circuit("s208_like")
+    patterns = random_patterns(circuit.num_inputs, 48, seed=1)
+
+    def run():
+        chunks = list(initial_state_chunks(circuit, patterns))
+        for chunk in chunks:
+            chunk.state(len(patterns))
+        return chunks
+
+    chunks = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert sum(chunk.width for chunk in chunks) == 1 << circuit.num_flops
 
 
 def test_fault_injection_s5378_like(benchmark):

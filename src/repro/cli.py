@@ -447,6 +447,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_witness(args: argparse.Namespace) -> int:
     from repro.faults.model import Fault
     from repro.mot.witness import build_witness, check_witness
+    from repro.verify.states import MAX_FREE_FLOPS
 
     from repro.circuit.netlist import CircuitError
 
@@ -464,7 +465,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
               "procedure; no certificate exists")
         return 1
     print(witness.describe(circuit))
-    if circuit.num_flops <= 16:
+    if circuit.num_flops <= MAX_FREE_FLOPS:
         verified = check_witness(circuit, fault, patterns, witness)
         print(f"verified by exhaustive replay: {verified}")
         return 0 if verified else 1

@@ -21,7 +21,6 @@ the x's into the exact set of possible responses.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -30,6 +29,7 @@ from repro.faults.injection import inject_fault
 from repro.faults.model import Fault
 from repro.logic.values import UNKNOWN
 from repro.sim.sequential import simulate_injected, simulate_sequence
+from repro.verify.states import response_set
 
 Signature = Tuple[Tuple[int, ...], ...]
 
@@ -127,25 +127,10 @@ def per_state_signatures(
     circuit: Circuit,
     fault: Fault,
     patterns: Sequence[Sequence[int]],
-    max_flops: int = 12,
 ) -> List[Signature]:
     """The exact response set of *fault* over all initial states."""
     injected = inject_fault(circuit, fault)
-    forced = injected.forced_ps
-    free = [i for i in range(injected.circuit.num_flops) if i not in forced]
-    if len(free) > max_flops:
-        raise ValueError(f"{len(free)} free flip-flops exceed {max_flops}")
-    base = [0] * injected.circuit.num_flops
-    for flop_index, value in forced.items():
-        base[flop_index] = value
-    responses = set()
-    for bits in itertools.product((0, 1), repeat=len(free)):
-        state = list(base)
-        for flop_index, bit in zip(free, bits):
-            state[flop_index] = bit
-        run = simulate_injected(injected, patterns, initial_state=state)
-        responses.add(tuple(tuple(row) for row in run.outputs))
-    return sorted(responses)
+    return sorted(response_set(injected.circuit, patterns, injected.forced_ps))
 
 
 def observed_from_chip(

@@ -32,14 +32,13 @@ full initial-state space.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.faults.injection import inject_fault
 from repro.faults.model import Fault
-from repro.logic.values import UNKNOWN
+from repro.logic.values import ONE, UNKNOWN
 from repro.mot.backward import BackwardCollector
 from repro.mot.conditions import mot_profile
 from repro.mot.expansion import expand
@@ -50,6 +49,7 @@ from repro.sim.sequential import (
     simulate_injected,
     simulate_sequence,
 )
+from repro.verify.states import initial_state_chunks
 
 Site = Tuple[int, int]
 
@@ -178,7 +178,6 @@ def check_witness(
     patterns: Sequence[Sequence[int]],
     witness: DetectionWitness,
     reference_outputs: Optional[Sequence[Sequence[int]]] = None,
-    max_flops: int = 16,
 ) -> bool:
     """Verify a certificate by brute-force enumeration.
 
@@ -191,39 +190,21 @@ def check_witness(
     if reference_outputs is None:
         reference_outputs = simulate_sequence(circuit, patterns).outputs
     injected = inject_fault(circuit, fault)
-    forced = injected.forced_ps
-    free_flops = [
-        i for i in range(injected.circuit.num_flops) if i not in forced
-    ]
-    if len(free_flops) > max_flops:
-        raise ValueError(
-            f"{len(free_flops)} free flip-flops exceed max_flops={max_flops}"
-        )
-    base_state = [0] * injected.circuit.num_flops
-    for flop_index, value in forced.items():
-        base_state[flop_index] = value
-    for bits in itertools.product((0, 1), repeat=len(free_flops)):
-        state = list(base_state)
-        for flop_index, bit in zip(free_flops, bits):
-            state[flop_index] = bit
-        run = simulate_injected(injected, patterns, initial_state=state)
-        satisfied = False
+    for chunk in initial_state_chunks(
+        injected.circuit, patterns, injected.forced_ps
+    ):
+        satisfied = 0
         for case in witness.cases:
-            if any(
-                run.states[u][flop_index] != value
-                for (u, flop_index), value in case.constraints.items()
-            ):
-                continue
             time, position = case.site
-            response = run.outputs[time][position]
             reference = reference_outputs[time][position]
-            if (
-                response != UNKNOWN
-                and reference != UNKNOWN
-                and response != reference
-            ):
-                satisfied = True
-                break
-        if not satisfied:
+            if reference == UNKNOWN:
+                continue
+            ones, zeros = chunk.outputs(time)
+            covered = (zeros if reference == ONE else ones)[position]
+            for (u, flop_index), value in case.constraints.items():
+                ones, zeros = chunk.state(u)
+                covered &= (ones if value == ONE else zeros)[flop_index]
+            satisfied |= covered
+        if satisfied != chunk.mask:
             return False
     return True

@@ -23,12 +23,10 @@ from repro.sim.kernel import (
     CompiledFaultBatch,
     FaultBatchMasks,
     FramePlanes,
-    PackedSequences,
     compile_fault_batch,
     eval_frame_patterns,
     eval_frame_planes,
     simulate_fault_batch,
-    simulate_sequences_packed,
 )
 from repro.sim.sequential import (
     SequentialResult,
@@ -46,12 +44,10 @@ __all__ = [
     "CompiledFaultBatch",
     "FaultBatchMasks",
     "FramePlanes",
-    "PackedSequences",
     "compile_fault_batch",
     "eval_frame_patterns",
     "eval_frame_planes",
     "simulate_fault_batch",
-    "simulate_sequences_packed",
     "SequentialResult",
     "simulate_sequence",
     "simulate_injected",

@@ -24,8 +24,9 @@ exactly like the netlist-transformation injector, and only gates with at
 least one forced pin leave the fast evaluation path.
 
 This kernel is the only bit-parallel simulator: every ``fsim``
-campaign runs its fault batches and MOT campaigns compute their good
-machine on it.  Everything here is verdict- and value-identical to the
+campaign runs its fault batches, MOT campaigns compute their good
+machine and :mod:`repro.verify.states` enumerates initial states on
+it.  Everything here is verdict- and value-identical to the
 interpreted oracles (:func:`repro.sim.frame.eval_frame`,
 :func:`repro.sim.sequential.simulate_sequence`,
 :mod:`repro.fsim.conventional`); the differential suite in
@@ -67,7 +68,6 @@ if TYPE_CHECKING:  # circular at runtime: sequential imports this module
 
 __all__ = [
     "pack_columns",
-    "unpack_column",
     "broadcast_planes",
     "eval_pass",
     "eval_cone",
@@ -76,8 +76,6 @@ __all__ = [
     "eval_frame_patterns",
     "FramePlanes",
     "simulate_sequence_ir",
-    "simulate_sequences_packed",
-    "PackedSequences",
     "CompiledFaultBatch",
     "FaultBatchMasks",
     "compile_fault_batch",
@@ -114,20 +112,6 @@ def pack_columns(
             elif value == ZERO:
                 zeros[j] |= bit
     return ones, zeros
-
-
-def unpack_column(one: int, zero: int, width: int) -> List[int]:
-    """Decode one (one, zero) plane pair into *width* per-slot values."""
-    values = []
-    for slot in range(width):
-        bit = 1 << slot
-        if one & bit:
-            values.append(ONE)
-        elif zero & bit:
-            values.append(ZERO)
-        else:
-            values.append(UNKNOWN)
-    return values
 
 
 def broadcast_planes(
@@ -496,7 +480,7 @@ def eval_frame_patterns(
 
 
 # ----------------------------------------------------------------------
-# Sequential simulation (single slot and packed)
+# Sequential simulation (single slot)
 # ----------------------------------------------------------------------
 def simulate_sequence_ir(
     circuit: Circuit,
@@ -562,92 +546,6 @@ def simulate_sequence_ir(
                 ]
             )
     return SequentialResult(states=states, outputs=outputs, frames=frames)
-
-
-@dataclass
-class PackedSequences:
-    """Per-slot trajectories of a packed sequential simulation.
-
-    ``outputs[u]`` / ``states[u]`` hold plane pairs per primary output /
-    flip-flop; :meth:`output_values` and :meth:`state_values` decode one
-    slot back into plain value lists.
-    """
-
-    width: int
-    outputs_one: List[List[int]]
-    outputs_zero: List[List[int]]
-    states_one: List[List[int]]
-    states_zero: List[List[int]]
-
-    def output_values(self, frame: int, slot: int) -> List[int]:
-        bit = 1 << slot
-        return [
-            ONE if one & bit else (ZERO if zero & bit else UNKNOWN)
-            for one, zero in zip(
-                self.outputs_one[frame], self.outputs_zero[frame]
-            )
-        ]
-
-    def state_values(self, frame: int, slot: int) -> List[int]:
-        bit = 1 << slot
-        return [
-            ONE if one & bit else (ZERO if zero & bit else UNKNOWN)
-            for one, zero in zip(
-                self.states_one[frame], self.states_zero[frame]
-            )
-        ]
-
-
-def simulate_sequences_packed(
-    circuit: Circuit,
-    sequences: Sequence[Sequence[Sequence[int]]],
-    initial_states: Optional[Sequence[Sequence[int]]] = None,
-) -> PackedSequences:
-    """Simulate W independent test sequences in one packed pass each.
-
-    ``sequences[k]`` is the pattern sequence of slot *k*; all slots must
-    have the same length.  ``initial_states[k]`` defaults to all-X.
-    Slot *k* of the result is value-identical to
-    ``simulate_sequence(circuit, sequences[k], initial_states[k])``.
-    """
-    ir = compile_circuit(circuit)
-    width = len(sequences)
-    if width == 0:
-        return PackedSequences(0, [], [], [], [])
-    length = len(sequences[0])
-    for sequence in sequences:
-        if len(sequence) != length:
-            raise ValueError("all packed sequences must have equal length")
-    if initial_states is not None and len(initial_states) != width:
-        raise ValueError("initial_states must have one row per sequence")
-    mask = (1 << width) - 1
-    if initial_states is None:
-        state_one = [0] * len(ir.ps_lines)
-        state_zero = [0] * len(ir.ps_lines)
-    else:
-        state_one, state_zero = pack_columns(initial_states)
-    result = PackedSequences(
-        width,
-        [],
-        [],
-        [list(state_one)],
-        [list(state_zero)],
-    )
-    ones = [0] * ir.num_lines
-    zeros = [0] * ir.num_lines
-    for frame in range(length):
-        pi_ones, pi_zeros = pack_columns(
-            [sequence[frame] for sequence in sequences]
-        )
-        _set_sources(ir, ones, zeros, pi_ones, pi_zeros, state_one, state_zero)
-        eval_pass(ir, ones, zeros, mask)
-        result.outputs_one.append([ones[line] for line in ir.outputs])
-        result.outputs_zero.append([zeros[line] for line in ir.outputs])
-        state_one = [ones[line] for line in ir.ns_lines]
-        state_zero = [zeros[line] for line in ir.ns_lines]
-        result.states_one.append(list(state_one))
-        result.states_zero.append(list(state_zero))
-    return result
 
 
 # ----------------------------------------------------------------------

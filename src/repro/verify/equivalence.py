@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.sim.frame import eval_frame
-from repro.sim.sequential import simulate_sequence
+from repro.verify.states import initial_state_chunks, slot_values
 
 
 def _check_interfaces(a: Circuit, b: Circuit) -> None:
@@ -69,23 +69,27 @@ def sequentially_equivalent(
     a: Circuit,
     b: Circuit,
     sequences: Sequence[Sequence[Sequence[int]]],
-    max_flops: int = 12,
 ) -> Optional[Tuple[int, Tuple[int, ...]]]:
     """Simulation-based sequential equivalence over *sequences*.
 
     Every binary initial state (applied to both circuits positionally)
     must produce identical output responses for every given sequence.
-    Returns ``None`` or a counterexample ``(sequence index, state)``.
+    Returns ``None`` or the first counterexample ``(sequence index,
+    state)`` in :func:`itertools.product` order of the states.
     """
     _check_interfaces(a, b)
-    if a.num_flops > max_flops:
-        raise ValueError(
-            f"{a.num_flops} flip-flops exceed max_flops={max_flops}"
-        )
     for index, patterns in enumerate(sequences):
-        for bits in itertools.product((0, 1), repeat=a.num_flops):
-            run_a = simulate_sequence(a, patterns, initial_state=list(bits))
-            run_b = simulate_sequence(b, patterns, initial_state=list(bits))
-            if run_a.outputs != run_b.outputs:
-                return index, tuple(bits)
+        for chunk_a, chunk_b in zip(
+            initial_state_chunks(a, patterns),
+            initial_state_chunks(b, patterns),
+        ):
+            differ = 0
+            for u in range(len(patterns)):
+                for one_a, zero_a, one_b, zero_b in zip(
+                    *chunk_a.outputs(u), *chunk_b.outputs(u)
+                ):
+                    differ |= (one_a ^ one_b) | (zero_a ^ zero_b)
+            if differ:
+                slot = (differ & -differ).bit_length() - 1
+                return index, slot_values(chunk_a.state(0), slot)
     return None

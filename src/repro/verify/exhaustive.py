@@ -7,60 +7,30 @@ single fault-free three-valued reference response at some position where
 the reference is specified.
 
 This module decides that definition directly by enumerating all ``2^k``
-initial states of the faulty circuit -- exponential, but exact, which
-makes it the correctness oracle for the whole MOT pipeline on small
-circuits: the proposed procedure and the baseline must never declare a
-fault detected that this oracle rejects (soundness), and with a generous
-``N_STATES`` they should agree on tiny circuits (completeness in the
-limit).
+initial states of the faulty circuit (:mod:`repro.verify.states`) --
+exponential, but exact, which makes it the correctness oracle for the
+whole MOT pipeline on circuits with up to 25 free flip-flops: the
+proposed procedure and the baseline must never declare a fault detected
+that this oracle rejects (soundness), and with a generous ``N_STATES``
+they should agree on tiny circuits (completeness in the limit).
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.circuit.netlist import Circuit
 from repro.faults.injection import inject_fault
 from repro.faults.model import Fault
-from repro.sim.sequential import (
-    outputs_conflict,
-    simulate_injected,
-    simulate_sequence,
-)
-
-
-def _binary_response_set(
-    circuit: Circuit,
-    patterns: Sequence[Sequence[int]],
-    forced: Optional[dict] = None,
-    max_flops: int = 16,
-) -> set:
-    """All binary output responses of *circuit* over its initial states."""
-    forced = forced or {}
-    free_flops = [i for i in range(circuit.num_flops) if i not in forced]
-    if len(free_flops) > max_flops:
-        raise ValueError(
-            f"{len(free_flops)} free flip-flops exceed max_flops={max_flops}"
-        )
-    base_state: List[int] = [0] * circuit.num_flops
-    for flop_index, value in forced.items():
-        base_state[flop_index] = value
-    responses = set()
-    for bits in itertools.product((0, 1), repeat=len(free_flops)):
-        state = list(base_state)
-        for flop_index, bit in zip(free_flops, bits):
-            state[flop_index] = bit
-        result = simulate_sequence(circuit, patterns, initial_state=state)
-        responses.add(tuple(tuple(row) for row in result.outputs))
-    return responses
+from repro.logic.values import ONE, ZERO
+from repro.sim.sequential import simulate_sequence
+from repro.verify.states import initial_state_chunks, response_set
 
 
 def exhaustive_unrestricted_mot(
     circuit: Circuit,
     fault: Fault,
     patterns: Sequence[Sequence[int]],
-    max_flops: int = 16,
 ) -> bool:
     """Decide *unrestricted*-MOT detection of *fault* by enumeration.
 
@@ -71,10 +41,8 @@ def exhaustive_unrestricted_mot(
     response then classifies the circuit as good or faulty.
     """
     injected = inject_fault(circuit, fault)
-    good = _binary_response_set(circuit, patterns, max_flops=max_flops)
-    faulty = _binary_response_set(
-        injected.circuit, patterns, injected.forced_ps, max_flops=max_flops
-    )
+    good = response_set(circuit, patterns)
+    faulty = response_set(injected.circuit, patterns, injected.forced_ps)
     return not (good & faulty)
 
 
@@ -83,7 +51,6 @@ def exhaustive_restricted_mot(
     fault: Fault,
     patterns: Sequence[Sequence[int]],
     reference_outputs: Optional[Sequence[Sequence[int]]] = None,
-    max_flops: int = 16,
 ) -> bool:
     """Decide restricted-MOT detection of *fault* by enumeration.
 
@@ -97,33 +64,29 @@ def exhaustive_restricted_mot(
         The (fully specified) test sequence.
     reference_outputs:
         Precomputed fault-free response; recomputed when omitted.
-    max_flops:
-        Safety bound on the enumeration width.
 
     Raises
     ------
     ValueError
-        If the circuit has more than *max_flops* free flip-flops.
+        If the faulty circuit has more than
+        :data:`~repro.verify.states.MAX_FREE_FLOPS` free flip-flops.
     """
     if reference_outputs is None:
         reference_outputs = simulate_sequence(circuit, patterns).outputs
     injected = inject_fault(circuit, fault)
-    forced = injected.forced_ps
-    free_flops = [
-        i for i in range(injected.circuit.num_flops) if i not in forced
-    ]
-    if len(free_flops) > max_flops:
-        raise ValueError(
-            f"{len(free_flops)} free flip-flops exceed max_flops={max_flops}"
-        )
-    base_state: List[int] = [0] * injected.circuit.num_flops
-    for flop_index, value in forced.items():
-        base_state[flop_index] = value
-    for bits in itertools.product((0, 1), repeat=len(free_flops)):
-        state = list(base_state)
-        for flop_index, bit in zip(free_flops, bits):
-            state[flop_index] = bit
-        response = simulate_injected(injected, patterns, initial_state=state)
-        if outputs_conflict(reference_outputs, response.outputs) is None:
+    for chunk in initial_state_chunks(
+        injected.circuit, patterns, injected.forced_ps
+    ):
+        conflict = 0
+        for u, reference in enumerate(reference_outputs[: len(patterns)]):
+            ones, zeros = chunk.outputs(u)
+            for expected, one, zero in zip(reference, ones, zeros):
+                if expected == ONE:
+                    conflict |= zero
+                elif expected == ZERO:
+                    conflict |= one
+            if conflict == chunk.mask:
+                break
+        else:
             return False
     return True

@@ -21,13 +21,13 @@ actually produce the same value.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.circuit.netlist import Circuit
 from repro.logic.values import UNKNOWN
 from repro.sim.sequential import simulate_sequence
+from repro.verify.states import response_set
 
 
 @dataclass
@@ -65,31 +65,23 @@ class PessimismReport:
 def measure_pessimism(
     circuit: Circuit,
     patterns: Sequence[Sequence[int]],
-    max_flops: int = 12,
 ) -> PessimismReport:
     """Classify every output position by enumerating initial states.
 
     Raises
     ------
     ValueError
-        If the circuit has more than *max_flops* flip-flops.
+        If the circuit has more than 25 flip-flops.
     """
-    if circuit.num_flops > max_flops:
-        raise ValueError(
-            f"{circuit.num_flops} flip-flops exceed max_flops={max_flops}"
-        )
     three_valued = simulate_sequence(circuit, patterns)
-    runs: List = [
-        simulate_sequence(circuit, patterns, initial_state=list(bits))
-        for bits in itertools.product((0, 1), repeat=circuit.num_flops)
-    ]
+    responses = response_set(circuit, patterns)
     specified = pessimistic = genuine = 0
     for time in range(len(patterns)):
         for position in range(circuit.num_outputs):
             if three_valued.outputs[time][position] != UNKNOWN:
                 specified += 1
                 continue
-            values = {run.outputs[time][position] for run in runs}
+            values = {response[time][position] for response in responses}
             if len(values) == 1:
                 pessimistic += 1
             else:

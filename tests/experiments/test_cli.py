@@ -116,6 +116,15 @@ def test_witness_detected_fault(capsys):
     assert "verified by exhaustive replay: True" in out
 
 
+def test_witness_verified_beyond_sixteen_flops(capsys):
+    """s298_like has 18 flip-flops, within the enumeration cap."""
+    assert main(
+        ["witness", "--circuit", "s298_like", "--length", "48", "--seed", "2",
+         "--fault", "walk/1"]
+    ) == 0
+    assert "verified by exhaustive replay: True" in capsys.readouterr().out
+
+
 def test_witness_undetected_fault(capsys):
     assert main(
         ["witness", "--circuit", "s27", "--length", "8", "--seed", "0",

@@ -149,6 +149,38 @@ def serial_detected(circuit, faults, patterns, initial_state):
     return detected
 
 
+def serial_runs(circuit, patterns, forced=None):
+    """``(initial state, simulate_sequence result)`` for every binary
+    initial state, one state at a time.
+
+    States come in ``itertools.product`` order over the flops not in
+    *forced* (flop index -> stuck value, pinned at every time unit).
+    This is the serial reference that the packed enumeration of
+    :mod:`repro.verify.states` is checked against.
+    """
+    forced = forced or {}
+    free = [i for i in range(circuit.num_flops) if i not in forced]
+    for bits in itertools.product((0, 1), repeat=len(free)):
+        state = [forced.get(i, 0) for i in range(circuit.num_flops)]
+        for flop_index, bit in zip(free, bits):
+            state[flop_index] = bit
+        yield state, simulate_sequence(
+            circuit, patterns, initial_state=state, forced_ps=forced
+        )
+
+
+def serial_restricted_mot(circuit, fault, patterns, reference_outputs):
+    """Restricted-MOT detection decided one initial state at a time:
+    every faulty response conflicts with the reference."""
+    injected = inject_fault(circuit, fault)
+    return all(
+        outputs_conflict(reference_outputs, run.outputs) is not None
+        for _state, run in serial_runs(
+            injected.circuit, patterns, injected.forced_ps
+        )
+    )
+
+
 def crash_on(simulator, crash_index, exc=None):
     """Instance-patch ``simulate_fault`` to raise on the Nth call.
 

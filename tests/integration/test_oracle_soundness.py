@@ -1,7 +1,8 @@
 """End-to-end soundness: no simulator may ever over-report detection.
 
 The exhaustive oracle (:mod:`repro.verify.exhaustive`) decides
-restricted-MOT detectability exactly on small circuits.  Soundness of
+restricted-MOT detectability exactly on circuits with up to 25 free
+flip-flops.  Soundness of
 conventional simulation, of the [4] baseline and of the proposed
 procedure then means: every fault they declare detected is detected
 according to the oracle.  (The converse -- completeness -- does not hold
@@ -13,6 +14,7 @@ procedures should be exact.)
 import pytest
 
 from repro.circuits.library import fig4, s27
+from repro.circuits.registry import get_entry
 from repro.faults.collapse import collapse_faults
 from repro.mot.baseline import BaselineSimulator
 from repro.mot.simulator import MotConfig, ProposedSimulator
@@ -41,6 +43,17 @@ def _check_soundness(circuit, patterns, config=None):
 def test_soundness_s27(seed):
     circuit = s27()
     _check_soundness(circuit, random_patterns(4, 24, seed=seed))
+
+
+def test_soundness_s208_like_table2_workload():
+    entry = get_entry("s208_like")
+    circuit = entry.build()
+    _check_soundness(
+        circuit,
+        random_patterns(
+            circuit.num_inputs, entry.sequence_length, seed=entry.seed
+        ),
+    )
 
 
 @pytest.mark.parametrize(

@@ -92,12 +92,7 @@ def test_unrestricted_conv_is_conventional_detection(name):
     assert conv("unrestricted") == conv("proposed_fixpoint")
 
 
-#: Workloads small enough to enumerate in tier-1 time: s208_like's
-#: 2^8 initial states per machine take ~2 s per fault.
-ENUMERABLE = sorted(set(tool.WORKLOADS) - {"s208_like"})
-
-
-@pytest.mark.parametrize("name", ENUMERABLE)
+@pytest.mark.parametrize("name", sorted(tool.WORKLOADS))
 def test_unrestricted_mot_rows_are_confirmed_by_enumeration(name):
     """Every unrestricted ``mot`` row has disjoint fault-free and faulty
     response sets (the exhaustive oracle), the rows that conventional

@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.circuits.generators import random_moore, reconvergent_fsm
 from repro.circuits.library import s27
+from repro.circuits.registry import get_entry
 from repro.faults.collapse import collapse_faults
 from repro.faults.model import Fault
 from repro.faults.sites import all_faults
@@ -72,6 +73,25 @@ def test_witness_for_every_s27_detection():
             assert check_witness(circuit, verdict.fault, patterns, witness)
         else:
             assert witness is None
+
+
+def test_witness_for_every_s298_like_mot_verdict():
+    """s298_like (18 flip-flops) at its Table 2 workload: every MOT
+    detection of the procedure is certified by enumeration."""
+    entry = get_entry("s298_like")
+    circuit = entry.build()
+    patterns = random_patterns(
+        circuit.num_inputs, entry.sequence_length, seed=entry.seed
+    )
+    campaign = ProposedSimulator(
+        circuit, patterns, MotConfig(forward_fallback=False)
+    ).run(collapse_faults(circuit))
+    mot = [v.fault for v in campaign.verdicts if v.status == "mot"]
+    assert mot
+    for fault in mot:
+        witness = build_witness(circuit, fault, patterns)
+        assert witness is not None
+        assert check_witness(circuit, fault, patterns, witness)
 
 
 @settings(

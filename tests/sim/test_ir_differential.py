@@ -46,7 +46,6 @@ from repro.sim.kernel import (
     eval_pass,
     simulate_fault_batch,
     simulate_sequence_ir,
-    simulate_sequences_packed,
 )
 from repro.sim.sequential import simulate_sequence
 
@@ -203,25 +202,6 @@ def test_flop_carry_over_feeds_next_frame_exactly():
             assert result.states[u + 1] == [
                 standalone[f.ns] for f in circuit.flops
             ]
-
-
-def test_packed_sequences_match_per_slot_sequential():
-    rng = random.Random(23)
-    circuit = build_circuit("s27")
-    sequences = [
-        [_xpat(circuit.num_inputs, rng) for _ in range(6)] for _ in range(12)
-    ]
-    initial_states = [_xpat(circuit.num_flops, rng) for _ in range(12)]
-    packed = simulate_sequences_packed(circuit, sequences, initial_states)
-    for slot, (sequence, initial) in enumerate(
-        zip(sequences, initial_states)
-    ):
-        reference = simulate_sequence(
-            circuit, sequence, initial_state=initial
-        )
-        for u in range(len(sequence)):
-            assert packed.output_values(u, slot) == reference.outputs[u]
-            assert packed.state_values(u + 1, slot) == reference.states[u + 1]
 
 
 def test_sequential_rejects_unknown_engine_and_bad_shapes():

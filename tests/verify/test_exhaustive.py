@@ -5,6 +5,7 @@ import pytest
 from repro.circuits.library import s27
 from repro.faults.model import Fault
 from repro.logic.values import ONE, ZERO
+from repro.verify import states
 from repro.verify.exhaustive import exhaustive_restricted_mot
 
 from tests.helpers import toggle_circuit
@@ -49,20 +50,18 @@ def test_conventionally_detected_implies_oracle():
             )
 
 
-def test_max_flops_guard():
+def test_max_flops_guard(monkeypatch):
+    monkeypatch.setattr(states, "MAX_FREE_FLOPS", 2)
     circuit = s27()
     with pytest.raises(ValueError):
-        exhaustive_restricted_mot(
-            circuit, Fault(0, 0), [[1, 0, 1, 1]], max_flops=2
-        )
+        exhaustive_restricted_mot(circuit, Fault(0, 0), [[1, 0, 1, 1]])
 
 
-def test_forced_flops_not_enumerated():
+def test_forced_flops_not_enumerated(monkeypatch):
     """A present-state stem fault pins that flop, so the oracle only
-    enumerates the remaining ones (and still terminates with max_flops
-    one below the flop count)."""
+    enumerates the remaining ones (and still terminates with the flop
+    cap one below the flop count)."""
+    monkeypatch.setattr(states, "MAX_FREE_FLOPS", 2)
     circuit = s27()
     fault = Fault(circuit.line_id("G5"), ONE, None)
-    exhaustive_restricted_mot(
-        circuit, fault, [[1, 0, 1, 1]] * 3, max_flops=2
-    )
+    exhaustive_restricted_mot(circuit, fault, [[1, 0, 1, 1]] * 3)
