@@ -15,7 +15,9 @@ from repro.circuit.netlist import Circuit
 from repro.circuits.library import s27
 from repro.faults.collapse import collapse_faults
 from repro.faults.injection import inject_fault
+from repro.logic.implication import Conflict
 from repro.logic.values import UNKNOWN
+from repro.mot.implication import FrameEngine
 from repro.mot.simulator import MotConfig, ProposedSimulator
 from repro.patterns.random_gen import random_patterns
 from repro.sim.sequential import (
@@ -179,6 +181,123 @@ def serial_restricted_mot(circuit, fault, patterns, reference_outputs):
             injected.circuit, patterns, injected.forced_ps
         )
     )
+
+
+class SerialBackwardCollector:
+    """Section 3.1 one probe at a time: the reference for
+    :class:`repro.mot.backward.BackwardCollector`'s plane run.
+
+    Each probe ``(u, i, a)`` copies the stored frame ``u-1``, assigns
+    ``Y_i = a`` and runs :class:`~repro.mot.implication.FrameEngine`
+    (``imply`` or ``imply_two_pass``); with ``depth > 1`` the
+    present-state values a frame newly specified are pushed onto the
+    next-state lines of the frame before it.  ``extra`` lists each
+    state variable once, in the order the implication recorded it.
+    """
+
+    def __init__(
+        self, injected, faulty, reference_outputs, profile,
+        mode="fixpoint", depth=1,
+    ):
+        self.injected = injected
+        self.circuit = injected.circuit
+        self.faulty = faulty
+        self.reference_outputs = reference_outputs
+        self.profile = profile
+        self.mode = mode
+        self.depth = depth
+        self.engine = FrameEngine(self.circuit)
+        #: implication runs so far (one per frame a probe implies in)
+        self.runs = 0
+        flops = self.circuit.flops
+        self._ns_line_of = [f.ns for f in flops]
+        self._flops_of_ns = {}
+        self._flop_of_ps = {}
+        for index, flop in enumerate(flops):
+            if index in injected.forced_ps:
+                continue
+            self._flops_of_ns.setdefault(flop.ns, []).append(index)
+            self._flop_of_ps[flop.ps] = index
+
+    def _imply(self, values, assignments, record):
+        self.runs += 1
+        if self.mode == "two_pass":
+            self.engine.imply_two_pass(values, assignments, record)
+        else:
+            self.engine.imply(values, assignments, record)
+
+    def _detection_site(self, values, time):
+        reference = self.reference_outputs[time]
+        for position, line in enumerate(self.circuit.outputs):
+            value = values[line]
+            ref = reference[position]
+            if value != UNKNOWN and ref != UNKNOWN and value != ref:
+                return (time, position)
+        return None
+
+    def probe(self, u, flop_index, alpha):
+        """``(outcome, extra, site)`` of assigning ``Y_i = alpha`` in
+        frame ``u-1``; outcome is ``"conf"``, ``"detect"`` or
+        ``"extra"``."""
+        frames = self.faulty.frames
+        values = frames[u - 1].copy()
+        record = []
+        try:
+            self._imply(values, [(self._ns_line_of[flop_index], alpha)], record)
+        except Conflict:
+            return "conf", [], None
+        site = self._detection_site(values, u - 1)
+        if site is not None:
+            return "detect", [], site
+        frame_time = u - 1
+        frame_record = record
+        for _ in range(self.depth - 1):
+            if frame_time == 0:
+                break
+            ps_assignments = [
+                (self._ns_line_of[self._flop_of_ps[line]], value)
+                for line, value in frame_record
+                if line in self._flop_of_ps
+                and self.faulty.states[frame_time][self._flop_of_ps[line]]
+                == UNKNOWN
+            ]
+            if not ps_assignments:
+                break
+            frame_time -= 1
+            deeper_values = frames[frame_time].copy()
+            frame_record = []
+            try:
+                self._imply(deeper_values, ps_assignments, frame_record)
+            except Conflict:
+                return "conf", [], None
+            site = self._detection_site(deeper_values, frame_time)
+            if site is not None:
+                return "detect", [], site
+        extra = []
+        states_u = self.faulty.states[u]
+        for line, value in record:
+            for flop in self._flops_of_ns.get(line, ()):
+                if states_u[flop] == UNKNOWN and (flop, value) not in extra:
+                    extra.append((flop, value))
+        return "extra", extra, None
+
+    def collect(self):
+        """Every probe's ``(outcome, extra, site)``, keyed by
+        ``(u, i, alpha)``, in the collector's pair order."""
+        states = self.faulty.states
+        forced = self.injected.forced_ps
+        probes = {}
+        for u in range(1, self.faulty.length + 1):
+            if self.profile.n_out[u - 1] <= 0:
+                continue
+            for flop_index in range(self.circuit.num_flops):
+                if flop_index in forced or states[u][flop_index] != UNKNOWN:
+                    continue
+                for alpha in (0, 1):
+                    probes[(u, flop_index, alpha)] = self.probe(
+                        u, flop_index, alpha
+                    )
+        return probes
 
 
 def crash_on(simulator, crash_index, exc=None):
