@@ -434,27 +434,31 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             while True:
                 job = service.queue.get(job_id)
+                # The record is live: read its state once per poll, and
+                # before the progress, so a terminal state is emitted
+                # (and ends the stream) with its final count.
+                state = job.state
                 completed = service.progress(job)
                 now = time.time()
                 changed = (
-                    job.state != last_state
+                    state != last_state
                     or (completed is not None and completed > last_completed)
                 )
                 keepalive = now - last_emit >= config.events_keepalive
                 if changed or keepalive:
                     if completed is not None:
                         last_completed = max(last_completed, completed)
-                    last_state = job.state
+                    last_state = state
                     last_emit = now
                     self._write_chunk(
                         {
                             "job": job_id,
-                            "state": job.state,
+                            "state": state,
                             "completed": max(last_completed, 0),
                             "ts": now,
                         }
                     )
-                if job.state in TERMINAL_STATES:
+                if state in TERMINAL_STATES:
                     break
                 time.sleep(config.events_poll)
             self.wfile.write(b"0\r\n\r\n")

@@ -17,6 +17,8 @@ from repro.errors import ServiceError
 from repro.reporting.campaign import campaign_csv
 from repro.runner.campaign import CampaignSpec, run_campaign
 from repro.service import ServiceClient, ServiceConfig, serve
+from repro.service import api
+from repro.service.api import CampaignService, ServiceServer
 
 from tests.helpers import TOGGLE_BENCH
 
@@ -90,6 +92,41 @@ def test_events_stream_monotonic_from_beacons(client):
     assert counts == sorted(counts)
     assert counts[-1] == 32
     assert events[-1]["state"] == "done"
+
+
+def test_events_stream_ends_on_the_terminal_state(tmp_path, monkeypatch):
+    """A job that finishes right after the stream writes a ``running``
+    event still gets its terminal event: the stream reads the live job
+    record's state once per poll, so it cannot write one state and end
+    on another.  No executor runs: the test claims and finishes the
+    job itself, from inside the first chunk write."""
+    service = CampaignService(
+        str(tmp_path / "root"), ServiceConfig(events_poll=0.01)
+    )
+    job_id = service.queue.next_job_id()
+    service.queue.submit(job_id, dict(SPEC))
+    service.store.create_job_dir(job_id)
+    assert service.queue.claim({}).job_id == job_id
+    write_chunk = api._Handler._write_chunk
+    written = []
+
+    def write_then_finish(handler, payload):
+        write_chunk(handler, payload)
+        written.append(payload["state"])
+        if len(written) == 1:
+            service.queue.finish(job_id, "done")
+
+    monkeypatch.setattr(api._Handler, "_write_chunk", write_then_finish)
+    server = ServiceServer(service)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        events = list(ServiceClient(server.url).events(job_id))
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert [event["state"] for event in events] == ["running", "done"]
 
 
 def test_events_on_terminal_job_emit_final_state(client):
