@@ -2,7 +2,11 @@
 
 "All the faults identified as detected in [4] are also identified by the
 proposed procedure."  Checked per fault on several benchmark circuits
-with sampled fault lists (the benchmark suite checks the full lists).
+with 120-fault samples.  ``benchmarks/bench_table2.py`` checks the same
+per fault on every Table 2 circuit, with the registry's fault lists:
+full on seven circuits, sampled (300-400 faults) on s1423_like,
+s5378_like, s15850_like, s35932_like, am2910_like, mp1_16_like and
+mp2_like.
 """
 
 import pytest
