@@ -66,7 +66,6 @@ from repro.runner import (
     CampaignJournal,
     FaultBudget,
     HarnessConfig,
-    run_campaign,
 )
 from repro.sim import simulate_injected, simulate_sequence
 from repro.verify import exhaustive_restricted_mot, exhaustive_unrestricted_mot
@@ -86,7 +85,6 @@ __all__ = [
     "CampaignHarness",
     "HarnessConfig",
     "CampaignJournal",
-    "run_campaign",
     "parse_bench",
     "load_bench",
     "write_bench",

@@ -52,7 +52,6 @@ _EXPORTS = {
     "CampaignHarness": "harness",
     "HarnessConfig": "harness",
     "HarnessStats": "harness",
-    "run_campaign": "harness",
     "simulator_manifest": "harness",
     # retry
     "RetryPolicy": "retry",

@@ -606,8 +606,7 @@ class DistributedCampaignRunner:
         fault_list = list(faults)
         if self.transport.ships_workload:
             self._workload = WorkloadSpec.from_simulator(self.simulator)
-        manifest = simulator_manifest(self.simulator, fault_list)
-        journal, reused = self._open_journal(manifest)
+        journal, reused = self._open_journal(fault_list)
         self._journal = journal
         self.stats.reused = len(reused)
 
@@ -1080,32 +1079,25 @@ class DistributedCampaignRunner:
 
     # ---------------------------------------------------- journal I/O
     def _open_journal(
-        self, manifest: Dict[str, Any],
+        self, fault_list: List[Fault],
     ) -> Tuple[Optional[CampaignJournal], Dict[int, FaultVerdict]]:
         path = self.config.checkpoint_path
         if path is None:
             return None, {}
-        journal = CampaignJournal(path)
-        if self.config.resume:
-            try:
-                with open(path):
-                    pass
-            except OSError:
-                journal.create(manifest)
-                return journal, {}
-            existing, reused = journal.load()
-            journal.validate_manifest(existing, manifest)
-            report = journal.last_report
-            if report is not None and report.corrupt_lines:
-                log.warning(
-                    "journal %s: salvaged %d corrupt line(s) "
-                    "(quarantined to %s); the lost verdicts will be "
-                    "re-simulated",
-                    path, report.corrupt_lines, report.quarantine_path,
-                )
-            return journal, reused
-        journal.create(manifest)
-        return journal, {}
+        journal, reused = CampaignJournal.open_or_resume(
+            path,
+            simulator_manifest(self.simulator, fault_list),
+            self.config.resume,
+        )
+        report = journal.last_report
+        if report is not None and report.corrupt_lines:
+            log.warning(
+                "journal %s: salvaged %d corrupt line(s) "
+                "(quarantined to %s); the lost verdicts will be "
+                "re-simulated",
+                path, report.corrupt_lines, report.quarantine_path,
+            )
+        return journal, reused
 
     def _coordinate(self, record: Dict[str, Any]) -> None:
         if self._journal is not None:

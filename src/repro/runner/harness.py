@@ -65,7 +65,6 @@ __all__ = [
     "CampaignHarness",
     "prefilter_pending",
     "probe_meter_support",
-    "run_campaign",
     "simulate_fault_once",
     "simulator_manifest",
 ]
@@ -311,8 +310,7 @@ class CampaignHarness:
             run.
         """
         fault_list = list(faults)
-        manifest = simulator_manifest(self.simulator, fault_list)
-        journal, reused = self._open_journal(fault_list, manifest)
+        journal, reused = self._open_journal(fault_list)
 
         verdicts: List[Optional[FaultVerdict]] = [None] * len(fault_list)
         for index, verdict in reused.items():
@@ -376,39 +374,31 @@ class CampaignHarness:
         )
 
     # ------------------------------------------------------------------
-    def _open_journal(
-        self, fault_list: List[Fault], manifest: Dict[str, Any]
-    ):
-        """Create or resume the checkpoint journal.
+    def _open_journal(self, fault_list: List[Fault]):
+        """Create or resume the checkpoint journal, if there is one
+        (:meth:`~repro.runner.journal.CampaignJournal.open_or_resume`).
 
         Returns ``(journal or None, {index: reused verdict})``.
         """
         path = self.config.checkpoint_path
         if path is None:
             return None, {}
-        journal = CampaignJournal(path)
-        if self.config.resume:
-            try:
-                with open(path):
-                    pass
-            except OSError:
-                journal.create(manifest)  # first run of a resumable loop
-                return journal, {}
-            existing, reused = journal.load()
-            report = journal.last_report
-            if report is not None and report.corrupt_lines:
-                warnings.warn(
-                    f"journal {path!r}: salvaged around "
-                    f"{report.corrupt_lines} corrupt line(s)"
-                    + (f" (quarantined to {report.quarantine_path!r})"
-                       if report.quarantine_path else "")
-                    + "; the lost verdicts will be re-simulated",
-                    stacklevel=3,
-                )
-            journal.validate_manifest(existing, manifest)
-            return journal, reused
-        journal.create(manifest)
-        return journal, {}
+        journal, reused = CampaignJournal.open_or_resume(
+            path,
+            simulator_manifest(self.simulator, fault_list),
+            self.config.resume,
+        )
+        report = journal.last_report
+        if report is not None and report.corrupt_lines:
+            warnings.warn(
+                f"journal {path!r}: salvaged around "
+                f"{report.corrupt_lines} corrupt line(s)"
+                + (f" (quarantined to {report.quarantine_path!r})"
+                   if report.quarantine_path else "")
+                + "; the lost verdicts will be re-simulated",
+                stacklevel=3,
+            )
+        return journal, reused
 
     @staticmethod
     def _append_metrics(journal: Optional[CampaignJournal]) -> None:
@@ -450,11 +440,3 @@ class CampaignHarness:
         if previous is not None:
             signal.signal(signal.SIGINT, previous)
 
-
-def run_campaign(
-    simulator: Any,
-    faults: Iterable[Fault],
-    config: Optional[HarnessConfig] = None,
-) -> Campaign:
-    """One-shot convenience: ``CampaignHarness(simulator, config).run()``."""
-    return CampaignHarness(simulator, config).run(faults)

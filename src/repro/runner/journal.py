@@ -51,8 +51,7 @@ handling:
 * ``kind: "lease"`` and ``kind: "host"`` records journal the
   dispatcher's coordination decisions (grants, expiries, reassignments,
   host failures) next to the verdicts they explain.  Verdict readers
-  skip them; :func:`load_coordination_records` merges them (from one or
-  several journals) deterministically by ``(ts, seq)``.
+  skip them.
 """
 
 from __future__ import annotations
@@ -93,7 +92,6 @@ __all__ = [
     "seal_record",
     "record_checksum_ok",
     "load_metrics_payloads",
-    "load_coordination_records",
 ]
 
 JOURNAL_VERSION = 1
@@ -194,9 +192,8 @@ def lease_to_record(event: str, seq: int, **fields: Any) -> Dict[str, Any]:
     """One journal line recording a dispatcher lease decision.
 
     ``seq`` is the parent's monotonically increasing coordination
-    sequence number; together with the wall-clock ``ts`` it makes
-    multi-journal merges deterministic (see
-    :func:`load_coordination_records`).
+    sequence number; together with the wall-clock ``ts`` it orders the
+    coordination trail.
     """
     record: Dict[str, Any] = {
         "kind": "lease", "event": event, "seq": seq, "ts": time.time(),
@@ -270,47 +267,6 @@ def load_metrics_payloads(path: str) -> List[Dict[str, Any]]:
             if isinstance(payload, dict):
                 payloads.append(payload)
     return payloads
-
-
-def load_coordination_records(paths: "Sequence[str] | str") -> List[Dict[str, Any]]:
-    """Every coordination record (lease / host / event) across *paths*.
-
-    Records are merged **deterministically**: sorted by ``(ts, seq,
-    kind, event)``, so the same set of journal files always yields the
-    same trail regardless of the order the files are listed or were
-    written in.  Malformed and checksum-failed lines are skipped --
-    coordination records are an audit trail, and damage to them must
-    never block reading the verdicts they annotate.
-    """
-    if isinstance(paths, str):
-        paths = [paths]
-    records: List[Dict[str, Any]] = []
-    for path in paths:
-        try:
-            with open(path) as handle:
-                lines = handle.read().splitlines()
-        except OSError:
-            continue
-        for line in lines:
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(record, dict) or not record_checksum_ok(record):
-                continue
-            if record.get("kind") in ("lease", "host", "event"):
-                records.append(record)
-    records.sort(
-        key=lambda r: (
-            r.get("ts", 0.0),
-            r.get("seq", -1),
-            str(r.get("kind", "")),
-            str(r.get("event", "")),
-        )
-    )
-    return records
 
 
 def _stable_digest(value: Any) -> str:
@@ -412,6 +368,33 @@ class CampaignJournal:
         max_retries=3, backoff_base=0.05, backoff_factor=2.0,
         backoff_cap=0.25, jitter=0.0,
     )
+
+    @classmethod
+    def open_or_resume(
+        cls, path: str, manifest: Dict[str, Any], resume: bool
+    ) -> Tuple["CampaignJournal", Dict[int, FaultVerdict]]:
+        """Start the journal at *path*, or resume it.
+
+        Returns ``(journal, {fault index: reused verdict})``.  With
+        *resume* and a journal at *path*, the journal is loaded and its
+        manifest must match *manifest* (:meth:`validate_manifest`);
+        ``last_report`` then says what the load salvaged.  Otherwise a
+        fresh journal is created -- with *resume*, that is the first run
+        of a resumable loop.
+        """
+        journal = cls(path)
+        if resume:
+            try:
+                with open(path):
+                    pass
+            except OSError:
+                resume = False
+        if not resume:
+            journal.create(manifest)
+            return journal, {}
+        existing, reused = journal.load()
+        journal.validate_manifest(existing, manifest)
+        return journal, reused
 
     # -------------------------------------------------------------- write
     def create(self, manifest: Dict[str, Any]) -> None:

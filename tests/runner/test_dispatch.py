@@ -26,7 +26,7 @@ from repro.runner.dispatch import (
     DistributedCampaignRunner,
     LeaseBook,
 )
-from repro.runner.harness import CampaignHarness, HarnessConfig, run_campaign
+from repro.runner.harness import CampaignHarness, HarnessConfig
 from repro.runner.journal import record_checksum_ok
 from repro.runner.supervisor import SupervisedCampaignRunner
 from repro.runner.transport import CommandTransport, LocalTransport
@@ -280,7 +280,7 @@ def test_two_hosts_match_serial_exactly(tmp_path):
         DispatchConfig(checkpoint_path=path),
     )
     campaign = runner.run(faults)
-    reference = run_campaign(s27_simulator(), faults)
+    reference = CampaignHarness(s27_simulator()).run(faults)
     assert _signature(campaign) == _signature(reference)
     assert runner.stats.duplicates == 0
     indices = _journal_verdict_indices(path)
@@ -305,7 +305,7 @@ def test_spawned_command_workers_match_serial_exactly(tmp_path):
         DispatchConfig(checkpoint_path=path),
     )
     campaign = runner.run(faults)
-    reference = run_campaign(s27_simulator(), faults)
+    reference = CampaignHarness(s27_simulator()).run(faults)
     assert _signature(campaign) == _signature(reference)
     assert runner.stats.relaunches == 0
     assert sorted(_journal_verdict_indices(path)) == list(range(len(faults)))
@@ -333,7 +333,7 @@ def test_host_killed_mid_run_completes_via_lease_reassignment(
     assert os.path.exists(tmp_path / "killed")  # chaos actually fired
     assert runner.stats.relaunches >= 1
     assert runner.stats.host_failures.get("beta", 0) >= 1
-    reference = run_campaign(s27_simulator(), faults)
+    reference = CampaignHarness(s27_simulator()).run(faults)
     assert _signature(campaign) == _signature(reference)
     # Zero duplicated fault indices in the merged journal.
     indices = _journal_verdict_indices(path)
@@ -367,7 +367,7 @@ def test_flaky_host_never_turns_an_innocent_fault_into_poison(
     campaign = runner.run(faults)
     assert runner.stats.poisoned == []
     assert runner.stats.blacklisted == ["alpha"]
-    reference = run_campaign(s27_simulator(), faults)
+    reference = CampaignHarness(s27_simulator()).run(faults)
     assert _signature(campaign) == _signature(reference)
 
 
@@ -398,7 +398,7 @@ def test_slow_host_lease_expires_and_work_is_reassigned(
     )
     campaign = runner.run(faults)
     assert runner.stats.leases_expired >= 1
-    reference = run_campaign(s27_simulator(), faults)
+    reference = CampaignHarness(s27_simulator()).run(faults)
     assert _signature(campaign) == _signature(reference)
     # Late verdicts from the quarantined straggler are deduplicated:
     # the journal still holds exactly one verdict per fault.
@@ -455,7 +455,7 @@ def test_distributed_resume_reuses_a_local_journal(tmp_path):
     campaign = runner.run(faults)
     assert runner.stats.reused == 16
     assert runner.stats.simulated == len(faults) - 16
-    reference = run_campaign(s27_simulator(), faults)
+    reference = CampaignHarness(s27_simulator()).run(faults)
     assert _signature(campaign) == _signature(reference)
 
 
@@ -472,7 +472,7 @@ def test_supervisor_runs_distributed_when_hosts_are_given(tmp_path):
     campaign = runner.run(faults)
     assert runner.stats.dispatch.hosts == 2
     assert not runner.stats.degraded
-    reference = run_campaign(s27_simulator(), faults)
+    reference = CampaignHarness(s27_simulator()).run(faults)
     assert _signature(campaign) == _signature(reference)
 
 
@@ -487,5 +487,5 @@ def test_supervisor_degrades_to_local_when_distribution_fails(tmp_path):
     campaign = runner.run(faults)
     assert runner.stats.degraded
     assert sorted(runner.stats.dispatch.blacklisted) == ["alpha", "beta"]
-    reference = run_campaign(s27_simulator(), faults)
+    reference = CampaignHarness(s27_simulator()).run(faults)
     assert _signature(campaign) == _signature(reference)

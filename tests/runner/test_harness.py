@@ -21,7 +21,7 @@ from repro.reporting.campaign import (
     summarize_campaign,
 )
 from repro.runner.budget import FaultBudget
-from repro.runner.harness import CampaignHarness, HarnessConfig, run_campaign
+from repro.runner.harness import CampaignHarness, HarnessConfig
 
 from tests.helpers import crash_on, s27_faults, s27_simulator
 
@@ -85,9 +85,9 @@ def test_crash_and_budget_in_one_campaign():
     )
     faults = s27_faults()
     crash_on(simulator, 0)
-    campaign = run_campaign(
-        simulator, faults, HarnessConfig(handle_sigint=False)
-    )
+    campaign = CampaignHarness(
+        simulator, HarnessConfig(handle_sigint=False)
+    ).run(faults)
     assert campaign.total == len(faults)
     assert campaign.errored == 1
     assert campaign.aborted_budget > 0
@@ -108,11 +108,10 @@ def test_simulator_without_meter_support_still_runs():
             return self.inner.simulate_fault(fault)
 
     simulator = PlainSimulator(s27_simulator())
-    campaign = run_campaign(
+    campaign = CampaignHarness(
         simulator,
-        s27_faults(),
         HarnessConfig(budget=FaultBudget(max_events=1), handle_sigint=False),
-    )
+    ).run(s27_faults())
     # Budget silently inapplicable: every fault simulated, none aborted.
     assert campaign.total == len(s27_faults())
     assert campaign.aborted_budget == 0
