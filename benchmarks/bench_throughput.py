@@ -227,18 +227,19 @@ def test_mot_campaign_parallel_s27(benchmark):
 
 
 def test_goodcache_construction_s1423_like(benchmark):
-    """One good-machine simulation with per-frame values kept."""
+    """One good-machine simulation on the kernel."""
     from repro.sim.goodcache import GoodMachineCache
 
     circuit = build_circuit("s1423_like")
     patterns = random_patterns(circuit.num_inputs, 32, seed=0)
     cache = benchmark(lambda: GoodMachineCache.compute(circuit, patterns))
-    assert cache.length == 32
+    assert len(cache.outputs) == 32
 
 
 def test_simulator_setup_with_shared_goodcache_s1423_like(benchmark):
-    """Building several simulators against one shared cache: the cost
-    the cache exists to remove (compare with the construction bench)."""
+    """Building several simulators against one handed-in good response:
+    the cost one good-machine simulation per campaign removes (compare
+    with the construction bench)."""
     from repro.mot.simulator import ProposedSimulator
     from repro.sim.goodcache import GoodMachineCache
 
@@ -247,11 +248,13 @@ def test_simulator_setup_with_shared_goodcache_s1423_like(benchmark):
     cache = GoodMachineCache.compute(circuit, patterns)
     simulators = benchmark(
         lambda: [
-            ProposedSimulator(circuit, patterns, good_cache=cache)
+            ProposedSimulator(
+                circuit, patterns, reference_outputs=cache.outputs
+            )
             for _ in range(4)
         ]
     )
-    assert all(s.good_cache is cache for s in simulators)
+    assert all(s.reference_outputs == cache.outputs for s in simulators)
 
 
 def test_pessimism_quantifier_s27(benchmark):

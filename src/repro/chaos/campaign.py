@@ -119,12 +119,11 @@ def _build_workload(scenario: ChaosScenario):
         circuit.num_inputs, int(workload["length"]),
         int(workload["pattern_seed"]),
     )
-    good_cache = GoodMachineCache.compute(circuit, patterns)
     simulator = ProposedSimulator(
         circuit,
         patterns,
         MotConfig(n_states=int(workload["n_states"])),
-        good_cache=good_cache,
+        reference_outputs=GoodMachineCache.compute(circuit, patterns).outputs,
     )
     return workload, circuit, faults, simulator
 

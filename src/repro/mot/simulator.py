@@ -58,7 +58,6 @@ from repro.mot.resimulate import (
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 from repro.runner.budget import BudgetMeter, FaultBudget
-from repro.sim.goodcache import GoodMachineCache
 from repro.sim.sequential import (
     SequentialResult,
     simulate_injected,
@@ -258,49 +257,26 @@ class ProcedureFront:
         patterns: Sequence[Sequence[int]],
         config=None,
         reference_outputs: Optional[Sequence[Sequence[int]]] = None,
-        good_cache: Optional[GoodMachineCache] = None,
     ) -> None:
         """*config* defaults to :attr:`config_class` with its defaults.
 
-        *reference_outputs* overrides the fault-free response the
-        faulty circuit is compared against.  The default is conventional
-        simulation from the all-unspecified state (the restricted MOT
-        setting); the unrestricted simulator passes each expanded
-        fault-free response here instead, and the proposed procedure
-        passes its own to its forward fallback.
-
-        *good_cache* supplies a precomputed fault-free trajectory
-        (:class:`~repro.sim.goodcache.GoodMachineCache`) so construction
-        skips the good-machine simulation entirely.  The cache is
-        validated against (circuit, patterns) and must match; in worker
-        campaigns it is shared read-only with every forked worker
-        process."""
+        *reference_outputs* is the fault-free response the faulty
+        circuit is compared against.  Campaigns pass the good machine's
+        response, simulated once
+        (:meth:`~repro.sim.goodcache.GoodMachineCache.compute`); the
+        unrestricted simulator passes each expanded fault-free response
+        instead, and the proposed procedure passes its own to its
+        forward fallback.  Without one, the front simulates the good
+        machine from the all-unspecified state itself (the restricted
+        MOT setting)."""
         self.circuit = circuit
         self.patterns = [list(p) for p in patterns]
         self.config = config or self.config_class()
-        self.good_cache = (
-            good_cache.require_match(circuit, self.patterns)
-            if good_cache is not None
-            else None
-        )
-        metrics = get_metrics()
-        tracer = get_tracer()
-        good_outputs = None
-        if self.good_cache is not None:
-            metrics.counter("goodcache.hit")
-            if tracer.enabled:
-                tracer.emit("goodcache", event="hit")
-            good_outputs = self.good_cache.outputs
-        elif reference_outputs is None:
-            metrics.counter("goodcache.miss")
-            if tracer.enabled:
-                tracer.emit("goodcache", event="miss")
-            with metrics.phase("good_sim"):
-                good_outputs = simulate_sequence(
+        if reference_outputs is None:
+            with get_metrics().phase("good_sim"):
+                self.reference_outputs = simulate_sequence(
                     circuit, self.patterns, engine="ir"
                 ).outputs
-        if reference_outputs is None:
-            self.reference_outputs = good_outputs
         elif len(reference_outputs) != len(self.patterns):
             raise ValueError("reference response length mismatch")
         else:

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
 from repro.circuit.netlist import Circuit
+from repro.errors import BudgetExceeded
 from repro.faults.model import Fault
 from repro.logic.values import ONE, UNKNOWN, ZERO
 from repro.mot.baseline import trial_gains
@@ -50,7 +51,6 @@ from repro.mot.simulator import (
     ProposedSimulator,
 )
 from repro.runner.budget import BudgetMeter
-from repro.sim.goodcache import GoodMachineCache
 from repro.sim.kernel import eval_frame_planes
 from repro.sim.sequential import simulate_sequence
 
@@ -143,23 +143,17 @@ class UnrestrictedSimulator:
         circuit: Circuit,
         patterns: Sequence[Sequence[int]],
         config: Optional[UnrestrictedConfig] = None,
-        good_cache: Optional[GoodMachineCache] = None,
+        reference_outputs: Optional[Sequence[Sequence[int]]] = None,
     ) -> None:
-        """*good_cache* supplies the shared fault-free trajectory (see
-        :class:`~repro.mot.simulator.ProposedSimulator`): every
-        per-reference runner reuses it instead of re-simulating the good
-        machine ``n_references`` times.  The reference expansion does
-        not read it: it resolves sequences from the good machine's
-        frames, which the cache does not keep, so it simulates the good
-        machine once itself."""
+        """*reference_outputs* is the good machine's response (see
+        :class:`~repro.mot.simulator.ProcedureFront`).  Only the
+        conventional front reads it, to tell ``conv`` from ``mot``; the
+        per-reference runners compare with the expanded references, and
+        the reference expansion simulates the good machine's frames
+        itself."""
         self.circuit = circuit
         self.patterns = [list(p) for p in patterns]
         self.config = config or UnrestrictedConfig()
-        self.good_cache = (
-            good_cache.require_match(circuit, self.patterns)
-            if good_cache is not None
-            else None
-        )
         self.references = expand_fault_free_references(
             circuit, self.patterns, self.config.n_references
         )
@@ -169,7 +163,7 @@ class UnrestrictedSimulator:
             circuit,
             self.patterns,
             self.config.restricted,
-            good_cache=self.good_cache,
+            reference_outputs=reference_outputs,
         )
         self._runners = [
             ProposedSimulator(
@@ -177,7 +171,6 @@ class UnrestrictedSimulator:
                 self.patterns,
                 self.config.restricted,
                 reference_outputs=reference,
-                good_cache=self.good_cache,
             )
             for reference in self.references
         ]
@@ -214,20 +207,35 @@ class UnrestrictedSimulator:
         monotone, so every such ``conv`` fault is also detected against
         each reference, which only specifies more outputs.
 
-        A caller-supplied *meter* is shared by the per-reference runs,
-        so the fault's budget bounds their combined effort, and its
-        :class:`~repro.errors.BudgetExceeded` propagates to the caller.
+        One meter bounds the whole fault: a caller-supplied *meter*, or
+        else one built from ``config.restricted.budget``, is shared by
+        the per-reference runs, so the budget bounds their combined
+        effort.  A caller's :class:`~repro.errors.BudgetExceeded`
+        propagates to the caller; an exhausted budget of the
+        simulator's own ends the fault as ``"aborted"``/``"budget"``,
+        as :meth:`~repro.mot.simulator.ProcedureFront.simulate_fault`
+        does.
         """
+        owned = meter is None
+        budget = self.config.restricted.budget
+        if owned and budget is not None and budget.bounded:
+            meter = BudgetMeter(budget)
         verdicts = []
-        for runner in self._runners:
-            verdict = runner.simulate_fault(fault, meter)
-            if not verdict.detected:
-                return FaultVerdict(
-                    fault,
-                    verdict.status if verdict.status == "dropped" else "undetected",
-                    how=verdict.how,
-                )
-            verdicts.append(verdict)
+        try:
+            for runner in self._runners:
+                verdict = runner.simulate_fault(fault, meter)
+                if not verdict.detected:
+                    return FaultVerdict(
+                        fault,
+                        verdict.status if verdict.status == "dropped" else "undetected",
+                        how=verdict.how,
+                    )
+                verdicts.append(verdict)
+        except BudgetExceeded as exc:
+            if not owned:
+                raise
+            return FaultVerdict(fault, "aborted", how="budget",
+                                detail=str(exc))
         if self._conventional.front_outcome(fault) == "conv":
             return FaultVerdict(fault, "conv")
         merged = FaultVerdict(fault, "mot", how="unrestricted")

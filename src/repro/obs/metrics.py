@@ -392,9 +392,9 @@ def set_metrics(registry: Optional[NullMetrics]) -> NullMetrics:
 def enable_metrics() -> RecordingMetrics:
     """Install and return a **fresh** recording registry.
 
-    A fresh registry per campaign is the reset point the goodcache (and
-    every other) counter relies on: enabling at campaign start means the
-    final snapshot describes exactly that campaign.
+    A fresh registry per campaign is the reset point every counter
+    relies on: enabling at campaign start means the final snapshot
+    describes exactly that campaign.
     """
     registry = RecordingMetrics()
     set_metrics(registry)

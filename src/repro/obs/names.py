@@ -55,10 +55,6 @@ METRIC_NAMES = frozenset(
         "kernel.compile",
         # Good-machine cache.
         "goodcache.compute",
-        "goodcache.hit",
-        "goodcache.memo.hit",
-        "goodcache.memo.miss",
-        "goodcache.miss",
         # Job server (repro.service).
         "service.jobs.cancelled",
         "service.jobs.completed",

@@ -21,8 +21,8 @@ tracer stays inert for unsampled faults.  The hash is deterministic in
 (seed, label): the same campaign traced twice samples the same faults,
 and the worker count cannot change which faults are traced.
 
-Event schema (all events carry ``"ev"``; fault-scoped events follow a
-``fault_begin``):
+Event schema (every event carries ``"ev"`` and belongs to the fault
+scope a ``fault_begin`` opens):
 
 =================  ====================================================
 ``fault_begin``    ``fault`` label; opens a fault scope
@@ -38,8 +38,6 @@ Event schema (all events carry ``"ev"``; fault-scoped events follow a
                    ``N_STATES``)
 ``resim``          one sequence resolved: ``status`` (``detected`` /
                    ``infeasible`` / ``unresolved``)
-``goodcache``      ``event`` (``hit`` / ``miss``); emitted outside
-                   fault scopes too
 ``fault_verdict``  closes the scope: ``status``, ``how``, ``ms``
 =================  ====================================================
 """

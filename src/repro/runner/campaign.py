@@ -68,7 +68,7 @@ COLLAPSE_MODES = ("structural", "classes", "none")
 
 #: Backward-implication schedules accepted by
 #: :attr:`CampaignSpec.implication_mode` (see
-#: :class:`repro.mot.implication.FrameEngine`).
+#: :class:`repro.mot.implication.PlaneEngine`).
 IMPLICATION_MODES = ("fixpoint", "two_pass")
 
 
@@ -369,9 +369,10 @@ def _build_simulator(
     spec: CampaignSpec,
     circuit: Circuit,
     patterns: List[List[int]],
-    good_cache: GoodMachineCache,
+    good_outputs: List[List[int]],
 ) -> Tuple[Any, str]:
-    """The simulator + human label for one MOT-family spec."""
+    """The simulator + human label for one MOT-family spec, comparing
+    with the good machine's response *good_outputs*."""
     from repro.mot.baseline import BaselineConfig, BaselineSimulator
     from repro.mot.simulator import MotConfig, ProposedSimulator
 
@@ -388,14 +389,14 @@ def _build_simulator(
                 n_references=spec.n_references,
                 restricted=MotConfig(n_states=spec.n_states),
             ),
-            good_cache=good_cache,
+            reference_outputs=good_outputs,
         )
         label = f"unrestricted MOT ({simulator.n_references} references)"
     elif spec.kind == "baseline":
         simulator = BaselineSimulator(
             circuit, patterns,
             BaselineConfig(n_states=spec.n_states),
-            good_cache=good_cache,
+            reference_outputs=good_outputs,
         )
         label = "[4] baseline"
     else:
@@ -407,7 +408,7 @@ def _build_simulator(
                 implication_mode=spec.implication_mode,
                 backward_depth=spec.backward_depth,
             ),
-            good_cache=good_cache,
+            reference_outputs=good_outputs,
         )
         label = "proposed procedure"
     return simulator, label
@@ -538,8 +539,10 @@ def run_campaign(
 
     # One good-machine simulation for the whole campaign -- shared by
     # the simulator, its forward fallback, and every worker process.
-    good_cache = GoodMachineCache.compute(circuit, patterns)
-    simulator, label = _build_simulator(spec, circuit, patterns, good_cache)
+    simulator, label = _build_simulator(
+        spec, circuit, patterns,
+        GoodMachineCache.compute(circuit, patterns).outputs,
+    )
     budget = spec.budget()
     supervised = False
 

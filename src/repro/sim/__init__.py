@@ -12,12 +12,7 @@ call site.
 """
 
 from repro.sim.frame import eval_frame, evaluate_plan, frame_plan
-from repro.sim.goodcache import (
-    GoodMachineCache,
-    circuit_fingerprint,
-    clear_shared_good_cache,
-    shared_good_cache,
-)
+from repro.sim.goodcache import GoodMachineCache
 from repro.sim.ir import CircuitIR, compile_circuit
 from repro.sim.kernel import (
     CompiledFaultBatch,
@@ -53,7 +48,4 @@ __all__ = [
     "simulate_injected",
     "outputs_conflict",
     "GoodMachineCache",
-    "circuit_fingerprint",
-    "shared_good_cache",
-    "clear_shared_good_cache",
 ]

@@ -22,8 +22,10 @@ from repro.faults.model import Fault
 from repro.faults.sites import all_faults
 from repro.logic.values import ONE
 from repro.mot.baseline import BaselineSimulator
-from repro.mot.simulator import ProposedSimulator
-from repro.mot.unrestricted import UnrestrictedSimulator
+from repro.mot.simulator import MotConfig, ProposedSimulator
+from repro.mot.unrestricted import UnrestrictedConfig, UnrestrictedSimulator
+from repro.patterns.random_gen import random_patterns
+from repro.runner.budget import FaultBudget
 from repro.runner.campaign import CampaignSpec, run_campaign
 from repro.runner.harness import CampaignHarness, HarnessConfig
 from repro.runner.journal import CampaignJournal, verdict_to_record
@@ -135,6 +137,28 @@ def test_unrestricted_campaign_honours_the_fault_budget():
     }
     assert _counts(run(budget_events=0)) == {("aborted", "budget"): 32}
     assert run(budget_events=10**9).verdicts == unbudgeted.verdicts
+
+
+def test_unrestricted_budget_bounds_the_fault_not_each_reference():
+    """The simulator's own budget is one meter per fault, shared by the
+    per-reference runs, exactly like the harness's meter."""
+    result = run_campaign(CampaignSpec(
+        circuit="s27", length=16, seed=1, kind="unrestricted",
+        n_references=4, budget_events=1,
+    ))
+    simulator = UnrestrictedSimulator(
+        result.circuit,
+        random_patterns(result.circuit.num_inputs, 16, 1),
+        UnrestrictedConfig(
+            n_references=4,
+            restricted=MotConfig(budget=FaultBudget(max_events=1)),
+        ),
+    )
+    direct = simulator.run(result.faults)
+    assert [(v.status, v.how) for v in direct.verdicts] == [
+        (v.status, v.how) for v in result.campaign.verdicts
+    ]
+    assert _counts(direct) == {("aborted", "budget"): 27, ("dropped", ""): 5}
 
 
 # ----------------------------------------------------------------------

@@ -48,7 +48,7 @@ def test_set_metrics_returns_previous_for_restore():
 
 def test_enable_metrics_installs_a_fresh_registry():
     first = enable_metrics()
-    first.counter("goodcache.hit")
+    first.counter("goodcache.compute")
     second = enable_metrics()
     assert second is not first
     assert get_metrics() is second

@@ -20,7 +20,7 @@ def _snapshot():
             "campaign.verdict.mot": 2,
             "campaign.how.resim": 2,
             "mot.expansion.branches": 16,
-            "goodcache.hit": 5,
+            "goodcache.compute": 5,
         },
         gauges={"workers": 2.0},
         histograms={
@@ -54,7 +54,7 @@ def test_build_profile_splits_verdicts_mechanisms_counters():
     assert profile.total_verdicts == 11
     assert profile.mechanisms == {"resim": 2}
     assert profile.counters == {
-        "mot.expansion.branches": 16, "goodcache.hit": 5,
+        "mot.expansion.branches": 16, "goodcache.compute": 5,
     }
 
 

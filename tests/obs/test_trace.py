@@ -113,7 +113,7 @@ def test_for_worker_writes_sibling_file_with_same_sampling(tmp_path):
     worker = tracer.for_worker("worker2")
     assert worker.path == str(path) + ".worker2"
     assert worker.sample == 0.25 and worker.seed == 3
-    worker.emit("goodcache", event="hit")
+    worker.emit("resim", status="detected")
     worker.close()
     assert (tmp_path / "trace.jsonl.worker2").exists()
     assert not path.exists()
