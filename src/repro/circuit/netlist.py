@@ -22,7 +22,7 @@ practice (nothing mutates them after :meth:`CircuitBuilder.build`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CircuitError
 from repro.logic.gates import GATE_ARITY_MIN, GateType
@@ -34,7 +34,6 @@ __all__ = [
     "Pin",
     "Circuit",
     "CircuitBuilder",
-    "subcircuit_names",
 ]
 
 
@@ -344,7 +343,3 @@ class CircuitBuilder:
             gates=[Gate(t, o, i) for t, o, i in self._gates],
         )
 
-
-def subcircuit_names(circuit: Circuit, lines: Iterable[int]) -> List[str]:
-    """Map line ids back to names (debugging helper)."""
-    return [circuit.line_names[line] for line in lines]

@@ -70,15 +70,6 @@ class PairInfo:
         return len(self.extra[alpha])
 
     @property
-    def resolved_alpha(self) -> Optional[int]:
-        """The value whose branch is closed by conflict or detection, if
-        exactly one branch is closed (the phase-1 case)."""
-        closed0 = self.conf[0] or self.detect[0]
-        if closed0 == (self.conf[1] or self.detect[1]):
-            return None
-        return 0 if closed0 else 1
-
-    @property
     def both_branches_closed(self) -> bool:
         """Both values lead to conflict or detection (Section 3.2)."""
         return (self.conf[0] or self.detect[0]) and (

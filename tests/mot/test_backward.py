@@ -113,11 +113,10 @@ def test_detection_from_info_absent_for_single_branch():
 
 def test_pair_info_resolved_alpha():
     pair = PairInfo(2, 1)
-    assert pair.resolved_alpha is None
+    assert not pair.both_branches_closed
     pair.conf[0] = True
-    assert pair.resolved_alpha == 0
+    assert not pair.both_branches_closed
     pair.detect[1] = True
-    assert pair.resolved_alpha is None  # both closed
     assert pair.both_branches_closed
     assert pair.establishes_detection
 
