@@ -4,10 +4,9 @@ Three tools live here:
 
 * the **netlist linter** (:mod:`repro.analysis.netlist_lint`) -- rule-based
   structural checks (combinational loops, floating/undriven nets, fanout
-  consistency, constant cones, unreachable/unobservable logic) over a
-  lenient raw-netlist form that survives malformed input, surfaced as
-  ``repro lint`` and as optional validation on the ``.bench``/``.isc``
-  load paths;
+  consistency, constant cones, unreachable/unobservable logic) over the
+  lenient raw-netlist form of :mod:`repro.circuit.raw`, which survives
+  malformed input, surfaced as ``repro lint``;
 * **fault collapsing** (:mod:`repro.analysis.collapse`) -- structural
   equivalence classes, fanout-free regions and an advisory dominance
   graph over the compiled IR, feeding class-collapsed campaigns;
@@ -41,14 +40,6 @@ from repro.analysis.netlist_lint import (
     lint_path,
     lint_text,
 )
-from repro.analysis.raw import (
-    RawFlop,
-    RawGate,
-    RawNetlist,
-    raw_from_bench,
-    raw_from_circuit,
-    raw_from_isc,
-)
 from repro.analysis.testability import (
     FaultScore,
     hardest_first,
@@ -80,10 +71,4 @@ __all__ = [
     "lint_netlist",
     "lint_path",
     "lint_text",
-    "RawFlop",
-    "RawGate",
-    "RawNetlist",
-    "raw_from_bench",
-    "raw_from_circuit",
-    "raw_from_isc",
 ]

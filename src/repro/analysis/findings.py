@@ -3,9 +3,8 @@
 Every check in :mod:`repro.analysis` reports :class:`Finding` records
 instead of raising: a linter must keep going past the first defect so
 one run flags *every* problem with a precise ``file:line`` position.
-Findings are plain data -- the CLI renders them as text or JSON, the
-loader hooks turn error-severity findings into
-:class:`~repro.errors.CircuitError`, and tests match on ``rule``.
+Findings are plain data -- the CLI renders them as text or JSON and
+tests match on ``rule``.
 """
 
 from __future__ import annotations

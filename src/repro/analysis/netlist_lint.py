@@ -1,8 +1,10 @@
 """Static netlist analysis: the rule set behind ``repro lint``.
 
-The rules operate on the lenient :class:`~repro.analysis.raw.RawNetlist`
+The rules operate on the lenient :class:`~repro.circuit.raw.RawNetlist`
 form, so structurally broken files are fully reported instead of dying
-on the first defect:
+on the first defect.  The ``parse-error`` findings, and the
+``unknown-gate-type`` findings of ``.isc`` files, are the problems the
+reader recorded:
 
 ========================  ========  ==================================
 rule                      severity  meaning
@@ -45,15 +47,14 @@ from repro.analysis.findings import (
     FindingList,
     sort_findings,
 )
-from repro.analysis.raw import (
-    KNOWN_OPS,
+from repro.circuit.netlist import Circuit
+from repro.circuit.raw import (
     RawGate,
     RawNetlist,
     raw_from_bench,
     raw_from_circuit,
     raw_from_isc,
 )
-from repro.circuit.netlist import Circuit
 from repro.logic.values import ONE, UNKNOWN, ZERO
 
 __all__ = [
@@ -80,7 +81,8 @@ ALL_RULES: Tuple[str, ...] = (
     "unobservable-gate",
 )
 
-#: Minimum input counts per operator (BUF/NOT are exactly-one).
+#: Minimum input counts per operator the simulator understands
+#: (``.bench`` names; BUF/NOT are exactly-one).
 _MIN_ARITY = {
     "AND": 2, "NAND": 2, "OR": 2, "NOR": 2, "XOR": 2, "XNOR": 2,
     "NOT": 1, "INV": 1, "BUF": 1, "BUFF": 1, "CONST0": 0, "CONST1": 0,
@@ -94,7 +96,7 @@ _CONST_OPS = {"CONST0": ZERO, "CONST1": ONE}
 # ----------------------------------------------------------------------
 def _check_gate_shapes(raw: RawNetlist, out: FindingList) -> None:
     for gate in raw.gates:
-        if gate.op not in KNOWN_OPS:
+        if gate.op not in _MIN_ARITY:
             out.add(
                 "unknown-gate-type", ERROR,
                 f"gate {gate.output!r} uses unknown operator {gate.op!r}",
@@ -401,17 +403,17 @@ def _check_constants(raw: RawNetlist, out: FindingList) -> None:
 # Entry points
 # ----------------------------------------------------------------------
 def lint_netlist(
-    raw: RawNetlist,
-    rules: Optional[Sequence[str]] = None,
-    findings: Optional[FindingList] = None,
+    raw: RawNetlist, rules: Optional[Sequence[str]] = None
 ) -> List[Finding]:
     """Run every rule (or the *rules* subset) over *raw*.
 
-    Returns the deterministically sorted findings; when a pre-seeded
-    *findings* collector is passed (front-end parse errors), its entries
-    are included in the result.
+    Returns the deterministically sorted findings, the problems the
+    reader recorded included.
     """
-    out = findings if findings is not None else FindingList()
+    out = FindingList()
+    for problem in raw.problems:
+        out.add(problem.rule, ERROR, problem.message, raw.file,
+                problem.line, problem.subject)
     _check_gate_shapes(raw, out)
     _check_drivers(raw, out)
     _check_fanout_declarations(raw, out)
@@ -437,14 +439,13 @@ def lint_text(
     rules: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
     """Lint netlist *text* in the given format (``bench`` or ``isc``)."""
-    findings = FindingList()
     if fmt == "isc":
-        raw = raw_from_isc(text, name, findings)
+        raw = raw_from_isc(text, name)
     elif fmt == "bench":
-        raw = raw_from_bench(text, name, findings)
+        raw = raw_from_bench(text, name)
     else:
         raise ValueError(f"unknown netlist format {fmt!r}")
-    return lint_netlist(raw, rules=rules, findings=findings)
+    return lint_netlist(raw, rules=rules)
 
 
 def lint_path(

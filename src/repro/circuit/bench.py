@@ -9,54 +9,25 @@ The ``.bench`` dialect accepted here is the common one:
 
 ``name = DFF(d)`` declares a D flip-flop whose output (present state) is
 ``name`` and whose data input (next state) is ``d``.
+
+The text is read by :func:`repro.circuit.raw.raw_from_bench`, the same
+lenient reader ``repro lint`` uses; :func:`parse_bench` then builds the
+circuit and raises the first defect.
 """
 
 from __future__ import annotations
 
-import logging
-import re
-from typing import List, Optional
+from typing import List
 
-from repro.circuit.netlist import Circuit, CircuitBuilder, CircuitError
-
-log = logging.getLogger("repro.circuit")
-
-
-def validate_netlist(
-    text: str, name: str, fmt: str, lint: Optional[str]
-) -> None:
-    """Optional lint validation shared by the ``.bench``/``.isc`` loaders.
-
-    *lint* is ``None`` (off, the default), ``"warn"`` (log every finding
-    through the ``repro.circuit`` logger) or ``"strict"`` (additionally
-    raise :class:`CircuitError` when any error-severity finding exists).
-    Imported lazily so plain parsing never pays for the analysis pass.
-    """
-    if lint is None:
-        return
-    if lint not in ("warn", "strict"):
-        raise ValueError(f"lint must be None, 'warn' or 'strict', got {lint!r}")
-    from repro.analysis.netlist_lint import lint_text
-
-    findings = lint_text(text, name, fmt=fmt)
-    for finding in findings:
-        log.warning("%s", finding.render())
-    errors = [f for f in findings if f.severity == "error"]
-    if lint == "strict" and errors:
-        raise CircuitError(
-            f"{name}: lint found {len(errors)} error(s); first: "
-            f"{errors[0].render()}"
-        )
-
-_DECL_RE = re.compile(r"^(INPUT|OUTPUT)\s*\(\s*([^()\s]+)\s*\)$", re.IGNORECASE)
-_GATE_RE = re.compile(r"^([^()=\s]+)\s*=\s*([A-Za-z0-9_]+)\s*\(([^()]*)\)$")
+from repro.circuit.netlist import Circuit
+from repro.circuit.raw import raw_from_bench
 
 
 def parse_bench(text: str, name: str = "bench") -> Circuit:
     """Parse ``.bench`` *text* into a :class:`Circuit`.
 
     Every diagnostic carries *name* (conventionally the file path) plus
-    the offending line number.  Beyond syntax, the parser itself rejects
+    the offending line number.  Beyond syntax, the parser rejects
     duplicate definitions (a signal declared ``INPUT`` or defined by a
     gate/DFF twice) and dangling fanin references (a gate input or
     declared ``OUTPUT`` that no line ever defines), so malformed
@@ -67,85 +38,20 @@ def parse_bench(text: str, name: str = "bench") -> Circuit:
     ------
     CircuitError
         On syntax errors or structural problems (duplicate definitions,
-        dangling references, undriven lines, cycles, double drivers).
+        dangling references, unknown operators, bad arity, cycles), in
+        the order of :meth:`repro.circuit.raw.RawNetlist.build`.
     """
-    builder = CircuitBuilder(name)
-    defined = {}  # signal -> line number of its INPUT decl / definition
-    referenced = {}  # signal -> first line number that consumes it
-
-    def err(line_number: int, message: str) -> CircuitError:
-        return CircuitError(f"{name}: line {line_number}: {message}")
-
-    def define(signal: str, line_number: int) -> None:
-        previous = defined.get(signal)
-        if previous is not None:
-            raise err(
-                line_number,
-                f"duplicate definition of {signal!r} "
-                f"(first defined at line {previous})",
-            )
-        defined[signal] = line_number
-
-    def refer(signal: str, line_number: int) -> None:
-        referenced.setdefault(signal, line_number)
-
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        decl = _DECL_RE.match(line)
-        if decl:
-            keyword, signal = decl.group(1).upper(), decl.group(2)
-            if keyword == "INPUT":
-                define(signal, line_number)
-                builder.add_input(signal)
-            else:
-                refer(signal, line_number)
-                builder.add_output(signal)
-            continue
-        gate = _GATE_RE.match(line)
-        if gate:
-            output, op, args = gate.group(1), gate.group(2).upper(), gate.group(3)
-            input_names = [a.strip() for a in args.split(",") if a.strip()]
-            define(output, line_number)
-            for input_name in input_names:
-                refer(input_name, line_number)
-            if op == "DFF":
-                if len(input_names) != 1:
-                    raise err(line_number, "DFF takes exactly one input")
-                builder.add_flop(output, input_names[0])
-            else:
-                try:
-                    builder.add_gate(op, output, input_names)
-                except (ValueError, CircuitError) as exc:
-                    raise err(line_number, str(exc)) from None
-            continue
-        raise err(line_number, f"cannot parse {raw_line!r}")
-    for signal, line_number in sorted(referenced.items(), key=lambda i: i[1]):
-        if signal not in defined:
-            raise err(
-                line_number,
-                f"reference to {signal!r}, which is never defined",
-            )
-    try:
-        return builder.build()
-    except CircuitError as exc:
-        raise CircuitError(f"{name}: {exc}") from None
+    return raw_from_bench(text, name).build(
+        duplicate="duplicate definition of {net!r} "
+                  "(first defined at line {first})",
+        unresolved="reference to {net!r}, which is never defined",
+    )
 
 
-def load_bench(
-    path: str, name: str = "", lint: Optional[str] = None
-) -> Circuit:
-    """Parse a ``.bench`` file from *path*.
-
-    *lint* optionally runs the netlist linter over the source first:
-    ``"warn"`` logs the findings, ``"strict"`` also raises
-    :class:`CircuitError` on any error-severity finding (with its file
-    and line position), before the parser's own diagnostics.
-    """
+def load_bench(path: str, name: str = "") -> Circuit:
+    """Parse a ``.bench`` file from *path*."""
     with open(path) as handle:
         text = handle.read()
-    validate_netlist(text, name or path, "bench", lint)
     return parse_bench(text, name or path)
 
 

@@ -27,31 +27,20 @@ own numbered entry::
 * ``>sa0`` / ``>sa1`` annotations name the faults of the distributed
   fault list; they are returned as :class:`~repro.faults.model.Fault`
   objects (stem faults -- branches are explicit lines here).
+
+The text is read by :func:`repro.circuit.raw.raw_from_isc`, the same
+lenient reader ``repro lint`` uses; :func:`parse_isc` then builds the
+circuit and raises the first defect.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List
 
-from repro.circuit.netlist import Circuit, CircuitBuilder, CircuitError
+from repro.circuit.netlist import Circuit, CircuitError
+from repro.circuit.raw import raw_from_isc
 from repro.faults.model import Fault
-
-_GATE_TYPES = {
-    "and": "AND",
-    "nand": "NAND",
-    "or": "OR",
-    "nor": "NOR",
-    "xor": "XOR",
-    "xnor": "XNOR",
-    "not": "NOT",
-    "inv": "NOT",
-    "buf": "BUFF",
-    "buff": "BUFF",
-}
-
-_SA_RE = re.compile(r">sa([01])")
 
 
 @dataclass
@@ -62,29 +51,6 @@ class IscCircuit:
     faults: List[Fault]
 
 
-@dataclass
-class _Entry:
-    address: str
-    name: str
-    kind: str
-    fanout: int
-    fanin: int
-    fanin_addresses: List[str]
-    stem: Optional[str]  # for "from" entries
-    stuck: List[int]
-    line_number: int = 0
-
-
-def _tokenize(text: str) -> List[Tuple[int, List[str]]]:
-    rows = []
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("*"):
-            continue
-        rows.append((line_number, line.split()))
-    return rows
-
-
 def parse_isc(text: str, name: str = "isc") -> IscCircuit:
     """Parse ``.isc`` *text* into a circuit and its fault list.
 
@@ -93,138 +59,22 @@ def parse_isc(text: str, name: str = "isc") -> IscCircuit:
     fanin references are rejected here with a precise message instead
     of surfacing as a later structural error or ``KeyError``.
     """
-
-    def err(line_number: int, message: str) -> CircuitError:
-        return CircuitError(f"{name}: line {line_number}: {message}")
-
-    rows = _tokenize(text)
-    entries: List[_Entry] = []
-    index = 0
-    while index < len(rows):
-        line_number, tokens = rows[index]
-        index += 1
-        if len(tokens) < 3:
-            raise err(line_number, f"malformed .isc entry: {' '.join(tokens)}")
-        address, entry_name, kind = tokens[0], tokens[1], tokens[2].lower()
-        stuck = [int(m) for m in _SA_RE.findall(" ".join(tokens))]
-        if kind == "from":
-            if len(tokens) < 4:
-                raise err(line_number, f"'from' entry needs a stem: {tokens}")
-            entries.append(
-                _Entry(address, entry_name, kind, 1, 1, [], tokens[3], stuck,
-                       line_number)
-            )
-            continue
-        if len(tokens) < 5:
-            raise err(line_number, f"malformed .isc entry: {' '.join(tokens)}")
-        try:
-            fanout, fanin = int(tokens[3]), int(tokens[4])
-        except ValueError:
-            raise err(
-                line_number,
-                f"fanout/fanin counts must be integers: {' '.join(tokens)}",
-            ) from None
-        fanin_addresses: List[str] = []
-        if kind != "inpt" and fanin > 0:
-            if index >= len(rows):
-                raise err(line_number, f"missing fanin list for {entry_name}")
-            fanin_line, fanin_tokens = rows[index]
-            fanin_addresses = fanin_tokens[:fanin]
-            if len(fanin_addresses) != fanin:
-                raise err(
-                    fanin_line,
-                    f"{entry_name}: expected {fanin} fanins, got "
-                    f"{len(fanin_addresses)}",
-                )
-            index += 1
-        entries.append(
-            _Entry(address, entry_name, kind, fanout, fanin,
-                   fanin_addresses, None, stuck, line_number)
-        )
-
-    by_address: dict = {}
-    by_name: dict = {}
-    for entry in entries:
-        for table, key in ((by_address, entry.address), (by_name, entry.name)):
-            previous = table.get(key)
-            if previous is not None and previous is not entry:
-                # The same string may serve as both the address and the
-                # name of one entry, but two entries must not collide.
-                raise err(
-                    entry.line_number,
-                    f"duplicate entry {key!r} "
-                    f"(first defined at line {previous.line_number})",
-                )
-            table[key] = entry
-    builder = CircuitBuilder(name)
-
-    def resolve(addr: str, referrer: _Entry) -> str:
-        entry = by_address.get(addr) or by_name.get(addr)
-        if entry is None:
-            raise err(
-                referrer.line_number,
-                f"{referrer.name}: fanin reference {addr!r} "
-                "does not match any entry",
-            )
-        return entry.name
-
-    for entry in entries:
-        kind = entry.kind
-        if kind == "inpt":
-            builder.add_input(entry.name)
-        elif kind == "from":
-            assert entry.stem is not None
-            builder.add_gate("BUFF", entry.name, [resolve(entry.stem, entry)])
-        elif kind == "dff":
-            if entry.fanin != 1:
-                raise err(
-                    entry.line_number,
-                    f"dff {entry.name} needs exactly one fanin",
-                )
-            builder.add_flop(
-                entry.name, resolve(entry.fanin_addresses[0], entry)
-            )
-        elif kind in _GATE_TYPES:
-            builder.add_gate(
-                _GATE_TYPES[kind],
-                entry.name,
-                [resolve(a, entry) for a in entry.fanin_addresses],
-            )
-        else:
-            raise err(
-                entry.line_number, f"unknown .isc entry type {kind!r}"
-            )
-    # ISCAS convention: zero-fanout entries are primary outputs.
-    for entry in entries:
-        if entry.kind != "from" and entry.fanout == 0:
-            builder.add_output(entry.name)
-    try:
-        circuit = builder.build()
-    except CircuitError as exc:
-        raise CircuitError(f"{name}: {exc}") from None
+    raw = raw_from_isc(text, name)
+    circuit = raw.build(
+        duplicate="duplicate entry {net!r} (first defined at line {first})",
+        unresolved="{user}: fanin reference {net!r} does not match any entry",
+    )
     faults = [
-        Fault(circuit.line_id(entry.name), value, None)
-        for entry in entries
-        for value in entry.stuck
+        Fault(circuit.line_id(entry), value, None)
+        for entry, value in raw.annotated_faults
     ]
     return IscCircuit(circuit=circuit, faults=faults)
 
 
-def load_isc(
-    path: str, name: str = "", lint: Optional[str] = None
-) -> IscCircuit:
-    """Parse a ``.isc`` file from *path*.
-
-    *lint* optionally runs the netlist linter over the source first:
-    ``"warn"`` logs the findings, ``"strict"`` also raises
-    :class:`CircuitError` on any error-severity finding (with its file
-    and line position), before the parser's own diagnostics.
-    """
-    from repro.circuit.bench import validate_netlist
-
+def load_isc(path: str, name: str = "") -> IscCircuit:
+    """Parse a ``.isc`` file from *path*."""
     with open(path) as handle:
         text = handle.read()
-    validate_netlist(text, name or path, "isc", lint)
     return parse_isc(text, name or path)
 
 

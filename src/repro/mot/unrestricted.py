@@ -201,11 +201,12 @@ class UnrestrictedSimulator:
         """Detected iff the fault is detected against every expanded
         fault-free reference.
 
-        A detected fault is ``conv`` when conventional simulation
-        against the good machine's response detects it, and otherwise
-        ``mot`` with ``how="unrestricted"``.  Three-valued simulation is
-        monotone, so every such ``conv`` fault is also detected against
-        each reference, which only specifies more outputs.
+        A fault that conventional simulation against the good machine's
+        response detects is ``conv`` at once, for one event of the
+        budget and no per-reference run: three-valued simulation is
+        monotone, so it is also detected against each reference, which
+        only specifies more outputs.  Any other detected fault is
+        ``mot`` with ``how="unrestricted"``.
 
         One meter bounds the whole fault: a caller-supplied *meter*, or
         else one built from ``config.restricted.budget``, is shared by
@@ -222,6 +223,10 @@ class UnrestrictedSimulator:
             meter = BudgetMeter(budget)
         verdicts = []
         try:
+            if self._conventional.front_outcome(fault) == "conv":
+                if meter is not None:
+                    meter.charge()  # the conventional step
+                return FaultVerdict(fault, "conv")
             for runner in self._runners:
                 verdict = runner.simulate_fault(fault, meter)
                 if not verdict.detected:
@@ -236,8 +241,6 @@ class UnrestrictedSimulator:
                 raise
             return FaultVerdict(fault, "aborted", how="budget",
                                 detail=str(exc))
-        if self._conventional.front_outcome(fault) == "conv":
-            return FaultVerdict(fault, "conv")
         merged = FaultVerdict(fault, "mot", how="unrestricted")
         for verdict in verdicts:
             merged.counters.n_det += verdict.counters.n_det

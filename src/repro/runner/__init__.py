@@ -13,7 +13,7 @@ Public surface:
 * :mod:`repro.runner.budget` -- per-fault work/time budgets;
 * :mod:`repro.runner.journal` -- JSONL checkpoint journal;
 * :mod:`repro.runner.harness` -- the resilient serial campaign harness;
-* :mod:`repro.runner.retry` -- retry policy (backoff, jitter, deadline);
+* :mod:`repro.runner.retry` -- retry policy (capped exponential backoff);
 * :mod:`repro.runner.transport` -- worker protocol, forked local and
   command-launched workers;
 * :mod:`repro.runner.dispatch` -- the lease dispatcher (multi-process

@@ -112,6 +112,20 @@ __all__ = [
 #: ``how`` tag of the verdict a confirmed poison fault receives.
 POISON_HOW = "poison"
 
+#: Work stealing threshold: with the queue empty, a lease silent for
+#: longer than this many times the observed median per-fault latency is
+#: speculatively re-leased to an idle host.
+STRAGGLER_FACTOR = 4.0
+
+#: Seconds to wait for a worker's ``bye`` (with its metrics snapshot) at
+#: the end of the campaign.
+SHUTDOWN_TIMEOUT = 10.0
+
+#: Longest idle wait (seconds) between event-loop passes: the loop wakes
+#: as soon as any worker has output, and at least this often to check
+#: deadlines and the cancel event.
+POLL_INTERVAL = 0.02
+
 log = logging.getLogger("repro.runner.dispatch")
 
 
@@ -131,23 +145,12 @@ class DispatchConfig:
     lease_timeout:
         Seconds a lease may go without progress (grant or verdict)
         before it expires and its unfinished faults are requeued.
-    straggler_factor:
-        Work stealing threshold: with the queue empty, a lease silent
-        for longer than ``straggler_factor`` times the observed median
-        per-fault latency is speculatively re-leased to an idle host.
     min_latency_samples:
         Verdicts observed before the latency estimate is trusted for
         stealing (expiry does not wait for samples).
     start_timeout:
         Seconds a launched worker has to complete the init/ready
         handshake before it counts as a host failure.
-    shutdown_timeout:
-        Seconds to wait for a worker's ``bye`` (with its metrics
-        snapshot) at the end of the campaign.
-    poll_interval:
-        Longest idle wait between event-loop passes: the loop wakes as
-        soon as any worker has output, and at least this often to
-        check deadlines and the cancel event.
     stall_timeout:
         Seconds a worker that owes a chunk may stay silent (no verdict,
         no ``chunk_done``) before it is presumed hung inside one fault
@@ -185,11 +188,8 @@ class DispatchConfig:
 
     chunk_size: int = 4
     lease_timeout: float = 60.0
-    straggler_factor: float = 4.0
     min_latency_samples: int = 3
     start_timeout: float = 60.0
-    shutdown_timeout: float = 10.0
-    poll_interval: float = 0.02
     stall_timeout: Optional[float] = None
     host_blacklist_after: int = 2
     checkpoint_path: Optional[str] = None
@@ -572,7 +572,7 @@ class DistributedCampaignRunner:
     #: the ``host_blacklist_after`` strikes.
     HANDSHAKE_RETRY = RetryPolicy(
         max_retries=1, backoff_base=0.2, backoff_factor=2.0,
-        backoff_cap=2.0, jitter=0.0,
+        backoff_cap=2.0,
     )
 
     def __init__(
@@ -691,7 +691,7 @@ class DistributedCampaignRunner:
                 wait_for_output(
                     [host.handle for host in self.hosts
                      if host.live and host.handle is not None],
-                    self.config.poll_interval,
+                    POLL_INTERVAL,
                 )
 
     # ------------------------------------------------- host lifecycle
@@ -949,8 +949,7 @@ class DistributedCampaignRunner:
         if len(self._latencies) < self.config.min_latency_samples:
             return None
         median_s = statistics.median(self._latencies) / 1000.0
-        return max(self.config.straggler_factor * median_s,
-                   5 * self.config.poll_interval)
+        return max(STRAGGLER_FACTOR * median_s, 5 * POLL_INTERVAL)
 
     # -------------------------------------------------------- messages
     def _drain_messages(self, book: LeaseBook) -> bool:
@@ -1132,7 +1131,7 @@ class DistributedCampaignRunner:
                 try:
                     host.handle.send({"type": "shutdown"})
                     if self._collect_bye(host):
-                        timeout = self.config.shutdown_timeout
+                        timeout = SHUTDOWN_TIMEOUT
                 except TransportError:
                     pass
             host.handle.close(timeout=timeout)
@@ -1144,7 +1143,7 @@ class DistributedCampaignRunner:
         """Wait for *host*'s ``bye``; False when it never came.  With
         ``stall_timeout`` set, a worker silent that long is given up
         on (it is still stuck in a fault another worker finished)."""
-        deadline = time.monotonic() + self.config.shutdown_timeout
+        deadline = time.monotonic() + SHUTDOWN_TIMEOUT
         while True:
             timeout = deadline - time.monotonic()  # wall wait, never skewed
             if timeout <= 0:

@@ -254,13 +254,9 @@ class CampaignHarness:
             raise ValueError("resume requires a checkpoint path")
         self.stats = HarnessStats()
         self._interrupted = False
-        self._supports_meter = self._probe_meter_support(simulator)
+        self._supports_meter = probe_meter_support(simulator)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _probe_meter_support(simulator: Any) -> bool:
-        return probe_meter_support(simulator)
-
     def _write_progress(self, in_flight: Optional[int]) -> None:
         """Rewrite the progress beacon."""
         path = self.config.progress_path

@@ -76,7 +76,6 @@ from repro.runner.retry import RetryPolicy
 
 __all__ = [
     "JOURNAL_VERSION",
-    "COORDINATION_KINDS",
     "CampaignJournal",
     "JournalLoadReport",
     "SupervisionLog",
@@ -95,11 +94,6 @@ __all__ = [
 ]
 
 JOURNAL_VERSION = 1
-
-#: Record kinds that ride along in a verdict journal and are skipped by
-#: verdict readers: supervision events, metrics snapshots, and the
-#: distributed dispatcher's lease / host coordination trail.
-COORDINATION_KINDS = ("event", "metrics", "lease", "host")
 
 
 # ----------------------------------------------------------------------
@@ -366,7 +360,7 @@ class CampaignJournal:
     #: for more than ~a second before surfacing the error.
     WRITE_RETRY = RetryPolicy(
         max_retries=3, backoff_base=0.05, backoff_factor=2.0,
-        backoff_cap=0.25, jitter=0.0,
+        backoff_cap=0.25,
     )
 
     @classmethod

@@ -1,4 +1,4 @@
-"""Netlist linter: rules, positions, entry points, loader integration."""
+"""Netlist linter: rules, positions, entry points."""
 
 import os
 
@@ -12,7 +12,7 @@ from repro.analysis import (
     lint_text,
 )
 from repro.circuit.bench import load_bench
-from repro.circuit.isc import load_isc
+from repro.circuit.isc import parse_isc
 from repro.circuit.netlist import CircuitError
 from repro.circuits.library import s27
 
@@ -116,6 +116,22 @@ def test_broken_isc_fixture_flags_fanout_mismatches():
         assert finding.line > 0
 
 
+def test_isc_entries_the_loader_rejects_are_parse_errors():
+    # Entry 2 reuses address 1; the dff at line 3 lists two fanins.
+    text = "1 A inpt 2 0\n1 B inpt 1 0\n3 Q dff 0 2\n1 1\n"
+    parse_errors = [
+        (f.line, f.message)
+        for f in lint_text(text, "c.isc", fmt="isc")
+        if f.rule == "parse-error"
+    ]
+    assert parse_errors == [
+        (2, "duplicate entry '1' (first defined at line 1)"),
+        (3, "dff 'Q' needs exactly one fanin"),
+    ]
+    with pytest.raises(CircuitError, match=r"^c\.isc: line 2: duplicate entry"):
+        parse_isc(text, "c.isc")
+
+
 # ----------------------------------------------------------------------
 # Clean circuits and entry points
 # ----------------------------------------------------------------------
@@ -151,28 +167,9 @@ def test_finding_rejects_unknown_severity():
 
 
 # ----------------------------------------------------------------------
-# Loader integration (lint= on the load paths)
+# Loading never lints
 # ----------------------------------------------------------------------
 GOOD_BENCH = "INPUT(A)\nOUTPUT(O)\nO = NOT(A)\n"
-
-
-def test_load_bench_lint_strict_rejects_cyclic(tmp_path):
-    path = tmp_path / "cyclic.bench"
-    path.write_text(CYCLIC)
-    with pytest.raises(CircuitError, match="combinational-loop"):
-        load_bench(str(path), lint="strict")
-
-
-def test_load_bench_lint_warn_logs_but_loads(tmp_path, caplog):
-    path = tmp_path / "warned.bench"
-    # Floating net F: warning severity, so both modes still load.
-    path.write_text("INPUT(A)\nOUTPUT(O)\nF = NOT(A)\nO = BUF(A)\n")
-    with caplog.at_level("WARNING", logger="repro.circuit"):
-        circuit = load_bench(str(path), lint="warn")
-    assert circuit.num_inputs == 1
-    assert any("floating-net" in r.message for r in caplog.records)
-    circuit = load_bench(str(path), lint="strict")
-    assert circuit.num_inputs == 1
 
 
 def test_load_bench_lint_off_by_default(tmp_path, caplog):
@@ -181,25 +178,3 @@ def test_load_bench_lint_off_by_default(tmp_path, caplog):
     with caplog.at_level("WARNING"):
         load_bench(str(path))
     assert caplog.records == []
-
-
-def test_load_bench_rejects_bad_lint_mode(tmp_path):
-    path = tmp_path / "plain.bench"
-    path.write_text(GOOD_BENCH)
-    with pytest.raises(ValueError, match="lint"):
-        load_bench(str(path), lint="loud")
-
-
-def test_load_isc_lint_strict(tmp_path):
-    path = tmp_path / "dangling.isc"
-    # G2's fanin list references address 9, which no entry defines:
-    # undriven at lint level, parse error at build level -- strict lint
-    # must fire first with the lint diagnostic.
-    path.write_text(
-        "*> fixture\n"
-        "1  A   inpt 1 0\n"
-        "2  G2  not  0 1\n"
-        "9\n"
-    )
-    with pytest.raises(CircuitError, match="lint found"):
-        load_isc(str(path), lint="strict")

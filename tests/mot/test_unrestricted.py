@@ -17,6 +17,7 @@ from repro.mot.unrestricted import (
     expand_fault_free_references,
 )
 from repro.patterns.random_gen import random_patterns
+from repro.runner.budget import BudgetMeter, FaultBudget
 from repro.sim.frame import eval_frame
 from repro.sim.sequential import simulate_sequence
 from repro.verify.exhaustive import (
@@ -226,6 +227,26 @@ def test_unrestricted_subsumes_restricted_detections():
     for r_verdict, u_verdict in zip(restricted.verdicts, unrestricted.verdicts):
         if r_verdict.detected:
             assert u_verdict.detected, r_verdict.fault.describe(circuit)
+
+
+def test_conv_fault_costs_one_event_and_no_reference_run():
+    circuit = build_circuit("s27")
+    patterns = random_patterns(circuit.num_inputs, 16, seed=1)
+    simulator = UnrestrictedSimulator(
+        circuit, patterns, UnrestrictedConfig(n_references=4)
+    )
+    assert simulator.n_references > 1
+    conv = [
+        fault for fault in all_faults(circuit)
+        if simulator._conventional.front_outcome(fault) == "conv"
+    ]
+    assert conv
+    for fault in conv:
+        # A caller's meter with room for one event: a per-reference run
+        # would charge a second one and raise.
+        meter = BudgetMeter(FaultBudget(max_events=1))
+        assert simulator.simulate_fault(fault, meter).status == "conv"
+        assert meter.events == 1
 
 
 def test_reference_limit_respected():

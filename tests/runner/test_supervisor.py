@@ -436,10 +436,6 @@ def test_retry_policy_validation():
         RetryPolicy(max_retries=-1)
     with pytest.raises(ValueError, match="backoff_factor"):
         RetryPolicy(backoff_factor=0.5)
-    with pytest.raises(ValueError, match="jitter"):
-        RetryPolicy(jitter=1.5)
-    with pytest.raises(ValueError, match="deadline"):
-        RetryPolicy(deadline=0)
     with pytest.raises(ValueError, match="backoff_base"):
         RetryPolicy(backoff_base=-1)
 
@@ -452,34 +448,12 @@ def test_retry_policy_allows():
 
 
 def test_retry_policy_backoff_growth_and_cap():
-    policy = RetryPolicy(
-        backoff_base=0.5, backoff_factor=2.0, backoff_cap=3.0, jitter=0.0
-    )
+    policy = RetryPolicy(backoff_base=0.5, backoff_factor=2.0, backoff_cap=3.0)
     assert [policy.backoff(n) for n in (1, 2, 3, 4, 5)] == [
         0.5, 1.0, 2.0, 3.0, 3.0,
     ]
     with pytest.raises(ValueError, match="1-based"):
         policy.backoff(0)
-
-
-def test_retry_policy_jitter_is_deterministic_and_bounded():
-    policy = RetryPolicy(backoff_base=1.0, backoff_factor=1.0, jitter=0.25)
-    first = [policy.backoff(n) for n in range(1, 6)]
-    second = [policy.backoff(n) for n in range(1, 6)]
-    assert first == second  # reproducible schedules
-    assert all(1.0 <= delay <= 1.25 for delay in first)
-    assert len(set(first)) > 1  # attempts are actually jittered apart
-    other_seed = RetryPolicy(
-        backoff_base=1.0, backoff_factor=1.0, jitter=0.25, jitter_seed=7
-    )
-    assert [other_seed.backoff(n) for n in range(1, 6)] != first
-
-
-def test_retry_policy_deadline():
-    assert RetryPolicy().within_deadline(1e9)  # no deadline by default
-    policy = RetryPolicy(deadline=10.0)
-    assert policy.within_deadline(9.9)
-    assert not policy.within_deadline(10.0)
 
 
 # ----------------------------------------------------------------------
