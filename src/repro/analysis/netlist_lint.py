@@ -55,6 +55,11 @@ from repro.circuit.raw import (
     raw_from_circuit,
     raw_from_isc,
 )
+from repro.logic.gates import (
+    GATE_ARITY_EXACT_ONE,
+    GATE_ARITY_MIN,
+    gate_type_from_name,
+)
 from repro.logic.values import ONE, UNKNOWN, ZERO
 
 __all__ = [
@@ -81,13 +86,6 @@ ALL_RULES: Tuple[str, ...] = (
     "unobservable-gate",
 )
 
-#: Minimum input counts per operator the simulator understands
-#: (``.bench`` names; BUF/NOT are exactly-one).
-_MIN_ARITY = {
-    "AND": 2, "NAND": 2, "OR": 2, "NOR": 2, "XOR": 2, "XNOR": 2,
-    "NOT": 1, "INV": 1, "BUF": 1, "BUFF": 1, "CONST0": 0, "CONST1": 0,
-}
-_EXACT_ONE = frozenset({"NOT", "INV", "BUF", "BUFF"})
 _CONST_OPS = {"CONST0": ZERO, "CONST1": ONE}
 
 
@@ -95,15 +93,19 @@ _CONST_OPS = {"CONST0": ZERO, "CONST1": ONE}
 # Structural rules
 # ----------------------------------------------------------------------
 def _check_gate_shapes(raw: RawNetlist, out: FindingList) -> None:
+    # The loader's arity table, so the lint rejects exactly what
+    # CircuitBuilder.add_gate rejects.
     for gate in raw.gates:
-        if gate.op not in _MIN_ARITY:
+        try:
+            gate_type = gate_type_from_name(gate.op)
+        except ValueError:
             out.add(
                 "unknown-gate-type", ERROR,
                 f"gate {gate.output!r} uses unknown operator {gate.op!r}",
                 raw.file, gate.line, gate.output,
             )
             continue
-        minimum = _MIN_ARITY[gate.op]
+        minimum = GATE_ARITY_MIN[gate_type]
         if len(gate.inputs) < minimum:
             out.add(
                 "bad-arity", ERROR,
@@ -111,7 +113,7 @@ def _check_gate_shapes(raw: RawNetlist, out: FindingList) -> None:
                 f"input(s), got {len(gate.inputs)}",
                 raw.file, gate.line, gate.output,
             )
-        elif gate.op in _EXACT_ONE and len(gate.inputs) != 1:
+        elif gate_type in GATE_ARITY_EXACT_ONE and len(gate.inputs) != 1:
             out.add(
                 "bad-arity", ERROR,
                 f"{gate.op} gate {gate.output!r} takes exactly one input, "

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CircuitError
-from repro.logic.gates import GATE_ARITY_MIN, GateType
+from repro.logic.gates import GATE_ARITY_EXACT_ONE, GATE_ARITY_MIN, GateType
 
 __all__ = [
     "CircuitError",  # re-exported from repro.errors (the taxonomy root)
@@ -324,7 +324,7 @@ class CircuitBuilder:
                 f"{gate_type.value} gate {output_name!r} needs at least "
                 f"{GATE_ARITY_MIN[gate_type]} inputs"
             )
-        if gate_type in (GateType.NOT, GateType.BUF) and len(input_names) != 1:
+        if gate_type in GATE_ARITY_EXACT_ONE and len(input_names) != 1:
             raise CircuitError(
                 f"{gate_type.value} gate {output_name!r} takes exactly one input"
             )

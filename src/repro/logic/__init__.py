@@ -23,6 +23,7 @@ from repro.logic.values import (
     values_to_string,
 )
 from repro.logic.gates import (
+    GATE_ARITY_EXACT_ONE,
     GATE_ARITY_MIN,
     GateType,
     eval_gate,
@@ -43,6 +44,7 @@ __all__ = [
     "values_to_string",
     "GateType",
     "GATE_ARITY_MIN",
+    "GATE_ARITY_EXACT_ONE",
     "eval_gate",
     "gate_type_from_name",
     "Conflict",

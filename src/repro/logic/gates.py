@@ -14,7 +14,7 @@ any input decides the output regardless of ``X`` inputs; otherwise any
 from __future__ import annotations
 
 import enum
-from typing import Dict, Sequence
+from typing import Dict, FrozenSet, Sequence
 
 from repro.logic.values import ONE, UNKNOWN, ZERO
 
@@ -50,6 +50,11 @@ GATE_ARITY_MIN: Dict[GateType, int] = {
     GateType.CONST0: 0,
     GateType.CONST1: 0,
 }
+
+#: Gate types that take exactly one input.
+GATE_ARITY_EXACT_ONE: FrozenSet[GateType] = frozenset(
+    {GateType.NOT, GateType.BUF}
+)
 
 _NAME_ALIASES = {
     "AND": GateType.AND,

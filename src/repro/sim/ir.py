@@ -11,9 +11,14 @@ compiles a circuit **once** into flat integer arrays:
 * ``fanin_offsets`` / ``fanin_lines`` -- CSR-style fanin index table:
   the inputs of slot ``s`` are
   ``fanin_lines[fanin_offsets[s]:fanin_offsets[s+1]]``;
-* ``groups`` -- maximal runs of consecutive slots sharing one opcode,
-  so an evaluator dispatches on the gate type once per run instead of
-  once per gate;
+* ``program`` -- the schedule as :func:`repro.sim.kernel.eval_pass`
+  walks it: one ``(opcode, gates)`` pair per maximal run of consecutive
+  slots sharing one opcode, so the evaluator dispatches on the gate type
+  once per run instead of once per gate, and per gate one
+  ``(output, fanins, pin forces, line force)`` entry.  The IR's program
+  carries no forces (both are ``None``); a compiled fault batch
+  (:func:`repro.sim.kernel.compile_fault_batch`) walks a copy with its
+  stuck lines and pins attached;
 * ``level_starts`` -- slot index where each level begins.  All gates
   inside one level are mutually independent (every fanin comes from a
   strictly lower level), which is what makes lane/SIMD backends safe;
@@ -32,7 +37,7 @@ two-plane bit-parallel evaluator lives in :mod:`repro.sim.kernel`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.logic.gates import GateType
@@ -49,6 +54,9 @@ __all__ = [
     "OP_BUF",
     "OP_CONST0",
     "OP_CONST1",
+    "Force",
+    "GateEntry",
+    "Program",
     "CircuitIR",
     "compile_circuit",
 ]
@@ -80,6 +88,19 @@ _OPCODES: Dict[GateType, int] = {
 
 _IR_ATTR = "_repro_circuit_ir"
 
+#: ``(force_one, force_zero, keep)`` plane masks of the slots where one
+#: line or pin is stuck at 1 and at 0; ``keep`` holds the batch's other
+#: slots, ``mask ^ (force_one | force_zero)``.
+Force = Tuple[int, int, int]
+#: ``(output line, fanin lines, pin forces, line force)`` of one gate;
+#: *pin forces* is ``None`` or one ``Force``-or-``None`` per fanin.
+GateEntry = Tuple[
+    int, Tuple[int, ...], Optional[Tuple[Optional[Force], ...]],
+    Optional[Force],
+]
+#: One ``(opcode, gate entries)`` pair per same-opcode run.
+Program = Tuple[Tuple[int, Tuple[GateEntry, ...]], ...]
+
 
 @dataclass(frozen=True)
 class CircuitIR:
@@ -103,8 +124,8 @@ class CircuitIR:
     fanin_offsets: Tuple[int, ...]
     #: concatenated fanin line ids of every slot
     fanin_lines: Tuple[int, ...]
-    #: maximal same-opcode runs: (opcode, start slot, end slot)
-    groups: Tuple[Tuple[int, int, int], ...]
+    #: maximal same-opcode runs in schedule order, with no forces
+    program: Program
     #: slot index where each level begins (ends with ``num_gates``)
     level_starts: Tuple[int, ...]
     #: original circuit gate index -> schedule slot
@@ -118,26 +139,10 @@ class CircuitIR:
     def num_levels(self) -> int:
         return max(0, len(self.level_starts) - 1)
 
-    def pin_slot(self, gate_index: int, pos: int) -> int:
-        """CSR index of input *pos* of original gate *gate_index*.
-
-        This is how per-pin fault overrides address the fanin table:
-        the kernel forces plane bits of individual ``fanin_lines``
-        positions, which models branch faults exactly like the
-        netlist-transformation injector.
-        """
-        slot = self.slot_of_gate[gate_index]
-        index = self.fanin_offsets[slot] + pos
-        if index >= self.fanin_offsets[slot + 1]:
-            raise IndexError(
-                f"gate {gate_index} has no input position {pos}"
-            )
-        return index
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CircuitIR({self.name!r}: {self.num_gates} gates, "
-            f"{self.num_levels} levels, {len(self.groups)} op runs)"
+            f"{self.num_levels} levels, {len(self.program)} op runs)"
         )
 
 
@@ -178,14 +183,18 @@ def _compile(circuit: Circuit) -> CircuitIR:
     fanin_lines: List[int] = []
     slot_of_gate: List[int] = [-1] * len(circuit.gates)
     level_starts: List[int] = []
-    groups: List[Tuple[int, int, int]] = []
+    program: List[Tuple[int, List[GateEntry]]] = []
     for level in sorted(set(levels_seen)):
         level_starts.append(len(ops))
         for op in range(OP_CONST1 + 1):
             bucket = buckets.get((level, op))
             if not bucket:
                 continue
-            start = len(ops)
+            # Merge with the previous run when the opcode matches: the
+            # flat order stays topological, so a sequential evaluator
+            # is unaffected and dispatches once for the longer run.
+            if not program or program[-1][0] != op:
+                program.append((op, []))
             for gate_index in bucket:
                 gate = circuit.gates[gate_index]
                 slot_of_gate[gate_index] = len(ops)
@@ -193,13 +202,9 @@ def _compile(circuit: Circuit) -> CircuitIR:
                 outs.append(gate.output)
                 fanin_lines.extend(gate.inputs)
                 fanin_offsets.append(len(fanin_lines))
-            # Merge with the previous run when the opcode matches: the
-            # flat order stays topological, so a sequential evaluator
-            # is unaffected and dispatches once for the longer run.
-            if groups and groups[-1][0] == op and groups[-1][2] == start:
-                groups[-1] = (op, groups[-1][1], len(ops))
-            else:
-                groups.append((op, start, len(ops)))
+                program[-1][1].append(
+                    (gate.output, tuple(gate.inputs), None, None)
+                )
     level_starts.append(len(ops))
     return CircuitIR(
         name=circuit.name,
@@ -212,7 +217,7 @@ def _compile(circuit: Circuit) -> CircuitIR:
         outs=tuple(outs),
         fanin_offsets=tuple(fanin_offsets),
         fanin_lines=tuple(fanin_lines),
-        groups=tuple(groups),
+        program=tuple((op, tuple(gates)) for op, gates in program),
         level_starts=tuple(level_starts),
         slot_of_gate=tuple(slot_of_gate),
     )

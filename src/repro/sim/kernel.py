@@ -16,16 +16,23 @@ Python integers are arbitrary precision, so a plane has no word size:
 one plane pair holds every slot of a batch, with no windowing, and the
 cost of a pass grows far slower than its width.
 
-Fault injection is compiled, not simulated: a stuck pin becomes a pair
-of force masks attached to its CSR fanin index (or primary-output tap /
-flip-flop data pin), applied when the consumer reads the line.  This
-models stems (every consumer pin forced) and branches (a single pin)
-exactly like the netlist-transformation injector, and only gates with at
-least one forced pin leave the fast evaluation path.
+Fault injection is compiled, not simulated: each stuck line or pin of
+a batch becomes a force, a ``(force_one, force_zero, keep)`` mask triple
+applied as ``v <- (v & keep) | force``, forced in exactly one place.  A
+stem is forced once on its line -- at its driving gate's output, at
+the source for a primary input, on the present state for a flip-flop
+output -- so every consumer reads the stuck value, and a branch on its
+one gate pin, flip-flop data pin or output tap.  The gate forces hang
+on a copy of the IR's per-gate program, which :func:`eval_pass` walks;
+this models the netlist-transformation injector exactly.  Without a
+reference response, a batch compares every fault with slot 0, the
+fault-free machine of the same pass, and hands back slot 0's
+trajectory as the good machine's.
 
 This kernel is the only bit-parallel simulator: every ``fsim``
-campaign runs its fault batches, MOT campaigns compute their good
-machine and :mod:`repro.verify.states` enumerates initial states on
+campaign runs its fault batches (and takes its good machine from their
+slot 0), MOT campaigns compute their good machine and run their front's
+batch on it, and :mod:`repro.verify.states` enumerates initial states on
 it.  Everything here is verdict- and value-identical to the
 interpreted oracles (:func:`repro.sim.frame.eval_frame`,
 :func:`repro.sim.sequential.simulate_sequence`,
@@ -37,11 +44,12 @@ interpreted oracles (:func:`repro.sim.frame.eval_frame`,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import (
     TYPE_CHECKING,
     Dict,
-    FrozenSet,
     Iterable,
+    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -60,6 +68,9 @@ from repro.sim.ir import (
     OP_NOT,
     OP_XNOR,
     CircuitIR,
+    Force,
+    GateEntry,
+    Program,
     compile_circuit,
 )
 
@@ -82,7 +93,8 @@ __all__ = [
     "simulate_fault_batch",
 ]
 
-PinOverrides = Dict[int, Tuple[int, int]]
+#: Stands in for the pin forces of a gate that has none.
+_UNFORCED: Iterator[Optional[Force]] = repeat(None)
 
 
 # ----------------------------------------------------------------------
@@ -141,126 +153,104 @@ def eval_pass(
     ones: List[int],
     zeros: List[int],
     mask: int,
-    pin_overrides: Optional[PinOverrides] = None,
-    dirty_slots: Optional[FrozenSet[int]] = None,
+    program: Optional[Program] = None,
 ) -> None:
     """Evaluate the combinational core over the planes, in place.
 
     Frame sources (primary inputs and present-state lines) must already
     be set in *ones* / *zeros*; every other line is recomputed.  *mask*
-    has one bit per live slot.  *pin_overrides* maps CSR fanin indices
-    (see :meth:`CircuitIR.pin_slot`) to ``(force_one, force_zero)``
-    masks; *dirty_slots* is the set of schedule slots with at least one
-    overridden pin (gates outside it take the override-free fast path).
+    has one bit per live slot.  The pass walks *program* (the IR's own,
+    with no forces, by default): per gate, a pin force replaces the
+    forced slots' bits of the line that pin reads, and a line force
+    those of the gate's output before any consumer reads it -- each as
+    ``v <- (v & keep) | force``.
     """
-    off = ir.fanin_offsets
-    fl = ir.fanin_lines
-    outs = ir.outs
-    pin = pin_overrides if pin_overrides else {}
-    dirty = dirty_slots if dirty_slots else frozenset()
-    for op, start, end in ir.groups:
+    for op, gates in ir.program if program is None else program:
         if op <= OP_NOR:  # AND / NAND / OR / NOR
             conjunctive = op <= OP_NAND
             negated = op == OP_NAND or op == OP_NOR
-            for s in range(start, end):
-                lo, hi = off[s], off[s + 1]
-                if dirty and s in dirty:
-                    if conjunctive:
-                        acc1, acc0 = mask, 0
-                        for i in range(lo, hi):
-                            line = fl[i]
+            for out, fanins, pins, force in gates:
+                if conjunctive:
+                    acc1, acc0 = mask, 0
+                    if pins is None:
+                        for line in fanins:
+                            acc1 &= ones[line]
+                            acc0 |= zeros[line]
+                    else:
+                        for line, forced in zip(fanins, pins):
                             v1, v0 = ones[line], zeros[line]
-                            forced = pin.get(i)
                             if forced is not None:
-                                f1, f0 = forced
-                                keep = ~(f1 | f0)
+                                f1, f0, keep = forced
                                 v1 = (v1 & keep) | f1
                                 v0 = (v0 & keep) | f0
                             acc1 &= v1
                             acc0 |= v0
+                else:
+                    acc1, acc0 = 0, mask
+                    if pins is None:
+                        for line in fanins:
+                            acc1 |= ones[line]
+                            acc0 &= zeros[line]
                     else:
-                        acc1, acc0 = 0, mask
-                        for i in range(lo, hi):
-                            line = fl[i]
+                        for line, forced in zip(fanins, pins):
                             v1, v0 = ones[line], zeros[line]
-                            forced = pin.get(i)
                             if forced is not None:
-                                f1, f0 = forced
-                                keep = ~(f1 | f0)
+                                f1, f0, keep = forced
                                 v1 = (v1 & keep) | f1
                                 v0 = (v0 & keep) | f0
                             acc1 |= v1
                             acc0 &= v0
-                elif conjunctive:
-                    acc1, acc0 = mask, 0
-                    for i in range(lo, hi):
-                        line = fl[i]
-                        acc1 &= ones[line]
-                        acc0 |= zeros[line]
-                else:
-                    acc1, acc0 = 0, mask
-                    for i in range(lo, hi):
-                        line = fl[i]
-                        acc1 |= ones[line]
-                        acc0 &= zeros[line]
-                out = outs[s]
                 if negated:
-                    ones[out], zeros[out] = acc0, acc1
-                else:
-                    ones[out], zeros[out] = acc1, acc0
+                    acc1, acc0 = acc0, acc1
+                if force is not None:
+                    f1, f0, keep = force
+                    acc1 = (acc1 & keep) | f1
+                    acc0 = (acc0 & keep) | f0
+                ones[out] = acc1
+                zeros[out] = acc0
         elif op <= OP_XNOR:  # XOR / XNOR by plane recurrence
-            for s in range(start, end):
-                lo, hi = off[s], off[s + 1]
-                check = dirty and s in dirty
-                line = fl[lo]
-                r1, r0 = ones[line], zeros[line]
-                if check:
-                    forced = pin.get(lo)
-                    if forced is not None:
-                        f1, f0 = forced
-                        keep = ~(f1 | f0)
-                        r1 = (r1 & keep) | f1
-                        r0 = (r0 & keep) | f0
-                for i in range(lo + 1, hi):
-                    line = fl[i]
+            for out, fanins, pins, force in gates:
+                acc1, acc0 = 0, mask  # constant 0, the identity of XOR
+                for line, forced in zip(fanins, pins or _UNFORCED):
                     v1, v0 = ones[line], zeros[line]
-                    if check:
-                        forced = pin.get(i)
-                        if forced is not None:
-                            f1, f0 = forced
-                            keep = ~(f1 | f0)
-                            v1 = (v1 & keep) | f1
-                            v0 = (v0 & keep) | f0
-                    r1, r0 = (r1 & v0) | (r0 & v1), (r1 & v1) | (r0 & v0)
-                out = outs[s]
-                if op == OP_XNOR:
-                    ones[out], zeros[out] = r0, r1
-                else:
-                    ones[out], zeros[out] = r1, r0
-        elif op == OP_NOT or op == OP_BUF:
-            for s in range(start, end):
-                lo = off[s]
-                line = fl[lo]
-                v1, v0 = ones[line], zeros[line]
-                if dirty and s in dirty:
-                    forced = pin.get(lo)
                     if forced is not None:
-                        f1, f0 = forced
-                        keep = ~(f1 | f0)
+                        f1, f0, keep = forced
                         v1 = (v1 & keep) | f1
                         v0 = (v0 & keep) | f0
-                out = outs[s]
+                    acc1, acc0 = (acc1 & v0) | (acc0 & v1), (acc1 & v1) | (acc0 & v0)
+                if op == OP_XNOR:
+                    acc1, acc0 = acc0, acc1
+                if force is not None:
+                    f1, f0, keep = force
+                    acc1 = (acc1 & keep) | f1
+                    acc0 = (acc0 & keep) | f0
+                ones[out] = acc1
+                zeros[out] = acc0
+        elif op == OP_NOT or op == OP_BUF:
+            for out, fanins, pins, force in gates:
+                line = fanins[0]
+                v1, v0 = ones[line], zeros[line]
+                if pins is not None and pins[0] is not None:
+                    f1, f0, keep = pins[0]
+                    v1 = (v1 & keep) | f1
+                    v0 = (v0 & keep) | f0
                 if op == OP_NOT:
-                    ones[out], zeros[out] = v0, v1
-                else:
-                    ones[out], zeros[out] = v1, v0
+                    v1, v0 = v0, v1
+                if force is not None:
+                    f1, f0, keep = force
+                    v1 = (v1 & keep) | f1
+                    v0 = (v0 & keep) | f0
+                ones[out] = v1
+                zeros[out] = v0
         else:  # CONST0 / CONST1
-            for s in range(start, end):
-                out = outs[s]
-                if op == OP_CONST0:
-                    ones[out], zeros[out] = 0, mask
-                else:
-                    ones[out], zeros[out] = mask, 0
+            for out, _, _, force in gates:
+                v1, v0 = (0, mask) if op == OP_CONST0 else (mask, 0)
+                if force is not None:
+                    f1, f0, keep = force
+                    v1 = (v1 & keep) | f1
+                    v0 = (v0 & keep) | f0
+                ones[out] = v1
+                zeros[out] = v0
 
 
 def eval_cone(
@@ -279,8 +269,8 @@ def eval_cone(
     This is the event-limited pass of MOT resolution
     (:func:`repro.mot.resimulate.resolve_sequences`): a frame that
     differs from a stored frame only on some present-state lines
-    changes only inside their fanout cone.  There are no pin
-    overrides -- it runs on injected netlists.
+    changes only inside their fanout cone.  There are no forces -- it
+    runs on injected netlists.
     """
     ops = ir.ops
     off = ir.fanin_offsets
@@ -326,17 +316,6 @@ def eval_cone(
         out = outs[s]
         ones[out] = acc1
         zeros[out] = acc0
-
-
-def _read_override(
-    one: int, zero: int, forced: Optional[Tuple[int, int]]
-) -> Tuple[int, int]:
-    """Apply a (force_one, force_zero) mask pair to one plane pair."""
-    if forced is None:
-        return one, zero
-    f1, f0 = forced
-    keep = ~(f1 | f0)
-    return (one & keep) | f1, (zero & keep) | f0
 
 
 # ----------------------------------------------------------------------
@@ -556,32 +535,56 @@ class CompiledFaultBatch:
     """One fault batch compiled to IR plane masks.
 
     Slot 0 is the fault-free machine; fault *j* (0-based in
-    :attr:`faults`) occupies slot ``j + 1``.  ``pin_overrides`` forces
-    gate-input reads by CSR fanin index; output taps and flip-flop data
-    pins have their own tables; ``forced_state`` pins stuck
-    present-state variables exactly like ``InjectedFault.forced_ps``.
+    :attr:`faults`) occupies slot ``j + 1``.  Every stuck line or pin
+    is forced in one place, by a :data:`~repro.sim.ir.Force` whose
+    ``keep`` mask is computed here once: a stem stuck on a gate output
+    in :attr:`program` at that gate, one on a primary input in
+    :attr:`input_forces` at the source, one on a present-state line in
+    :attr:`forced_state` alone (exactly like ``InjectedFault.forced_ps``);
+    a branch on its one gate pin in :attr:`program`, flip-flop data pin
+    in :attr:`flop_forces` or output tap in :attr:`output_forces`.
     """
 
     faults: List[Fault]
     width: int
     mask: int
-    pin_overrides: PinOverrides
-    dirty_slots: FrozenSet[int]
-    output_overrides: Dict[int, Tuple[int, int]]
-    flop_overrides: Dict[int, Tuple[int, int]]
-    forced_state: Dict[int, Tuple[int, int]]
+    #: the IR's program with this batch's gate-output and gate-pin forces
+    program: Program
+    #: primary-input position -> force
+    input_forces: Dict[int, Force]
+    #: primary-output position -> force of the output tap
+    output_forces: Dict[int, Force]
+    #: flip-flop index -> force of its data pin
+    flop_forces: Dict[int, Force]
+    #: flip-flop index -> force of its present-state line
+    forced_state: Dict[int, Force]
+
+
+def _force(
+    ones: List[int], zeros: List[int], forces: Dict[int, Force]
+) -> None:
+    """Apply position-keyed *forces* to two plane lists, in place."""
+    for index, (f1, f0, keep) in forces.items():
+        ones[index] = (ones[index] & keep) | f1
+        zeros[index] = (zeros[index] & keep) | f0
 
 
 def compile_fault_batch(
     circuit: Circuit, faults: Sequence[Fault]
 ) -> CompiledFaultBatch:
-    """Compile *faults* (slots 1..N) into plane-mask overrides."""
+    """Compile *faults* (slots 1..N) into plane-mask forces."""
     ir = compile_circuit(circuit)
-    pin_overrides: PinOverrides = {}
-    output_overrides: Dict[int, Tuple[int, int]] = {}
-    flop_overrides: Dict[int, Tuple[int, int]] = {}
-    forced_state: Dict[int, Tuple[int, int]] = {}
-    dirty: set = set()
+    mask = (1 << (len(faults) + 1)) - 1
+    input_pos = {line: k for k, line in enumerate(ir.inputs)}
+    flop_of_ps = {line: k for k, line in enumerate(ir.ps_lines)}
+    # (force_one, force_zero) per site: a gate output line, a gate
+    # output line's input position, or a position in a port list.
+    stems: Dict[int, Tuple[int, int]] = {}
+    branches: Dict[int, Dict[int, Tuple[int, int]]] = {}
+    inputs: Dict[int, Tuple[int, int]] = {}
+    states: Dict[int, Tuple[int, int]] = {}
+    flops: Dict[int, Tuple[int, int]] = {}
+    outputs: Dict[int, Tuple[int, int]] = {}
 
     def merge(
         table: Dict[int, Tuple[int, int]], key: int, f1: int, f0: int
@@ -593,55 +596,99 @@ def compile_fault_batch(
         bit = 1 << slot
         force_one = bit if fault.stuck_at == ONE else 0
         force_zero = bit if fault.stuck_at == ZERO else 0
-        pins = (
-            circuit.fanout_pins[fault.line]
-            if fault.pin is None
-            else [fault.pin]
+        pin = fault.pin
+        if pin is None:
+            source = circuit.source_kind[fault.line]
+            if source == "gate":
+                merge(stems, fault.line, force_one, force_zero)
+            elif source == "input":
+                merge(inputs, input_pos[fault.line], force_one, force_zero)
+            else:  # a present-state line
+                merge(states, flop_of_ps[fault.line], force_one, force_zero)
+        elif pin.kind == "gate":
+            gate = circuit.gates[pin.index]
+            if not 0 <= pin.pos < len(gate.inputs):
+                raise IndexError(
+                    f"gate {pin.index} has no input position {pin.pos}"
+                )
+            merge(branches.setdefault(gate.output, {}), pin.pos,
+                  force_one, force_zero)
+        elif pin.kind == "flop":
+            merge(flops, pin.index, force_one, force_zero)
+        else:  # "output"
+            merge(outputs, pin.index, force_one, force_zero)
+
+    def with_keep(table: Dict[int, Tuple[int, int]]) -> Dict[int, Force]:
+        # ``keep`` stays inside the batch's slots: a negative mask makes
+        # every ``&`` on CPython's big integers about twice as slow.
+        return {k: (f1, f0, mask ^ (f1 | f0)) for k, (f1, f0) in table.items()}
+
+    line_forces = with_keep(stems)
+    pin_forces = {out: with_keep(pins) for out, pins in branches.items()}
+
+    def attach(entry: GateEntry) -> GateEntry:
+        out, fanins, _, _ = entry
+        pins = pin_forces.get(out)
+        force = line_forces.get(out)
+        if pins is None and force is None:
+            return entry
+        return (
+            out,
+            fanins,
+            None if pins is None
+            else tuple(pins.get(pos) for pos in range(len(fanins))),
+            force,
         )
-        for pin in pins:
-            if pin.kind == "gate":
-                index = ir.pin_slot(pin.index, pin.pos)
-                merge(pin_overrides, index, force_one, force_zero)
-                dirty.add(ir.slot_of_gate[pin.index])
-            elif pin.kind == "flop":
-                merge(flop_overrides, pin.index, force_one, force_zero)
-            else:  # "output"
-                merge(output_overrides, pin.index, force_one, force_zero)
-        if fault.pin is None:
-            for flop_index, ps_line in enumerate(ir.ps_lines):
-                if ps_line == fault.line:
-                    merge(forced_state, flop_index, force_one, force_zero)
+
     return CompiledFaultBatch(
         faults=list(faults),
         width=len(faults) + 1,
-        mask=(1 << (len(faults) + 1)) - 1,
-        pin_overrides=pin_overrides,
-        dirty_slots=frozenset(dirty),
-        output_overrides=output_overrides,
-        flop_overrides=flop_overrides,
-        forced_state=forced_state,
+        mask=mask,
+        program=tuple(
+            (op, tuple(attach(entry) for entry in gates))
+            for op, gates in ir.program
+        ),
+        input_forces=with_keep(inputs),
+        output_forces=with_keep(outputs),
+        flop_forces=with_keep(flops),
+        forced_state=with_keep(states),
     )
 
 
 class FaultBatchMasks(NamedTuple):
     """Per-fault answers of :func:`simulate_fault_batch`; bit *j* of
-    each mask belongs to fault *j* of the batch."""
+    each mask belongs to fault *j* of the batch.  ``good`` is slot 0's
+    trajectory (states and outputs) when the batch ran without a
+    reference, ``None`` otherwise."""
 
     detected: int
     condition_c: int
+    good: Optional["SequentialResult"] = None
+
+
+def _slot0(ones: Sequence[int], zeros: Sequence[int]) -> List[int]:
+    """Slot 0's three-valued value of each plane pair."""
+    return [
+        ONE if v1 & 1 else (ZERO if v0 & 1 else UNKNOWN)
+        for v1, v0 in zip(ones, zeros)
+    ]
 
 
 def simulate_fault_batch(
     circuit: Circuit,
     batch: CompiledFaultBatch,
     patterns: Sequence[Sequence[int]],
-    reference_outputs: Sequence[Sequence[int]],
+    reference_outputs: Optional[Sequence[Sequence[int]]] = None,
 ) -> FaultBatchMasks:
     """Sequentially simulate one compiled batch against a reference.
 
     *reference_outputs* holds one row of fault-free output values per
     pattern (the good machine's, or an expanded fault-free response).
-    Both masks come out of the one frame loop:
+    Without it, every fault is compared with slot 0, the fault-free
+    machine of the same pass, from the all-X initial state, and slot
+    0's trajectory comes back as ``good``: the same states and outputs
+    as :func:`repro.sim.sequential.simulate_sequence`.  Both masks come
+    out of the one frame loop:
 
     * ``detected`` -- the fault's response and the reference hold
       opposite specified values at some (time, output) position.
@@ -654,7 +701,9 @@ def simulate_fault_batch(
       planes frame by frame: an X output the reference specifies
       counts for the slots that have had an X state bit so far.
     """
-    if len(reference_outputs) != len(patterns):
+    if reference_outputs is not None and len(reference_outputs) != len(
+        patterns
+    ):
         raise ValueError("reference response length mismatch")
     ir = compile_circuit(circuit)
     mask = batch.mask
@@ -663,42 +712,50 @@ def simulate_fault_batch(
     num_flops = len(ir.ps_lines)
     state_one = [0] * num_flops
     state_zero = [0] * num_flops
-    for flop_index, (f1, f0) in batch.forced_state.items():
-        state_one[flop_index] = f1
-        state_zero[flop_index] = f0
+    _force(state_one, state_zero, batch.forced_state)
+    good_states = [_slot0(state_one, state_zero)]
+    good_outputs: List[List[int]] = []
     detected = condition_c = 0
     x_state = 0  # slots with an X present-state bit up to this frame
-    for pattern, reference in zip(patterns, reference_outputs):
+    for u, pattern in enumerate(patterns):
+        if len(pattern) != len(ir.inputs):
+            raise ValueError(
+                f"expected {len(ir.inputs)} input values, got {len(pattern)}"
+            )
         specified = mask
         for v1, v0 in zip(state_one, state_zero):
             specified &= v1 | v0
         x_state |= mask ^ specified
         pi_ones, pi_zeros = broadcast_planes(pattern, mask)
+        _force(pi_ones, pi_zeros, batch.input_forces)
         _set_sources(ir, ones, zeros, pi_ones, pi_zeros, state_one, state_zero)
-        eval_pass(
-            ir, ones, zeros, mask, batch.pin_overrides, batch.dirty_slots
+        eval_pass(ir, ones, zeros, mask, batch.program)
+        out_one = [ones[line] for line in ir.outputs]
+        out_zero = [zeros[line] for line in ir.outputs]
+        _force(out_one, out_zero, batch.output_forces)
+        if reference_outputs is None:
+            good_outputs.append(_slot0(out_one, out_zero))
+        reference = (
+            good_outputs[-1] if reference_outputs is None
+            else reference_outputs[u]
         )
         resolved = mask
-        for out_index, line in enumerate(ir.outputs):
-            expected = reference[out_index]
+        for expected, v1, v0 in zip(reference, out_one, out_zero):
             if expected == UNKNOWN:
                 continue
-            v1, v0 = _read_override(
-                ones[line], zeros[line],
-                batch.output_overrides.get(out_index),
-            )
             detected |= v0 if expected == ONE else v1
             resolved &= v1 | v0
         condition_c |= x_state & (mask ^ resolved)
-        for flop_index, line in enumerate(ir.ns_lines):
-            v1, v0 = _read_override(
-                ones[line], zeros[line],
-                batch.flop_overrides.get(flop_index),
-            )
-            v1, v0 = _read_override(
-                v1, v0, batch.forced_state.get(flop_index)
-            )
-            state_one[flop_index] = v1
-            state_zero[flop_index] = v0
+        state_one = [ones[line] for line in ir.ns_lines]
+        state_zero = [zeros[line] for line in ir.ns_lines]
+        _force(state_one, state_zero, batch.flop_forces)
+        _force(state_one, state_zero, batch.forced_state)
+        if reference_outputs is None:
+            good_states.append(_slot0(state_one, state_zero))
+    good: Optional[SequentialResult] = None
+    if reference_outputs is None:
+        from repro.sim.sequential import SequentialResult
+
+        good = SequentialResult(states=good_states, outputs=good_outputs)
     # Drop the fault-free slot 0.
-    return FaultBatchMasks(detected >> 1, condition_c >> 1)
+    return FaultBatchMasks(detected >> 1, condition_c >> 1, good)

@@ -11,7 +11,7 @@ from repro.analysis import (
     lint_path,
     lint_text,
 )
-from repro.circuit.bench import load_bench
+from repro.circuit.bench import load_bench, parse_bench
 from repro.circuit.isc import parse_isc
 from repro.circuit.netlist import CircuitError
 from repro.circuits.library import s27
@@ -72,6 +72,20 @@ def test_deep_chain_does_not_recurse():
     lines += [f"G{i} = NOT(G{i - 1})" for i in range(1, 5000)]
     findings = lint_text("\n".join(lines), "chain.bench")
     assert "combinational-loop" not in rules_of(findings)
+
+
+# ----------------------------------------------------------------------
+# Gate arity: the lint and the loader share one table
+# ----------------------------------------------------------------------
+def test_one_input_gate_lints_clean_and_loads():
+    """A one-input AND is a buffer to the loader and the simulators, so
+    the lint must not call it an error."""
+    text = "INPUT(a)\nOUTPUT(y)\ny = AND(a)\n"
+    findings = lint_text(text, "c.bench")
+    assert "bad-arity" not in rules_of(findings)
+    assert [f for f in findings if f.severity == "error"] == []
+    circuit = parse_bench(text, "c.bench")
+    assert [len(gate.inputs) for gate in circuit.gates] == [1]
 
 
 # ----------------------------------------------------------------------

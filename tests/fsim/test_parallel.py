@@ -11,11 +11,15 @@ from repro.faults.sites import all_faults
 from repro.fsim.conventional import run_conventional
 from repro.fsim.parallel import run_parallel_conventional
 from repro.patterns.random_gen import random_patterns
+from repro.sim.sequential import simulate_sequence
 
 
 def _compare(circuit, faults, patterns, batch=62):
     serial = run_conventional(circuit, faults, patterns)
     parallel = run_parallel_conventional(circuit, faults, patterns, batch)
+    good = simulate_sequence(circuit, patterns)
+    assert parallel.reference.states == good.states
+    assert parallel.reference.outputs == good.outputs
     assert len(serial.verdicts) == len(parallel.verdicts)
     for s_verdict, p_verdict in zip(serial.verdicts, parallel.verdicts):
         assert s_verdict.fault == p_verdict.fault
@@ -66,8 +70,12 @@ def test_rejects_bad_batch():
 
 def test_empty_fault_list():
     circuit = s27()
-    campaign = run_parallel_conventional(circuit, [], random_patterns(4, 4))
+    patterns = random_patterns(4, 4)
+    campaign = run_parallel_conventional(circuit, [], patterns)
     assert campaign.total == 0
+    good = simulate_sequence(circuit, patterns)
+    assert campaign.reference.states == good.states
+    assert campaign.reference.outputs == good.outputs
 
 
 @settings(

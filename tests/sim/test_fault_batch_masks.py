@@ -63,7 +63,8 @@ def interpreted(circuit, fault, patterns, reference):
 
 
 def batched(circuit, faults, patterns, reference, batch):
-    """(detected, condition (C)) of every fault, in kernel batches."""
+    """(detected, condition (C)) of every fault, in kernel batches; with
+    *reference* ``None``, against each batch's fault-free slot 0."""
     answers = []
     for start in range(0, len(faults), batch):
         chunk = faults[start:start + batch]
@@ -88,6 +89,21 @@ def assert_masks_agree(circuit, faults, patterns, reference, batch, expected):
             assert condition == want_condition, f"{label}: condition (C)"
 
 
+def assert_slot0_is_the_good_machine(circuit, faults, patterns, batch):
+    """Without a reference, a batch compares every fault with its slot
+    0: the same masks, on every fault, as against the good machine's
+    response, and slot 0's trajectory is that good machine's."""
+    good = simulate_sequence(circuit, patterns)
+    assert batched(circuit, faults, patterns, None, batch) == batched(
+        circuit, faults, patterns, good.outputs, batch
+    )
+    slot0 = simulate_fault_batch(
+        circuit, compile_fault_batch(circuit, faults[:batch]), patterns
+    ).good
+    assert slot0.states == good.states
+    assert slot0.outputs == good.outputs
+
+
 # ----------------------------------------------------------------------
 # The golden-fixture circuits, every fault
 # ----------------------------------------------------------------------
@@ -107,6 +123,7 @@ def golden_workload(name):
 def test_masks_match_interpreted_path_on_golden_circuits(name, batch):
     circuit, patterns, reference, faults, expected = golden_workload(name)
     assert_masks_agree(circuit, faults, patterns, reference, batch, expected)
+    assert_slot0_is_the_good_machine(circuit, faults, patterns, batch)
 
 
 def test_golden_circuits_exercise_both_masks():
@@ -142,6 +159,7 @@ def test_one_full_width_batch_matches_the_serial_paths(name):
     for fault, (_, condition) in zip(faults, got):
         _, want = interpreted(circuit, fault, patterns, reference)
         assert condition == want, fault.describe(circuit)
+    assert batched(circuit, faults, patterns, None, len(faults)) == got
 
 
 # ----------------------------------------------------------------------
@@ -208,19 +226,31 @@ def test_masks_match_interpreted_path_on_random_machines(
         assert_masks_agree(
             circuit, faults, patterns, reference, batch, expected
         )
+    assert_slot0_is_the_good_machine(circuit, faults, patterns, batch)
 
 
 def test_random_machines_cover_every_pin_kind():
+    """Every place the kernel forces a fault: a stem at a primary input
+    (at the source), a present-state line (the state alone) and a gate
+    output (at the gate), each also on a line with two or more
+    consumers; a branch on a gate pin, a flop data pin and an output
+    tap."""
+    stem_kind = {"input": "pi_stem", "flop": "ps_stem", "gate": "gate_stem"}
     kinds = set()
     for seed in range(5):
         circuit = random_moore(seed, num_inputs=2, num_flops=3, num_gates=14)
-        ps_lines = {flop.ps for flop in circuit.flops}
         for fault in fault_universe(circuit):
             if fault.pin is None:
-                kinds.add("ps_stem" if fault.line in ps_lines else "stem")
+                kind = stem_kind[circuit.source_kind[fault.line]]
+                kinds.add(kind)
+                if len(circuit.fanout_pins[fault.line]) >= 2:
+                    kinds.add(kind + "_fanout")
             else:
                 kinds.add(fault.pin.kind)
-    assert kinds == {"ps_stem", "stem", "gate", "flop", "output"}
+    assert kinds == {
+        "pi_stem", "pi_stem_fanout", "ps_stem", "ps_stem_fanout",
+        "gate_stem", "gate_stem_fanout", "gate", "flop", "output",
+    }
 
 
 def test_reference_length_must_match_patterns():

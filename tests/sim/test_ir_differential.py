@@ -72,12 +72,18 @@ def test_ir_schedule_is_levelized_and_complete():
         for i in range(ir.fanin_offsets[s], ir.fanin_offsets[s + 1]):
             line = ir.fanin_lines[i]
             assert line in sources or producer[line] < s
-    # Group runs tile the schedule exactly, one opcode per run.
-    covered = []
-    for op, start, end in ir.groups:
-        covered.extend(range(start, end))
-        assert all(ir.ops[s] == op for s in range(start, end))
-    assert covered == list(range(ir.num_gates))
+    # The program's runs tile the schedule exactly, one opcode per run,
+    # with no forces.
+    s = 0
+    for op, gates in ir.program:
+        for out, fanins, pins, force in gates:
+            assert ir.ops[s] == op and ir.outs[s] == out
+            assert fanins == ir.fanin_lines[
+                ir.fanin_offsets[s]:ir.fanin_offsets[s + 1]
+            ]
+            assert pins is None and force is None
+            s += 1
+    assert s == ir.num_gates
     # Levels tile the schedule too.
     assert ir.level_starts[0] == 0
     assert ir.level_starts[-1] == ir.num_gates
