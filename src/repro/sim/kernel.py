@@ -16,18 +16,28 @@ Python integers are arbitrary precision, so a plane has no word size:
 one plane pair holds every slot of a batch, with no windowing, and the
 cost of a pass grows far slower than its width.
 
+Every gate starts from its first fanin.  AND, NAND, OR and NOR share
+one loop over *oriented* plane pairs: it ANDs the plane of the gate's
+non-controlling value and ORs the other, so OR is AND over ``(zeros,
+ones)``, and NAND and OR write their result to the swapped pair
+(:data:`~repro.sim.ir.READS_SWAPPED`, :data:`~repro.sim.ir.WRITES_SWAPPED`).
+A two-input gate is one flat entry with no inner loop.
+
 Fault injection is compiled, not simulated: each stuck line or pin of
-a batch becomes a force, a ``(force_one, force_zero, keep)`` mask triple
-applied as ``v <- (v & keep) | force``, forced in exactly one place.  A
-stem is forced once on its line -- at its driving gate's output, at
-the source for a primary input, on the present state for a flip-flop
-output -- so every consumer reads the stuck value, and a branch on its
-one gate pin, flip-flop data pin or output tap.  The gate forces hang
-on a copy of the IR's per-gate program, which :func:`eval_pass` walks;
-this models the netlist-transformation injector exactly.  Without a
-reference response, a batch compares every fault with slot 0, the
-fault-free machine of the same pass, and hands back slot 0's
-trajectory as the good machine's.
+a batch becomes a force (:data:`~repro.sim.ir.Force`), forced in
+exactly one place and stored in the orientation of the planes it is
+applied to, so nothing swaps at run time.  A force that holds only
+stuck-at-1 or only stuck-at-0 slots costs one operation per plane
+(``p |= force; q &= keep``).  A stem is forced once on its line -- at
+its driving gate's output, at the source for a primary input, on the
+present state for a flip-flop output -- so every consumer reads the
+stuck value, and a branch on its one gate pin, flip-flop data pin or
+output tap.  The gate forces hang on a copy of the IR's per-gate
+program, which :func:`eval_pass` walks; this models the
+netlist-transformation injector exactly.  Without a reference
+response, a batch compares every fault with slot 0, the fault-free
+machine of the same pass, and hands back slot 0's trajectory as the
+good machine's.
 
 This kernel is the only bit-parallel simulator: every ``fsim``
 campaign runs its fault batches (and takes its good machine from their
@@ -55,23 +65,35 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    cast,
 )
 
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
 from repro.logic.values import ONE, UNKNOWN, ZERO
 from repro.sim.ir import (
+    KIND_CONST,
+    KIND_COPY,
+    KIND_PAIR,
     OP_BUF,
     OP_CONST0,
     OP_NAND,
     OP_NOR,
     OP_NOT,
     OP_XNOR,
+    READS_SWAPPED,
+    WRITES_SWAPPED,
+    ChainEntry,
     CircuitIR,
+    ConstEntry,
+    CopyEntry,
     Force,
     GateEntry,
+    PairEntry,
     Program,
+    Run,
     compile_circuit,
+    gate_entry,
 )
 
 if TYPE_CHECKING:  # circular at runtime: sequential imports this module
@@ -95,6 +117,13 @@ __all__ = [
 
 #: Stands in for the pin forces of a gate that has none.
 _UNFORCED: Iterator[Optional[Force]] = repeat(None)
+
+# The entries of each run kind, as :func:`eval_pass` casts a run's
+# entries once it has dispatched on the kind.
+_Consts = Tuple[ConstEntry, ...]
+_Copies = Tuple[CopyEntry, ...]
+_Pairs = Tuple[PairEntry, ...]
+_Chains = Tuple[ChainEntry, ...]
 
 
 # ----------------------------------------------------------------------
@@ -160,97 +189,114 @@ def eval_pass(
     Frame sources (primary inputs and present-state lines) must already
     be set in *ones* / *zeros*; every other line is recomputed.  *mask*
     has one bit per live slot.  The pass walks *program* (the IR's own,
-    with no forces, by default): per gate, a pin force replaces the
-    forced slots' bits of the line that pin reads, and a line force
-    those of the gate's output before any consumer reads it -- each as
-    ``v <- (v & keep) | force``.
+    with no forces, by default) one run at a time, reading each fanin as
+    the plane pair ``(p, q)`` its run reads and writing each output to
+    the pair its run writes.  Each gate starts from its first fanin; a
+    pin force replaces the forced slots' bits of the line that pin
+    reads, and a line force those of the gate's output before any
+    consumer reads it (:data:`~repro.sim.ir.Force`).
     """
-    for op, gates in ir.program if program is None else program:
-        if op <= OP_NOR:  # AND / NAND / OR / NOR
-            conjunctive = op <= OP_NAND
-            negated = op == OP_NAND or op == OP_NOR
-            for out, fanins, pins, force in gates:
-                if conjunctive:
-                    acc1, acc0 = mask, 0
-                    if pins is None:
-                        for line in fanins:
-                            acc1 &= ones[line]
-                            acc0 |= zeros[line]
-                    else:
-                        for line, forced in zip(fanins, pins):
-                            v1, v0 = ones[line], zeros[line]
-                            if forced is not None:
-                                f1, f0, keep = forced
-                                v1 = (v1 & keep) | f1
-                                v0 = (v0 & keep) | f0
-                            acc1 &= v1
-                            acc0 |= v0
-                else:
-                    acc1, acc0 = 0, mask
-                    if pins is None:
-                        for line in fanins:
-                            acc1 |= ones[line]
-                            acc0 &= zeros[line]
-                    else:
-                        for line, forced in zip(fanins, pins):
-                            v1, v0 = ones[line], zeros[line]
-                            if forced is not None:
-                                f1, f0, keep = forced
-                                v1 = (v1 & keep) | f1
-                                v0 = (v0 & keep) | f0
-                            acc1 |= v1
-                            acc0 &= v0
-                if negated:
-                    acc1, acc0 = acc0, acc1
+    for op, kind, gates in ir.program if program is None else program:
+        p_in, q_in = (zeros, ones) if READS_SWAPPED[op] else (ones, zeros)
+        p_out, q_out = (zeros, ones) if WRITES_SWAPPED[op] else (ones, zeros)
+        if kind == KIND_PAIR:  # p: AND of the p planes, q: OR of the q planes
+            for out, a, b, pin_a, pin_b, force in cast(_Pairs, gates):
+                p, q = p_in[a], q_in[a]
+                if pin_a is not None:
+                    fp, kp, fq, kq = pin_a
+                    if fp:
+                        p |= fp
+                        q &= kp
+                    if fq:
+                        q |= fq
+                        p &= kq
+                vp, vq = p_in[b], q_in[b]
+                if pin_b is not None:
+                    fp, kp, fq, kq = pin_b
+                    if fp:
+                        vp |= fp
+                        vq &= kp
+                    if fq:
+                        vq |= fq
+                        vp &= kq
+                p &= vp
+                q |= vq
                 if force is not None:
-                    f1, f0, keep = force
-                    acc1 = (acc1 & keep) | f1
-                    acc0 = (acc0 & keep) | f0
-                ones[out] = acc1
-                zeros[out] = acc0
-        elif op <= OP_XNOR:  # XOR / XNOR by plane recurrence
-            for out, fanins, pins, force in gates:
-                acc1, acc0 = 0, mask  # constant 0, the identity of XOR
-                for line, forced in zip(fanins, pins or _UNFORCED):
-                    v1, v0 = ones[line], zeros[line]
-                    if forced is not None:
-                        f1, f0, keep = forced
-                        v1 = (v1 & keep) | f1
-                        v0 = (v0 & keep) | f0
-                    acc1, acc0 = (acc1 & v0) | (acc0 & v1), (acc1 & v1) | (acc0 & v0)
-                if op == OP_XNOR:
-                    acc1, acc0 = acc0, acc1
+                    fp, kp, fq, kq = force
+                    if fp:
+                        p |= fp
+                        q &= kp
+                    if fq:
+                        q |= fq
+                        p &= kq
+                p_out[out] = p
+                q_out[out] = q
+        elif kind == KIND_COPY:
+            for out, a, pin_a, force in cast(_Copies, gates):
+                p, q = p_in[a], q_in[a]
+                if pin_a is not None:
+                    fp, kp, fq, kq = pin_a
+                    if fp:
+                        p |= fp
+                        q &= kp
+                    if fq:
+                        q |= fq
+                        p &= kq
                 if force is not None:
-                    f1, f0, keep = force
-                    acc1 = (acc1 & keep) | f1
-                    acc0 = (acc0 & keep) | f0
-                ones[out] = acc1
-                zeros[out] = acc0
-        elif op == OP_NOT or op == OP_BUF:
-            for out, fanins, pins, force in gates:
-                line = fanins[0]
-                v1, v0 = ones[line], zeros[line]
-                if pins is not None and pins[0] is not None:
-                    f1, f0, keep = pins[0]
-                    v1 = (v1 & keep) | f1
-                    v0 = (v0 & keep) | f0
-                if op == OP_NOT:
-                    v1, v0 = v0, v1
+                    fp, kp, fq, kq = force
+                    if fp:
+                        p |= fp
+                        q &= kp
+                    if fq:
+                        q |= fq
+                        p &= kq
+                p_out[out] = p
+                q_out[out] = q
+        elif kind == KIND_CONST:  # CONST1 written straight, CONST0 swapped
+            for out, force in cast(_Consts, gates):
+                if force is None:
+                    p_out[out] = mask
+                    q_out[out] = 0
+                else:  # (mask, 0) forced is (keep_q, force_q)
+                    p_out[out] = force[3]
+                    q_out[out] = force[2]
+        else:  # KIND_CHAIN
+            conjunctive = op <= OP_NOR
+            for out, a, rest, pin_a, pins, force in cast(_Chains, gates):
+                p, q = p_in[a], q_in[a]
+                if pin_a is not None:
+                    fp, kp, fq, kq = pin_a
+                    if fp:
+                        p |= fp
+                        q &= kp
+                    if fq:
+                        q |= fq
+                        p &= kq
+                for line, pin in zip(rest, pins or _UNFORCED):
+                    vp, vq = p_in[line], q_in[line]
+                    if pin is not None:
+                        fp, kp, fq, kq = pin
+                        if fp:
+                            vp |= fp
+                            vq &= kp
+                        if fq:
+                            vq |= fq
+                            vp &= kq
+                    if conjunctive:
+                        p &= vp
+                        q |= vq
+                    else:  # XOR by plane recurrence
+                        p, q = (p & vq) | (q & vp), (p & vp) | (q & vq)
                 if force is not None:
-                    f1, f0, keep = force
-                    v1 = (v1 & keep) | f1
-                    v0 = (v0 & keep) | f0
-                ones[out] = v1
-                zeros[out] = v0
-        else:  # CONST0 / CONST1
-            for out, _, _, force in gates:
-                v1, v0 = (0, mask) if op == OP_CONST0 else (mask, 0)
-                if force is not None:
-                    f1, f0, keep = force
-                    v1 = (v1 & keep) | f1
-                    v0 = (v0 & keep) | f0
-                ones[out] = v1
-                zeros[out] = v0
+                    fp, kp, fq, kq = force
+                    if fp:
+                        p |= fp
+                        q &= kp
+                    if fq:
+                        q |= fq
+                        p &= kq
+                p_out[out] = p
+                q_out[out] = q
 
 
 def eval_cone(
@@ -280,15 +326,15 @@ def eval_cone(
         op = ops[s]
         lo, hi = off[s], off[s + 1]
         if op <= OP_NOR:  # AND / NAND / OR / NOR
+            line = fl[lo]
+            acc1, acc0 = ones[line], zeros[line]
             if op <= OP_NAND:
-                acc1, acc0 = mask, 0
-                for i in range(lo, hi):
+                for i in range(lo + 1, hi):
                     line = fl[i]
                     acc1 &= ones[line]
                     acc0 |= zeros[line]
             else:
-                acc1, acc0 = 0, mask
-                for i in range(lo, hi):
+                for i in range(lo + 1, hi):
                     line = fl[i]
                     acc1 |= ones[line]
                     acc0 &= zeros[line]
@@ -536,8 +582,10 @@ class CompiledFaultBatch:
 
     Slot 0 is the fault-free machine; fault *j* (0-based in
     :attr:`faults`) occupies slot ``j + 1``.  Every stuck line or pin
-    is forced in one place, by a :data:`~repro.sim.ir.Force` whose
-    ``keep`` mask is computed here once: a stem stuck on a gate output
+    is forced in one place, by a :data:`~repro.sim.ir.Force` computed
+    here once and oriented to the planes it is applied to (a gate pin's
+    to those its run reads, a gate output's to those its run writes,
+    every other to ``(ones, zeros)``): a stem stuck on a gate output
     in :attr:`program` at that gate, one on a primary input in
     :attr:`input_forces` at the source, one on a present-state line in
     :attr:`forced_state` alone (exactly like ``InjectedFault.forced_ps``);
@@ -563,10 +611,19 @@ class CompiledFaultBatch:
 def _force(
     ones: List[int], zeros: List[int], forces: Dict[int, Force]
 ) -> None:
-    """Apply position-keyed *forces* to two plane lists, in place."""
-    for index, (f1, f0, keep) in forces.items():
-        ones[index] = (ones[index] & keep) | f1
-        zeros[index] = (zeros[index] & keep) | f0
+    """Apply position-keyed *forces*, oriented ``(ones, zeros)``, to two
+    plane lists, in place."""
+    for index, (f1, k1, f0, k0) in forces.items():
+        v1 = ones[index]
+        v0 = zeros[index]
+        if f1:
+            v1 |= f1
+            v0 &= k1
+        if f0:
+            v0 |= f0
+            v1 &= k0
+        ones[index] = v1
+        zeros[index] = v0
 
 
 def compile_fault_batch(
@@ -618,40 +675,56 @@ def compile_fault_batch(
         else:  # "output"
             merge(outputs, pin.index, force_one, force_zero)
 
-    def with_keep(table: Dict[int, Tuple[int, int]]) -> Dict[int, Force]:
-        # ``keep`` stays inside the batch's slots: a negative mask makes
-        # every ``&`` on CPython's big integers about twice as slow.
-        return {k: (f1, f0, mask ^ (f1 | f0)) for k, (f1, f0) in table.items()}
+    def oriented(f1: int, f0: int, swapped: bool = False) -> Force:
+        # ``keep`` stays inside the batch's slots (a negative mask makes
+        # every ``&`` on CPython's big integers about twice as slow), and
+        # the keep of an empty side is *mask* itself, not a copy.
+        fp, fq = (f0, f1) if swapped else (f1, f0)
+        return (fp, mask ^ fp if fp else mask, fq, mask ^ fq if fq else mask)
 
-    line_forces = with_keep(stems)
-    pin_forces = {out: with_keep(pins) for out, pins in branches.items()}
+    def ports(table: Dict[int, Tuple[int, int]]) -> Dict[int, Force]:
+        return {k: oriented(f1, f0) for k, (f1, f0) in table.items()}
 
-    def attach(entry: GateEntry) -> GateEntry:
-        out, fanins, _, _ = entry
-        pins = pin_forces.get(out)
-        force = line_forces.get(out)
-        if pins is None and force is None:
-            return entry
-        return (
-            out,
-            fanins,
-            None if pins is None
-            else tuple(pins.get(pos) for pos in range(len(fanins))),
-            force,
-        )
+    # The IR's entries are in schedule order, so the schedule slot *s*
+    # indexes the CSR table; an unforced gate keeps the IR's own entry.
+    program: List[Run] = []
+    s = 0
+    for op, kind, gates in ir.program:
+        entries: List[GateEntry] = []
+        for entry in gates:
+            out = ir.outs[s]
+            pins = branches.get(out)
+            stem = stems.get(out)
+            if pins is None and stem is None:
+                entries.append(entry)
+            else:
+                fanins = ir.fanin_lines[
+                    ir.fanin_offsets[s]:ir.fanin_offsets[s + 1]
+                ]
+                entries.append(gate_entry(
+                    kind,
+                    out,
+                    fanins,
+                    None if pins is None else [
+                        None if pos not in pins
+                        else oriented(*pins[pos], READS_SWAPPED[op])
+                        for pos in range(len(fanins))
+                    ],
+                    None if stem is None
+                    else oriented(*stem, WRITES_SWAPPED[op]),
+                ))
+            s += 1
+        program.append((op, kind, tuple(entries)))
 
     return CompiledFaultBatch(
         faults=list(faults),
         width=len(faults) + 1,
         mask=mask,
-        program=tuple(
-            (op, tuple(attach(entry) for entry in gates))
-            for op, gates in ir.program
-        ),
-        input_forces=with_keep(inputs),
-        output_forces=with_keep(outputs),
-        flop_forces=with_keep(flops),
-        forced_state=with_keep(states),
+        program=tuple(program),
+        input_forces=ports(inputs),
+        output_forces=ports(outputs),
+        flop_forces=ports(flops),
+        forced_state=ports(states),
     )
 
 

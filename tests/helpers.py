@@ -20,6 +20,7 @@ from repro.logic.values import UNKNOWN
 from repro.mot.implication import FrameEngine
 from repro.mot.simulator import MotConfig, ProposedSimulator
 from repro.patterns.random_gen import random_patterns
+from repro.sim.ir import KIND_CONST, KIND_COPY, KIND_PAIR
 from repro.sim.sequential import (
     outputs_conflict,
     simulate_injected,
@@ -331,3 +332,26 @@ def completions(values: Sequence[int]) -> List[Tuple[int, ...]]:
 def consistent(specified: Sequence[int], binary: Sequence[int]) -> bool:
     """True when *binary* completes the three-valued vector *specified*."""
     return all(s == UNKNOWN or s == b for s, b in zip(specified, binary))
+
+
+def program_entries(program):
+    """Every gate entry of a kernel program in schedule order, decoded to
+    ``(opcode, kind, output, fanins, pin forces, line force)`` whatever
+    the entry's shape; *pin forces* has one force or ``None`` per fanin.
+    """
+    for op, kind, gates in program:
+        for entry in gates:
+            if kind == KIND_CONST:
+                out, force = entry
+                fanins, pins = (), ()
+            elif kind == KIND_COPY:
+                out, a, pin, force = entry
+                fanins, pins = (a,), (pin,)
+            elif kind == KIND_PAIR:
+                out, a, b, pin_a, pin_b, force = entry
+                fanins, pins = (a, b), (pin_a, pin_b)
+            else:
+                out, first, rest, pin_first, rest_pins, force = entry
+                fanins = (first,) + rest
+                pins = (pin_first,) + (rest_pins or (None,) * len(rest))
+            yield op, kind, out, fanins, pins, force

@@ -36,7 +36,13 @@ from repro.fsim.parallel import run_parallel_conventional
 from repro.logic.values import ONE, UNKNOWN, ZERO
 from repro.patterns.random_gen import random_patterns
 from repro.sim.frame import eval_frame
-from repro.sim.ir import OP_CONST1, compile_circuit
+from repro.sim.ir import (
+    KIND_PAIR,
+    OP_CONST1,
+    OP_NOR,
+    compile_circuit,
+    entry_kind,
+)
 from repro.sim.kernel import (
     compile_fault_batch,
     eval_cone,
@@ -48,6 +54,7 @@ from repro.sim.kernel import (
     simulate_sequence_ir,
 )
 from repro.sim.sequential import simulate_sequence
+from tests.helpers import program_entries
 
 
 def _xpat(num, rng):
@@ -59,7 +66,14 @@ def _xpat(num, rng):
 # IR structure sanity
 # ----------------------------------------------------------------------
 def test_ir_schedule_is_levelized_and_complete():
-    circuit = build_circuit("s27")
+    # s35932_like has 15 runs over 5 levels and every entry kind but
+    # the constant.
+    for name in ("s27", "s35932_like"):
+        _assert_schedule_levelized_and_complete(name)
+
+
+def _assert_schedule_levelized_and_complete(name):
+    circuit = build_circuit(name)
     ir = compile_circuit(circuit)
     assert ir.num_gates == len(circuit.gates)
     assert sorted(ir.slot_of_gate) == list(range(ir.num_gates))
@@ -67,23 +81,41 @@ def test_ir_schedule_is_levelized_and_complete():
     # is a frame source), which is what makes one sequential pass and
     # per-level lane parallelism both correct.
     producer = {ir.outs[s]: s for s in range(ir.num_gates)}
+    assert len(producer) == ir.num_gates
     sources = set(ir.inputs) | set(ir.ps_lines)
     for s in range(ir.num_gates):
         for i in range(ir.fanin_offsets[s], ir.fanin_offsets[s + 1]):
             line = ir.fanin_lines[i]
             assert line in sources or producer[line] < s
-    # The program's runs tile the schedule exactly, one opcode per run,
-    # with no forces.
+    # The program's entries tile the schedule in schedule order: each
+    # gate once, in a run of its opcode and of the kind its fanin count
+    # gives, with no forces; every two-input AND-family gate is flat.
     s = 0
-    for op, gates in ir.program:
-        for out, fanins, pins, force in gates:
-            assert ir.ops[s] == op and ir.outs[s] == out
-            assert fanins == ir.fanin_lines[
-                ir.fanin_offsets[s]:ir.fanin_offsets[s + 1]
-            ]
-            assert pins is None and force is None
-            s += 1
+    for op, kind, out, fanins, pins, force in program_entries(ir.program):
+        assert ir.ops[s] == op and ir.outs[s] == out
+        assert fanins == ir.fanin_lines[
+            ir.fanin_offsets[s]:ir.fanin_offsets[s + 1]
+        ]
+        assert kind == entry_kind(op, len(fanins))
+        if op <= OP_NOR and len(fanins) == 2:
+            assert kind == KIND_PAIR
+        assert pins == (None,) * len(fanins) and force is None
+        s += 1
     assert s == ir.num_gates
+    # Runs are non-empty and maximal, so a run may cross levels: on s27
+    # some do, which the tiling above has checked in schedule order.
+    keys = [(op, kind) for op, kind, _ in ir.program]
+    assert all(keys[k] != keys[k + 1] for k in range(len(keys) - 1))
+    assert all(gates for _, _, gates in ir.program)
+    run_starts = [0]
+    for _, _, gates in ir.program:
+        run_starts.append(run_starts[-1] + len(gates))
+    crossing = [
+        start for start, end in zip(run_starts, run_starts[1:])
+        if any(start < level < end for level in ir.level_starts)
+    ]
+    if name == "s27":
+        assert crossing
     # Levels tile the schedule too.
     assert ir.level_starts[0] == 0
     assert ir.level_starts[-1] == ir.num_gates
